@@ -13,6 +13,9 @@ annihilator elimination) and exps is an even exponent tuple.
 
 from __future__ import annotations
 
+import functools
+import heapq
+
 from superalg import _kernel
 from superalg.superpoly import (
     ParityError,
@@ -26,8 +29,16 @@ from superalg.superpoly import (
 
 # ---------------------------------------------------------------------------
 # term orders on module monomials
+#
+# A key is a pure function of the module monomial, so a memo shared by every
+# algebra can never serve a key computed for a different one.  The bound
+# keeps memory flat on long runs; a whole perfbench pool touches at most
+# about 300 distinct monomials per order.
+
+TERM_KEY_CACHE_SIZE = 1 << 12
 
 
+@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
 def super_term_key(comp, exps):
     """Standard order: grevlex on even exponents, then odd subset."""
     return (
@@ -39,6 +50,7 @@ def super_term_key(comp, exps):
     )
 
 
+@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
 def weight_term_key(comp, exps):
     """Odd-weight-first order: fewer odd factors = greater.  The leading
     term of any element then lies in its lowest odd-weight slice, which is
@@ -51,6 +63,7 @@ def weight_term_key(comp, exps):
     )
 
 
+@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
 def elim_term_key(comp, exps):
     """Elimination order for the annihilator computation: every term in the
     main block dominates every term in the tag block."""
@@ -60,10 +73,6 @@ def elim_term_key(comp, exps):
 
 # ---------------------------------------------------------------------------
 # vector arithmetic
-
-
-def vec_is_zero(v):
-    return not v
 
 
 def vec_add_scaled(dst, src, coeff, shift=None):
@@ -99,20 +108,21 @@ class GBasis:
         self.key = key
         self.vectors = []
         self.leads = []
+        self.by_comp = {}  # component -> [(index, lead exponents)], by index
         for v in vectors:
             if v:
                 self.append(vec_monic(v, key))
 
     def append(self, v):
+        lead = vec_lead(v, self.key)
+        self.by_comp.setdefault(lead[0], []).append((len(self.vectors), lead[1]))
         self.vectors.append(v)
-        self.leads.append(vec_lead(v, self.key))
+        self.leads.append(lead)
 
     def _find_reducer(self, comp, exps, skip=None):
         divides = _kernel.exp_divides
-        for i, (lc_comp, lc_exps) in enumerate(self.leads):
-            if i == skip:
-                continue
-            if lc_comp == comp and divides(lc_exps, exps):
+        for i, lead_exps in self.by_comp.get(comp, ()):
+            if i != skip and divides(lead_exps, exps):
                 return i
         return None
 
@@ -141,28 +151,61 @@ class GBasis:
 
 def buchberger(vectors, key):
     """Unique reduced Gröbner basis of the k[x]-submodule spanned by
-    ``vectors`` with respect to the module order ``key``."""
+    ``vectors`` with respect to the module order ``key``.
+
+    Every vector, input or S-vector, joins the basis only as its nonzero
+    normal form, so the inputs that a closure repeats add no pairs.  Only
+    pairs whose leads share a component have an S-vector.  Pairs are
+    taken smallest lcm first (the normal strategy), and a pair (i, j) is
+    dropped by Buchberger's chain criterion when some other element k of
+    the component has a lead dividing lcm(i, j) while neither (i, k) nor
+    (j, k) is still pending.  The product criterion does not hold for
+    modules and is not used.
+    """
     gb = GBasis([], key)
-    seed = sorted((vec_monic(v, key) for v in vectors if v), key=lambda v: key(*vec_lead(v, key)))
-    for v in seed:
-        gb.append(v)
     lcm = _kernel.exp_lcm
     sub = _kernel.exp_sub
-    pairs = [(i, j) for i in range(len(gb.vectors)) for j in range(i + 1, len(gb.vectors))]
-    while pairs:
-        i, j = pairs.pop(0)
-        (ci, ei), (cj, ej) = gb.leads[i], gb.leads[j]
-        if ci != cj:
+    divides = _kernel.exp_divides
+    heap = []  # (key of the lcm, i, j, comp, lcm exponents), i < j
+    pending = set()
+
+    def insert(v):
+        r = gb.nf(v)
+        if not r:
+            return
+        j = len(gb.vectors)
+        gb.append(vec_monic(r, key))
+        comp, ej = gb.leads[j]
+        for i, ei in gb.by_comp[comp]:
+            if i < j:
+                m = lcm(ei, ej)
+                heapq.heappush(heap, (key(comp, m), i, j, comp, m))
+                pending.add((i, j))
+
+    def chain_redundant(i, j, comp, m):
+        for k, ek in gb.by_comp[comp]:
+            if (
+                k != i
+                and k != j
+                and divides(ek, m)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                return True
+        return False
+
+    for v in sorted((v for v in vectors if v), key=lambda v: key(*vec_lead(v, key))):
+        insert(v)
+    while heap:
+        _, i, j, comp, m = heapq.heappop(heap)
+        pending.discard((i, j))
+        if chain_redundant(i, j, comp, m):
             continue
-        m = lcm(ei, ej)
+        ei, ej = gb.leads[i][1], gb.leads[j][1]
         s = {}
         vec_add_scaled(s, gb.vectors[i], _one_of(gb.vectors[i]), sub(m, ei))
         vec_add_scaled(s, gb.vectors[j], -_one_of(gb.vectors[j]), sub(m, ej))
-        r = gb.nf(s)
-        if r:
-            gb.append(vec_monic(r, key))
-            k = len(gb.vectors) - 1
-            pairs.extend((t, k) for t in range(k))
+        insert(s)
     return _autoreduce(gb)
 
 
@@ -174,26 +217,14 @@ def _one_of(v):
 def _autoreduce(gb):
     key = gb.key
     divides = _kernel.exp_divides
-    # dedupe identical monic vectors (the closure produces sign twins)
-    vectors = []
-    for v in gb.vectors:
-        if v not in vectors:
-            vectors.append(v)
-    # minimalize: drop any element whose lead another (kept) lead divides
-    vectors.sort(key=lambda v: key(*vec_lead(v, key)))
-    kept = []
-    kept_leads = []
-    for v in vectors:
-        comp, exps = vec_lead(v, key)
-        if any(lc == comp and divides(le, exps) for lc, le in kept_leads):
-            continue
-        kept.append(v)
-        kept_leads.append((comp, exps))
+    # every element entered as a normal form, so the leads are distinct;
+    # minimalize: drop any element whose lead a smaller kept lead divides
+    work = GBasis([], key)
+    for (comp, exps), v in sorted(zip(gb.leads, gb.vectors), key=lambda lv: key(*lv[0])):
+        if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
+            work.append(v)
     # tail-reduce each element against the others; with pairwise
     # indivisible leads this terminates in the unique reduced basis
-    work = GBasis([], key)
-    for v in kept:
-        work.append(v)
     out = [vec_monic(work.nf(v, skip=i), key) for i, v in enumerate(work.vectors)]
     out.sort(key=lambda v: key(*vec_lead(v, key)), reverse=True)
     final = GBasis([], key)
@@ -239,13 +270,13 @@ def superideal_closure(gens):
     if not out:
         return []
     vs = out[0].vs
-    closed = list(out)
+    closed = dict.fromkeys(out)  # a hash set that keeps first-occurrence order
     for g in out:
         for mask in range(1, 1 << vs.n):
             prod = vs.monomial((0,) * vs.m, mask) * g
-            if prod and prod not in closed:
-                closed.append(prod)
-    return closed
+            if prod:
+                closed.setdefault(prod)
+    return list(closed)
 
 
 def module_groebner(gens, key=super_term_key):

@@ -99,14 +99,35 @@ class GFElement:
         return str(self.v)
 
 
+# The first thirteen primes as Miller-Rabin witnesses decide primality of
+# every n below this bound (Sorenson and Webster, 2015).
+MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin for p below MILLER_RABIN_BOUND."""
+    if p >= MILLER_RABIN_BOUND:
+        raise FieldError("primality of %d cannot be certified (limit %d)" % (p, MILLER_RABIN_BOUND))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in MILLER_RABIN_WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -148,6 +169,9 @@ class Field:
         if isinstance(v, int):
             return GFElement(self.char, v)
         if isinstance(v, Fraction):
+            if v.denominator % self.char == 0:
+                raise FieldError("%s has no value in F_%d: its denominator is divisible by %d"
+                                 % (v, self.char, self.char))
             return GFElement(self.char, v.numerator) / GFElement(self.char, v.denominator)
         raise FieldError("cannot coerce %r into F_%d" % (v, self.char))
 

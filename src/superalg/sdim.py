@@ -129,9 +129,13 @@ def _check_all_odd(elements):
             raise ParityError("%s is not odd" % y)
 
 
-def is_odd_parameter_system(algebra, elements):
+def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
     """Tests whether the product of the elements has an annihilator small
-    enough to preserve the even Krull dimension."""
+    enough to preserve the even Krull dimension.
+
+    ``bar_algebra`` (= bar(algebra)) and ``even_dim`` (its Krull dimension)
+    depend only on the algebra; a caller testing many candidates passes
+    them in once computed."""
     _check_all_odd(elements)
     prod = algebra.vs.one()
     for y in elements:
@@ -140,8 +144,8 @@ def is_odd_parameter_system(algebra, elements):
     if prod.is_zero():
         return False, OddParamCertificate(list(elements), None, None, "product is zero")
     ann = annihilator(prod, algebra)
-    bar_a = bar(algebra)
-    d = leading_term_dim(bar_a)
+    bar_a = bar(algebra) if bar_algebra is None else bar_algebra
+    d = leading_term_dim(bar_a) if even_dim is None else even_dim
     image = even_annihilator_image_in_bar(ann, bar_a)
     quotient = SuperAlgebra(bar_a.vs, bar_a.relations + image)
     dq = leading_term_dim(quotient)
@@ -198,14 +202,15 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     candidate pool; it is a certified lower bound, capped above by the
     number of odd generators.
     """
-    even = krull_dim_even(algebra)
+    bar_a = bar(algebra)
+    even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
     pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
     n = algebra.vs.n
     for k in range(min(n, len(pool)), 0, -1):
         for combo in itertools.combinations(pool, k):
-            ok, cert = is_odd_parameter_system(algebra, list(combo))
+            ok, cert = is_odd_parameter_system(algebra, list(combo), bar_a, even)
             if ok:
                 return SuperDim(even, k), cert
     return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")

@@ -1,0 +1,123 @@
+"""Property tests for the module Buchberger algorithm over Q and F_p.
+
+Random small module vectors are completed under each term order; the
+result must be the reduced basis of the same module.  Superideals with
+total-degree homogeneous generators are also checked against the dense
+degree-truncated oracle, which is exact in every degree for them.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superalg import _kernel
+from superalg.groebner import (
+    buchberger,
+    elim_term_key,
+    poly_to_vec,
+    super_term_key,
+    superideal_closure,
+    vec_lead,
+    weight_term_key,
+)
+from superalg.oracle import all_monomials, ideal_span
+from superalg.scalars import QQ, Field
+from superalg.superpoly import VarSet
+
+FIELDS = (QQ, Field(7))
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def module_vectors(draw, elim=False):
+    """(key, vectors): up to six vectors with at most four terms each, in
+    two even variables, over two components (or two blocks of two for the
+    elimination order).  Few components make long same-component chains."""
+    field = draw(st.sampled_from(FIELDS))
+    if elim:
+        key = elim_term_key
+        comps = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    else:
+        key = draw(st.sampled_from((super_term_key, weight_term_key)))
+        comps = st.integers(0, 1)
+    terms = st.tuples(comps, st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    coeffs = st.integers(-3, 3).filter(bool).map(field.of)
+    vector = st.dictionaries(terms, coeffs, min_size=1, max_size=4)
+    return key, draw(st.lists(vector, min_size=1, max_size=6))
+
+
+def assert_reduced(gb):
+    divides = _kernel.exp_divides
+    for v, (comp, exps) in zip(gb.vectors, gb.leads):
+        assert (comp, exps) == vec_lead(v, gb.key)
+        assert v[(comp, exps)] == 1
+    for i, (lc, le) in enumerate(gb.leads):
+        for j, v in enumerate(gb.vectors):
+            if i != j:
+                assert not any(c == lc and divides(le, e) for c, e in v)
+
+
+def assert_basis_of(gb, vectors):
+    assert_reduced(gb)
+    for v in vectors:
+        assert gb.nf(v) == {}
+    # the reduced basis is unique: the inputs in another order give it again
+    assert buchberger(list(reversed(vectors)), gb.key).vectors == gb.vectors
+
+
+@PROPERTY_SETTINGS
+@given(module_vectors())
+def test_buchberger_reduced_basis(case):
+    key, vectors = case
+    assert_basis_of(buchberger(vectors, key), vectors)
+
+
+@PROPERTY_SETTINGS
+@given(module_vectors(elim=True))
+def test_buchberger_reduced_basis_elimination_order(case):
+    key, vectors = case
+    assert_basis_of(buchberger(vectors, key), vectors)
+
+
+@st.composite
+def homogeneous_superideals(draw):
+    """(vs, gens): one or two generators of k[x1, x2 | y1, y2], each
+    homogeneous in total degree 1 to 3."""
+    vs = VarSet(("x1", "x2"), ("y1", "y2"), draw(st.sampled_from(FIELDS)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(1, 3))
+        monos = [t for t in all_monomials(vs, degree) if sum(t[0]) + t[1].bit_count() == degree]
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        g = vs.zero()
+        for exps, mask in chosen:
+            g = g + vs.monomial(exps, mask, draw(st.integers(-3, 3).filter(bool)))
+        if g:
+            gens.append(g)
+    return vs, gens
+
+
+@PROPERTY_SETTINGS
+@given(homogeneous_superideals(), st.sampled_from((super_term_key, weight_term_key)))
+def test_buchberger_membership_matches_oracle(case, key):
+    vs, gens = case
+    closed = superideal_closure(gens)
+    vectors = [poly_to_vec(g) for g in closed]
+    gb = buchberger(vectors, key)
+    assert_basis_of(gb, vectors)
+    # for a graded superideal both sides count dim I_d in every degree d:
+    # the oracle by its echelon rows, the basis by the monomials its leads
+    # divide
+    max_degree = 4
+    span = ideal_span(closed, max_degree)
+    for row in span.rows.values():
+        assert gb.nf({(mask, exps): c for (exps, mask), c in row.items()}) == {}
+    divides = _kernel.exp_divides
+    for d in range(max_degree + 1):
+        rows = sum(1 for exps, mask in span.rows if sum(exps) + mask.bit_count() == d)
+        lead_multiples = sum(
+            1
+            for exps, mask in all_monomials(vs, d)
+            if sum(exps) + mask.bit_count() == d
+            and any(c == mask and divides(le, exps) for c, le in gb.leads)
+        )
+        assert rows == lead_multiples, "degree %d" % d

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -146,6 +147,26 @@ def test_input_errors():
 def test_finite_field_flag():
     code, out = run(["ksdim", data("xy.salg"), "--field", "fp", "5"])
     assert code == 0 and "1|0" in out
+
+
+def test_denominator_divisible_by_p_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "sevenths.salg"
+    doc.write_text("superalgebra a\n  even x\n  odd y\n  rel 5/7*x*y\nend\n")
+    code, out = run(["ksdim", str(doc), "--field", "fp", "7"])
+    assert code == 2 and out == ""
+    assert "divisible by 7" in capsys.readouterr().err
+    code, _ = run(["ksdim", str(doc), "--field", "fp", "5"])
+    assert code == 0
+
+
+def test_huge_prime_field_is_accepted_quickly():
+    start = time.perf_counter()
+    code, out = run(["ksdim", data("xy.salg"), "--field", "fp", "1000000000000000003"])
+    assert code == 0 and "1|0" in out
+    assert time.perf_counter() - start < 5
+    # beyond the deterministic Miller-Rabin range primality is not certified
+    code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", str(2**89 - 1)])
+    assert code == 2
 
 
 def test_json_outputs_are_stable():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.scalars import Field, FieldError, QQ
+from superalg.scalars import Field, FieldError, QQ, _is_prime
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 from conftest import random_poly
@@ -138,6 +138,19 @@ def test_finite_field_arithmetic():
         Field(2)
     with pytest.raises(FieldError):
         Field(6)
+
+
+def test_prime_check_is_deterministic_miller_rabin():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial_division(n)]
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert Field(1000000000000000003).char == 1000000000000000003
+    with pytest.raises(FieldError):
+        Field(2**89 - 1)  # prime, but beyond the certified range
 
 
 def test_max_odd_limit():
