@@ -690,7 +690,15 @@ def run_command(argv, out=None):
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    """Process entry point.  An exception that run_command does not map to
+    exit 2 is a bug, not a false predicate: it is reported on one line,
+    without a traceback, and exits 3."""
+    try:
+        code = run_command(sys.argv[1:])
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -293,7 +293,9 @@ class SuperAlgebra:
     """Finite presentation k[x's | y's] / J with cached Gröbner data.
 
     Relations are split into parity-homogeneous components at
-    construction, so the relation superideal is parity-graded.
+    construction, so the relation superideal is parity-graded.  ``key``
+    identifies the presentation by content (generators, field and
+    relations); caches of answers that depend on the algebra key on it.
     """
 
     def __init__(self, vs, relations=()):
@@ -307,6 +309,7 @@ class SuperAlgebra:
                 if part and part not in rels:
                     rels.append(part)
         self.relations = rels
+        self.key = (vs, tuple(rels))
         self._gb = None
         self._gbasis = None
 
@@ -356,6 +359,20 @@ class SuperIdeal:
         closed = superideal_closure(self.generators) + list(ambient.module_gb)
         self.module_gb = module_groebner(closed)
         self._gbasis = GBasis([poly_to_vec(g) for g in self.module_gb], super_term_key)
+
+    @classmethod
+    def _from_reduced_basis(cls, ambient, generators, basis):
+        """A superideal whose reduced Gröbner basis under super_term_key is
+        already known: ``basis`` becomes ``module_gb`` as given, with no
+        closure and no Buchberger run.  The caller vouches that it is the
+        reduced basis of a superideal containing the relation module."""
+        self = cls.__new__(cls)
+        self.ambient = ambient
+        self.generators = generators
+        self.ann_of_zero = False
+        self.module_gb = basis
+        self._gbasis = GBasis([poly_to_vec(g) for g in self.module_gb], super_term_key)
+        return self
 
     def nf(self, f):
         return vec_to_poly(self.ambient.vs, self._gbasis.nf(poly_to_vec(f)))
@@ -412,16 +429,19 @@ def annihilator(p, algebra):
     for g in algebra.module_gb:
         vectors.append({((0, cm), ce): c for (cm, ce), c in poly_to_vec(g).items()})
     gb = buchberger(vectors, elim_term_key)
-    gens = []
-    for v in gb.vectors:
-        if all(comp[0] == 1 for comp, _ in v):
-            poly = SuperPoly(vs, {(exps, comp[1]): c for (comp, exps), c in v.items()})
-            # the kernel is parity-graded; split defensively
-            for par in (0, 1):
-                part = poly.parity_part(par)
-                if part:
-                    gens.append(part)
-    return SuperIdeal(algebra, gens)
+    # The tag-block elements are already the reduced basis of the kernel K
+    # under super_term_key: the tag block sorts below every main-block term
+    # and elim_term_key restricted to it is super_term_key; K contains J and
+    # is closed under odd multiplication, so closing it and adding the
+    # relation basis changes nothing; and the reduced basis of a
+    # parity-graded module is parity-homogeneous.
+    kernel = [
+        SuperPoly(vs, {(exps, comp[1]): c for (comp, exps), c in v.items()})
+        for v in gb.vectors
+        if all(comp[0] == 1 for comp, _ in v)
+    ]
+    gens = [g for g in (algebra.nf(k) for k in kernel) if g]
+    return SuperIdeal._from_reduced_basis(algebra, gens, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def _matrix_key(M):
 
 
 def mat_inverse(algebra, M):
-    key = (id(algebra), _matrix_key(M))
+    key = (algebra.key, _matrix_key(M))
     if key in _INVERSE_CACHE:
         return _INVERSE_CACHE[key]
     det = algebra.nf(mat_det(M))
@@ -425,9 +425,10 @@ class HCPair:
 
     def rho_at(self, algebra, M):
         """Evaluate the action matrix at a group point over the even part
-        of a coefficient algebra.  Memoized on the matrix contents: the
-        rewriting engine hits the same group factors repeatedly."""
-        key = (id(algebra), _matrix_key(M))
+        of a coefficient algebra.  Memoized on the algebra's key and the
+        matrix contents: the rewriting engine hits the same group factors
+        repeatedly."""
+        key = (algebra.key, _matrix_key(M))
         cache = getattr(self, "_rho_at_cache", None)
         if cache is None:
             cache = self._rho_at_cache = {}

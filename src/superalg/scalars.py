@@ -30,7 +30,7 @@ class GFElement:
         if isinstance(other, int):
             return GFElement(self.p, other)
         if isinstance(other, Fraction):
-            return GFElement(self.p, other.numerator) / GFElement(self.p, other.denominator)
+            return _gf_of_fraction(self.p, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -97,6 +97,14 @@ class GFElement:
 
     def __str__(self):
         return str(self.v)
+
+
+def _gf_of_fraction(p, v):
+    """The image of a Fraction in F_p; FieldError when p divides its
+    denominator."""
+    if v.denominator % p == 0:
+        raise FieldError("%s has no value in F_%d: its denominator is divisible by %d" % (v, p, p))
+    return GFElement(p, v.numerator) / GFElement(p, v.denominator)
 
 
 # The first thirteen primes as Miller-Rabin witnesses decide primality of
@@ -169,10 +177,7 @@ class Field:
         if isinstance(v, int):
             return GFElement(self.char, v)
         if isinstance(v, Fraction):
-            if v.denominator % self.char == 0:
-                raise FieldError("%s has no value in F_%d: its denominator is divisible by %d"
-                                 % (v, self.char, self.char))
-            return GFElement(self.char, v.numerator) / GFElement(self.char, v.denominator)
+            return _gf_of_fraction(self.char, v)
         raise FieldError("cannot coerce %r into F_%d" % (v, self.char))
 
     def is_one(self, v):

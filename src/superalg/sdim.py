@@ -216,11 +216,6 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")
 
 
-def sdim_affine(algebra, **kw):
-    """Super-dimension of the affine superscheme presented by the algebra."""
-    return ksdim(algebra, **kw)
-
-
 # ---------------------------------------------------------------------------
 # rational points
 

@@ -3,10 +3,12 @@
 import io
 import json
 import os
+import sys
 import time
 
 import pytest
 
+from superalg import cli
 from superalg.cli import run_command
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -167,6 +169,22 @@ def test_huge_prime_field_is_accepted_quickly():
     # beyond the deterministic Miller-Rabin range primality is not certified
     code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", str(2**89 - 1)])
     assert code == 2
+
+
+def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_bar", broken)
+    # run_command lets the exception through; only the process entry maps it
+    with pytest.raises(RuntimeError):
+        run(["bar", data("xy.salg")])
+    monkeypatch.setattr(sys, "argv", ["superalg", "bar", data("xy.salg")])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_json_outputs_are_stable():

@@ -249,3 +249,22 @@ def test_pair_document_roundtrip(coeff):
     a2 = normalize_word(pair, coeff, a.word())
     b2 = normalize_word(pair, coeff, b.word())
     assert hc_mul(a2, b2).g == hc_mul(a, b).g
+
+
+def test_caches_never_serve_another_algebra():
+    """Algebras built and dropped in turn reuse addresses; the inverse and
+    rho caches must still tell Lambda(s,t)/(st) from Lambda(s,t)."""
+    from superalg.groebner import SuperAlgebra
+    from superalg.superpoly import VarSet
+
+    vs = VarSet((), ("s", "t"), QQ)
+    st = vs.gen("s") * vs.gen("t")
+    M = [[vs.one() + st]]
+    pair = builtin_pairs(QQ)["gl1-weight"]  # rho(g) = g11
+    for i in range(200):
+        if i % 2 == 0:
+            A, g, g_inv = SuperAlgebra(vs, [st]), vs.one(), vs.one()
+        else:
+            A, g, g_inv = SuperAlgebra(vs, []), vs.one() + st, vs.one() - st
+        assert mat_inverse(A, M) == [[g_inv]]
+        assert pair.rho_at(A, M) == [[g]]

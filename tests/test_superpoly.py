@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.scalars import Field, FieldError, QQ, _is_prime
+from superalg.scalars import Field, FieldError, GFElement, QQ, _is_prime
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 from conftest import random_poly
@@ -151,6 +151,14 @@ def test_prime_check_is_deterministic_miller_rabin():
     assert Field(1000000000000000003).char == 1000000000000000003
     with pytest.raises(FieldError):
         Field(2**89 - 1)  # prime, but beyond the certified range
+
+
+def test_fraction_with_denominator_divisible_by_p_is_a_field_error():
+    assert GFElement(7, 1) + Fraction(1, 3) == GFElement(7, 6)
+    with pytest.raises(FieldError):
+        GFElement(7, 1) + Fraction(1, 7)
+    with pytest.raises(FieldError):
+        Fraction(3, 14) * GFElement(7, 2)
 
 
 def test_max_odd_limit():
