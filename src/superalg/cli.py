@@ -1,16 +1,22 @@
 """Command-line interface.
 
-One command per process; every subcommand reads a ``.salg`` document (or
-an ``.shc`` pair document / built-in pair name for the ``hc`` family),
-prints human-readable text by default and a stable JSON schema
-``{command, inputs, result[, certificate]}`` with ``--json``.
+Every subcommand reads a ``.salg`` document (or an ``.shc`` pair document /
+built-in pair name for the ``hc`` family), prints human-readable text by
+default and a stable JSON schema ``{command, inputs, result[, certificate]}``
+with ``--json``.
 
-Exit codes: 0 success, 1 a predicate evaluated to false, 2 input error.
+Exit codes: 0 success, 1 a predicate evaluated to false, 2 input error,
+3 internal error (``main`` only; ``run_command`` lets the exception through).
+
+``run_command`` may be called repeatedly in one process: the argument parser
+is built on the first call and reused, and no state carries over between
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -574,6 +580,7 @@ def _cmd_selftest(args, out):
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit stable JSON")
@@ -593,45 +600,36 @@ def _build_parser():
 
     p = sub.add_parser("ksdim", parents=[common], help="Krull super-dimension")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_ksdim)
 
     p = sub.add_parser("bar", parents=[common], help="largest purely even quotient")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_bar)
 
     p = sub.add_parser("gr", parents=[common], help="associated graded presentation")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_gr)
 
     p = sub.add_parser("ann", parents=[common], help="annihilator superideal of an element")
     p.add_argument("file")
     p.add_argument("--element", required=True)
-    p.set_defaults(func=_cmd_ann)
 
     p = sub.add_parser("odd-params", parents=[common], help="maximal system of odd parameters")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_odd_params)
 
     p = sub.add_parser("odd-regular", parents=[common], help="odd regular sequence predicate")
     p.add_argument("file")
     p.add_argument("--seq", required=True, help="comma-separated odd elements")
-    p.set_defaults(func=_cmd_odd_regular)
 
     p = sub.add_parser("phi-dim", parents=[common], help="odd minimal-generator count at a point")
     p.add_argument("file")
     p.add_argument("--point", default="", help="assignments like 'x = 0; z = 1'")
-    p.set_defaults(func=_cmd_phi_dim)
 
     p = sub.add_parser("localize", parents=[common], help="localization at an even element")
     p.add_argument("file")
     p.add_argument("--element", required=True)
-    p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("mono-check", parents=[common], help="monomorphism necessary condition")
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("--images", required=True, help="generator images like 'x -> x; y -> y'")
-    p.set_defaults(func=_cmd_mono_check)
 
     p = sub.add_parser("hc", parents=[common], help="Harish-Chandra pair commands")
     hc_sub = p.add_subparsers(dest="hc_command", required=True)
@@ -642,31 +640,25 @@ def _build_parser():
     ):
         q = hc_sub.add_parser(name, parents=[common], help=helptext)
         q.add_argument("pair", help="built-in pair name or .shc file")
-        q.set_defaults(func=_cmd_hc)
     q = hc_sub.add_parser("mul", parents=[common], help="normal form of a product")
     q.add_argument("pair")
     q.add_argument("left", help="element word, e.g. 'g[[1,s],[0,1]] e(t,1)'")
     q.add_argument("right")
-    q.set_defaults(func=_cmd_hc)
     q = hc_sub.add_parser("inv", parents=[common], help="normal form of an inverse")
     q.add_argument("pair")
     q.add_argument("element")
-    q.set_defaults(func=_cmd_hc)
 
     p = sub.add_parser("orbit", parents=[common], help="orbit of an odd unipotent action")
     p.add_argument("file")
     p.add_argument("--derivation", required=True, help="name from the file or 'x -> 0; y -> 1'")
     p.add_argument("--point", required=True, help="name from the file or 'x = 2'")
-    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("verify-orbits", parents=[common], help="orbit theorems at given points")
     p.add_argument("file")
     p.add_argument("--derivation", required=True)
     p.add_argument("--point", action="append", default=[], help="repeatable")
-    p.set_defaults(func=_cmd_verify_orbits)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the deterministic corpus")
-    p.set_defaults(func=_cmd_selftest)
+    sub.add_parser("selftest", parents=[common], help="run the deterministic corpus")
 
     return parser
 
@@ -674,13 +666,15 @@ def _build_parser():
 def run_command(argv, out=None):
     """Entry point used by tests: returns the exit code, writes to out."""
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # Looked up per call, not bound into the shared parser, so a rebinding
+    # of a module-level handler takes effect.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, out)
+        return handler(args, out)
     except (InputError, dsl.ParseError, FieldError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

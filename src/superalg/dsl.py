@@ -224,11 +224,7 @@ class PolyParser:
             num = int(t.text)
             if self.s.peek().text == "/":
                 self.s.next()
-                d = self.s.peek()
-                if d.kind != "int":
-                    self.s.error("expected an integer denominator")
-                self.s.next()
-                return self.vs.const(Fraction(num, int(d.text)))
+                return self.vs.const(Fraction(num, _parse_denominator(self.s)))
             return self.vs.const(num)
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.s.next()
@@ -478,12 +474,19 @@ def _parse_scalar(stream, field):
     den = 1
     if stream.peek().text == "/":
         stream.next()
-        d = stream.peek()
-        if d.kind != "int":
-            stream.error("expected an integer denominator")
-        stream.next()
-        den = int(d.text)
+        den = _parse_denominator(stream)
     return field.of(Fraction(sign * num, den))
+
+
+def _parse_denominator(stream):
+    """The nonzero integer after a '/'."""
+    d = stream.peek()
+    if d.kind != "int":
+        stream.error("expected an integer denominator")
+    stream.next()
+    if int(d.text) == 0:
+        raise ParseError("zero denominator", d.line, d.col)
+    return int(d.text)
 
 
 # ---------------------------------------------------------------------------

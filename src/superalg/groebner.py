@@ -95,10 +95,10 @@ def vec_lead(v, key):
 def vec_monic(v, key):
     lt = vec_lead(v, key)
     lc = v[lt]
-    one_like = lc / lc
-    if lc == one_like:
+    if lc == 1:
         return dict(v)
-    return {t: c / lc for t, c in v.items()}
+    inv = 1 / lc
+    return {t: c * inv for t, c in v.items()}
 
 
 class GBasis:

@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, JSON stability."""
 
+import argparse
 import io
 import json
 import os
@@ -140,6 +141,10 @@ def test_input_errors():
     assert code == 2
     code, _ = run(["ann", data("xy.salg"), "--element", "zz"])
     assert code == 2
+    code, _ = run(["ann", data("xy.salg"), "--element", "1/0"])
+    assert code == 2
+    code, _ = run(["phi-dim", data("xy.salg"), "--point", "x = 1/0"])
+    assert code == 2
     code, _ = run(["nonsense"])
     assert code == 2
     code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", "4"])
@@ -185,6 +190,35 @@ def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
     assert exit_info.value.code == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    run(["bar", data("xy.salg")])  # warm-up: builds the shared parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(["ksdim", data("xy.salg")])
+    run(["gr", data("x2-y1y2.salg"), "--json"])
+    assert built == []
+
+    verify = ["verify-orbits", data("a11.salg"), "--derivation", "translate"]
+    code, out = run(verify + ["--point", "x = 2"])
+    assert code == 0 and "checks ok" in out
+    # the --point list of the previous call must not become the default
+    code, _ = run(verify)
+    assert code == 2
+
+    orbit = ["orbit", data("a11.salg"), "--derivation", "translate", "--point", "x = 2"]
+    code, over_q = run(orbit)
+    assert code == 0 and "x - 2" in over_q
+    code, over_f7 = run(orbit + ["--field", "fp", "7"])
+    assert code == 0 and over_f7 != over_q
+    assert run(orbit) == (0, over_q)
 
 
 def test_json_outputs_are_stable():

@@ -1,0 +1,146 @@
+"""Fuzzing of the DSL and the CLI's exit-code contract.
+
+Each example edits a shipped ``data/*.salg`` document once or twice
+(inserting a token, a literal or a line, deleting a few characters,
+dropping or repeating a line), picks a subcommand other than ``hc`` and
+``selftest`` (neither reads a ``.salg`` document) with arguments built
+from the document's generators or drawn from a pool of malformed ones,
+and runs it over Q or F_7.  ``run_command`` must return 0,
+1 or 2, raise nothing, and explain every exit 2 on stderr.  All examples
+go through the one argument parser that ``run_command`` builds per process.
+"""
+
+import contextlib
+import io
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superalg.cli import run_command
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+DOCUMENTS = sorted(name for name in os.listdir(DATA) if name.endswith(".salg"))
+TEXTS = {}
+for _name in DOCUMENTS:
+    with open(os.path.join(DATA, _name), encoding="utf-8") as _fh:
+        TEXTS[_name] = _fh.read()
+
+FUZZ_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+PIECES = (
+    "x", "y", "x1", "y1", "y2", "z", "*", "+", "-", "^", "(", ")", ";", ",",
+    "/", "0", "2", "7", "1/2", "5/7", "1/0", "rel", "even", "odd", "end",
+    "derivation", "point", "->", "=", "#", "\n", " ", "@",
+)  # fmt: skip
+SCALARS = ("0", "1", "2", "-1", "1/2")
+HOSTILE = ("5/7", "1/0")  # no value in F_7; no value at all
+JUNK = ("", "zz", "(x", "x^", "->", "y ^ y") + HOSTILE
+COMMANDS = (
+    "ksdim", "bar", "gr", "ann", "odd-params", "odd-regular", "phi-dim",
+    "localize", "mono-check", "orbit", "verify-orbits",
+)  # fmt: skip
+
+
+def generators(text):
+    """(even, odd) generator names declared in a shipped document."""
+    names = {"even": [], "odd": []}
+    for line in text.splitlines():
+        words = line.split()
+        if words and words[0] in names:
+            names[words[0]] += words[1:]
+    return names["even"], names["odd"]
+
+
+def polys(names):
+    """A small polynomial in the given generator names, or (one time in
+    four) junk."""
+    factor = st.sampled_from(SCALARS + tuple(names))
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    poly = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    return st.one_of(poly, poly, poly, st.sampled_from(JUNK))
+
+
+@st.composite
+def assignments(draw, names, arrow, values):
+    """'a <arrow> v; b <arrow> w' over a random subset of names, or junk."""
+    if not names or draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(JUNK))
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    return "; ".join("%s %s %s" % (n, arrow, draw(values)) for n in chosen)
+
+
+@st.composite
+def documents(draw):
+    """(text, even, odd): a shipped document with one or two random edits,
+    and the generators it declared before them."""
+    text = TEXTS[draw(st.sampled_from(DOCUMENTS))]
+    even, odd = generators(text)
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(("relation", "relation", "insert", "delete", "drop-line", "repeat-line")))
+        i = draw(st.sampled_from(range(len(lines))))
+        line = lines[i]
+        if edit == "relation":
+            # into the superalgebra block, unless an earlier edit broke its header
+            at = next((k + 1 for k, ln in enumerate(lines) if ln.startswith("superalgebra")), i)
+            lines.insert(at, "  rel " + draw(polys(even + odd)))
+        elif edit == "insert":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(st.sampled_from(PIECES)) + line[at:]
+        elif edit == "delete":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + line[at + draw(st.integers(1, 3)) :]
+        else:
+            lines[i : i + 1] = [] if edit == "drop-line" else [line, line]
+    return "\n".join(lines), even, odd
+
+
+@st.composite
+def invocations(draw, path, even, odd):
+    """An argv for a subcommand other than hc and selftest, reading path,
+    with arguments in the document's generators."""
+    names = even + odd
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, path]
+    if command in ("ann", "localize"):
+        argv += ["--element", draw(polys(names))]
+    elif command == "odd-regular":
+        argv += ["--seq", ", ".join(draw(st.lists(polys(odd), max_size=3)))]
+    elif command == "phi-dim":
+        if draw(st.booleans()):
+            argv += ["--point", draw(assignments(even, "=", st.sampled_from(SCALARS + HOSTILE)))]
+    elif command == "mono-check":
+        target = draw(st.sampled_from(DOCUMENTS))
+        target_even, target_odd = generators(TEXTS[target])
+        images = draw(assignments(names, "->", polys(target_even + target_odd)))
+        argv += [os.path.join(DATA, target), "--images", images]
+    elif command in ("orbit", "verify-orbits"):
+        derivation = st.one_of(
+            st.sampled_from(("translate", "scale")), assignments(names, "->", polys(names))
+        )
+        point = st.one_of(st.just("origin"), assignments(even, "=", st.sampled_from(SCALARS + HOSTILE)))
+        argv += ["--derivation", draw(derivation)]
+        for _ in range(1 if command == "orbit" else draw(st.integers(0, 2))):
+            argv += ["--point", draw(point)]
+    if draw(st.booleans()):
+        argv += ["--field", "fp", "7"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.salg")
+    text, even, odd = data.draw(documents())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    argv = data.draw(invocations(path, even, odd))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_command(argv, out=out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in err.getvalue()
