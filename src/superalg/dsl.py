@@ -163,10 +163,20 @@ class PolyParser:
     """Recursive-descent parser for `3*x^2*y1y2 - 1/2*y1 + (x - 1)^3`."""
 
     STOPPERS = {";", ",", ")", "]", "end", "rel", "even", "odd", "rho", "bracket", ""}
+    # Each parenthesis costs four Python frames and each unary sign two, so
+    # this keeps any expression well inside the interpreter's recursion
+    # limit; deeper input is a parse error, not a crash.
+    MAX_DEPTH = 100
 
     def __init__(self, stream, vs):
         self.s = stream
         self.vs = vs
+        self.depth = 0
+
+    def _enter(self):
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            self.s.error("expression nested too deeply")
 
     def parse(self):
         return self._sum()
@@ -217,7 +227,9 @@ class PolyParser:
         t = self.s.peek()
         if t.text in ("+", "-"):
             self.s.next()
+            self._enter()
             inner = self._power()
+            self.depth -= 1
             return -inner if t.text == "-" else inner
         if t.kind == "int":
             self.s.next()
@@ -231,8 +243,10 @@ class PolyParser:
             return resolve_name(self.vs, t.text, t)
         if t.text == "(":
             self.s.next()
+            self._enter()
             inner = self._sum()
             self.s.expect(")")
+            self.depth -= 1
             return inner
         self.s.error("expected a polynomial, found %r" % (t.text or "end of input"))
 

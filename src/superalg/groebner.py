@@ -151,6 +151,13 @@ class GBasis:
 
 def buchberger(vectors, key):
     """Unique reduced Gröbner basis of the k[x]-submodule spanned by
+    ``vectors`` with respect to the module order ``key``."""
+    gb = complete(vectors, key)
+    return _autoreduce(key, zip(gb.leads, gb.vectors))
+
+
+def complete(vectors, key):
+    """A Gröbner basis, not yet reduced, of the k[x]-submodule spanned by
     ``vectors`` with respect to the module order ``key``.
 
     Every vector, input or S-vector, joins the basis only as its nonzero
@@ -202,25 +209,23 @@ def buchberger(vectors, key):
         if chain_redundant(i, j, comp, m):
             continue
         ei, ej = gb.leads[i][1], gb.leads[j][1]
+        # basis vectors are monic: the stored lead coefficient is the one
+        one = gb.vectors[i][gb.leads[i]]
         s = {}
-        vec_add_scaled(s, gb.vectors[i], _one_of(gb.vectors[i]), sub(m, ei))
-        vec_add_scaled(s, gb.vectors[j], -_one_of(gb.vectors[j]), sub(m, ej))
+        vec_add_scaled(s, gb.vectors[i], one, sub(m, ei))
+        vec_add_scaled(s, gb.vectors[j], -one, sub(m, ej))
         insert(s)
-    return _autoreduce(gb)
+    return gb
 
 
-def _one_of(v):
-    c = next(iter(v.values()))
-    return c / c
-
-
-def _autoreduce(gb):
-    key = gb.key
+def _autoreduce(key, leads_and_vectors):
+    """The unique reduced basis from the (lead, monic vector) pairs of a
+    completed basis."""
     divides = _kernel.exp_divides
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
     work = GBasis([], key)
-    for (comp, exps), v in sorted(zip(gb.leads, gb.vectors), key=lambda lv: key(*lv[0])):
+    for (comp, exps), v in sorted(leads_and_vectors, key=lambda lv: key(*lv[0])):
         if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
             work.append(v)
     # tail-reduce each element against the others; with pairwise
@@ -428,17 +433,23 @@ def annihilator(p, algebra):
         vectors.append(v)
     for g in algebra.module_gb:
         vectors.append({((0, cm), ce): c for (cm, ce), c in poly_to_vec(g).items()})
-    gb = buchberger(vectors, elim_term_key)
-    # The tag-block elements are already the reduced basis of the kernel K
-    # under super_term_key: the tag block sorts below every main-block term
-    # and elim_term_key restricted to it is super_term_key; K contains J and
-    # is closed under odd multiplication, so closing it and adding the
-    # relation basis changes nothing; and the reduced basis of a
-    # parity-graded module is parity-homogeneous.
+    gb = complete(vectors, elim_term_key)
+    # Only the elements with a tag-block lead are reduced: the tag block
+    # sorts below every main-block term, so they lie wholly in it, and a
+    # main-block lead divides no tag-block term, so the main-block elements
+    # take no part in their reduction.  The result is the tag-block part of
+    # the reduced elimination basis, and that is already the reduced basis
+    # of the kernel K under super_term_key: elim_term_key restricted to the
+    # tag block is super_term_key; K contains J and is closed under odd
+    # multiplication, so closing it and adding the relation basis changes
+    # nothing; and the reduced basis of a parity-graded module is
+    # parity-homogeneous.
+    tag = _autoreduce(
+        elim_term_key, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[0][0] == 1]
+    )
     kernel = [
         SuperPoly(vs, {(exps, comp[1]): c for (comp, exps), c in v.items()})
-        for v in gb.vectors
-        if all(comp[0] == 1 for comp, _ in v)
+        for v in tag.vectors
     ]
     gens = [g for g in (algebra.nf(k) for k in kernel) if g]
     return SuperIdeal._from_reduced_basis(algebra, gens, kernel)

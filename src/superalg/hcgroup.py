@@ -349,10 +349,6 @@ def lambda_algebra(odd_names, field=None):
     return SuperAlgebra(VarSet((), tuple(odd_names), field or QQ), [])
 
 
-def lie_algebra_of(group):
-    return group.lie_basis()
-
-
 def f_of(group, algebra, b, x):
     """The dual-number exponential: the matrix I + b*x for an even b with
     b^2 = 0; checked to stay inside the group."""

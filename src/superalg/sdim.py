@@ -200,19 +200,48 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
 
     The odd component is the longest parameter system found in the finite
     candidate pool; it is a certified lower bound, capped above by the
-    number of odd generators.
+    number of odd generators.  The certificate is the first valid set of
+    that size in ``itertools.combinations`` order over the pool.
+
+    The search walks those combinations depth first, each prefix carrying
+    its normalised product, and skips a prefix with all its extensions
+    when that product is zero or a scalar multiple of a product already
+    found wanting.  Both skips are exact: Ann(c*p) = Ann(p) for a nonzero
+    scalar c, and Ann(p) is contained in Ann(p*q), so a product that
+    fails fails in every extension.  Each distinct product, up to a
+    scalar, is therefore tested once.
     """
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
     pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
-    n = algebra.vs.n
-    for k in range(min(n, len(pool)), 0, -1):
-        for combo in itertools.combinations(pool, k):
-            ok, cert = is_odd_parameter_system(algebra, list(combo), bar_a, even)
+    failed = set()  # monic products of the candidates that failed
+
+    def first_system(k, chosen, prod, start):
+        for i in range(start, len(pool) - k + len(chosen) + 1):
+            p = algebra.nf(prod * pool[i])
+            if p.is_zero():
+                continue
+            monic = p.scale(1 / p.lead_term()[1])
+            if monic in failed:
+                continue
+            combo = chosen + [pool[i]]
+            if len(combo) < k:
+                cert = first_system(k, combo, p, i + 1)
+                if cert is not None:
+                    return cert
+                continue
+            ok, cert = is_odd_parameter_system(algebra, combo, bar_a, even)
             if ok:
-                return SuperDim(even, k), cert
+                return cert
+            failed.add(monic)
+        return None
+
+    for k in range(min(algebra.vs.n, len(pool)), 0, -1):
+        cert = first_system(k, [], algebra.vs.one(), 0)
+        if cert is not None:
+            return SuperDim(even, k), cert
     return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")
 
 

@@ -145,6 +145,10 @@ def test_input_errors():
     assert code == 2
     code, _ = run(["phi-dim", data("xy.salg"), "--point", "x = 1/0"])
     assert code == 2
+    code, _ = run(["ann", data("xy.salg"), "--element", "(" * 400 + "x" + ")" * 400])
+    assert code == 2
+    code, _ = run(["ann", data("xy.salg"), "--element", "x+" + "-" * 1200 + "x"])
+    assert code == 2
     code, _ = run(["nonsense"])
     assert code == 2
     code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", "4"])
