@@ -1,26 +1,75 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The monomial term kernel shared by every polynomial layer.
 
-Set SUPERALG_PURE_PYTHON=1 in the environment to force the fallback (used by
-the benchmark and the fallback tests).
+A term is ``(exps, mask)``: a tuple of even exponents and a bitmask of odd
+generators (bit i set = generator i present, i < 63).  ``odd_merge`` holds
+the sign rule for anticommuting odd generators; ``superpoly``, ``groebner``
+and ``sdim`` reach these functions as ``_kernel.<name>`` attributes.
 """
 
 from __future__ import annotations
 
-import os
+# perfbench stamps every result with this name
+IMPLEMENTATION = "python"
 
-if os.environ.get("SUPERALG_PURE_PYTHON"):
-    from superalg import _kernel_py as _impl
-else:
-    try:
-        from superalg import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from superalg import _kernel_py as _impl
 
-IMPLEMENTATION = _impl.IMPLEMENTATION
-odd_merge = _impl.odd_merge
-exp_add = _impl.exp_add
-exp_sub = _impl.exp_sub
-exp_divides = _impl.exp_divides
-exp_lcm = _impl.exp_lcm
-mul_terms = _impl.mul_terms
-scale_terms = _impl.scale_terms
+def odd_merge(a: int, b: int):
+    """Merge two odd index sets written in ascending order.
+
+    Returns ``(sign, mask)``.  ``sign`` is 0 when the sets overlap (a
+    repeated odd generator squares to zero), otherwise (-1)**k where k is
+    the number of index inversions in the concatenation a.b.
+    """
+    if a & b:
+        return 0, 0
+    # inversions = pairs (i in a, j in b) with i > j
+    inv = 0
+    bb = b
+    while bb:
+        low = bb & -bb
+        j = low.bit_length() - 1
+        inv += (a >> (j + 1)).bit_count()
+        bb ^= low
+    return (-1 if inv & 1 else 1), a | b
+
+
+def exp_add(ea, eb):
+    """Componentwise sum of two exponent tuples."""
+    return tuple(x + y for x, y in zip(ea, eb))
+
+
+def exp_sub(ea, eb):
+    """Componentwise difference; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(ea, eb))
+
+
+def exp_divides(ea, eb):
+    """True iff x^ea divides x^eb."""
+    return all(x <= y for x, y in zip(ea, eb))
+
+
+def exp_lcm(ea, eb):
+    return tuple(x if x >= y else y for x, y in zip(ea, eb))
+
+
+def mul_terms(aterms, bterms):
+    """Product of two term dicts {(exps, mask): coeff}; signs from
+    odd_merge, like terms combined, zeros dropped."""
+    out = {}
+    for (ea, ma), ca in aterms.items():
+        for (eb, mb), cb in bterms.items():
+            sign, mask = odd_merge(ma, mb)
+            if sign == 0:
+                continue
+            t = (tuple(x + y for x, y in zip(ea, eb)), mask)
+            c = ca * cb if sign > 0 else -(ca * cb)
+            nc = out.get(t)
+            nc = c if nc is None else nc + c
+            if nc:
+                out[t] = nc
+            elif t in out:
+                del out[t]
+    return out
+
+
+def scale_terms(terms, c):
+    return {t: v * c for t, v in terms.items()}

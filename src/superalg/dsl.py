@@ -75,6 +75,11 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.text)
 
 
+# CPython refuses to convert longer digit strings to int (the default of
+# sys.get_int_max_str_digits), so a longer literal is a parse error.
+MAX_INT_DIGITS = 4300
+
+
 def tokenize(text):
     tokens = []
     line = 1
@@ -95,6 +100,8 @@ def tokenize(text):
                     line += 1
                     linestart = pos + i + 1
         else:
+            if kind == "int" and len(value) > MAX_INT_DIGITS:
+                raise ParseError("integer literal too long", line, col)
             tokens.append(Token(kind, value, line, col))
         pos = m.end()
     tokens.append(Token("eof", "", line, len(text) - linestart + 1))
@@ -167,6 +174,11 @@ class PolyParser:
     # this keeps any expression well inside the interpreter's recursion
     # limit; deeper input is a parse error, not a crash.
     MAX_DEPTH = 100
+    # (x + 1)^n has n + 1 terms and costs about n products to build, so an
+    # unbounded exponent is unbounded work.  The bound applies to the
+    # exponent times the base's degree, so ((x + 1)^64)^64 cannot escape
+    # it; shipped inputs stay below 6.
+    MAX_EXPONENT = 64
 
     def __init__(self, stream, vs):
         self.s = stream
@@ -219,8 +231,11 @@ class PolyParser:
             e = self.s.peek()
             if e.kind != "int":
                 self.s.error("expected an integer exponent")
+            k = int(e.text)
+            if k * max(base.total_degree(), 1) > self.MAX_EXPONENT:
+                self.s.error("exponent too large")
             self.s.next()
-            return base ** int(e.text)
+            return base ** k
         return base
 
     def _atom(self):

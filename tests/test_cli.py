@@ -149,6 +149,11 @@ def test_input_errors():
     assert code == 2
     code, _ = run(["ann", data("xy.salg"), "--element", "x+" + "-" * 1200 + "x"])
     assert code == 2
+    start = time.perf_counter()
+    for element in ("(x+1)^3000", "((x+1)^64)^64", "x^" + "9" * 5000):
+        code, _ = run(["ann", data("xy.salg"), "--element", element])
+        assert code == 2
+    assert time.perf_counter() - start < 1
     code, _ = run(["nonsense"])
     assert code == 2
     code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", "4"])

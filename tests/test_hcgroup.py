@@ -26,7 +26,9 @@ from superalg.hcgroup import (
     unipotent_model_mul,
     validate_hc_pair,
 )
-from superalg.scalars import QQ
+from superalg.scalars import QQ, Field
+
+F7 = Field(7)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,18 @@ def coeff():
 @pytest.fixture(scope="module")
 def pairs():
     return builtin_pairs(QQ)
+
+
+# The group-law checks run again over F_7 under their own names, so the
+# Q cases keep theirs.
+@pytest.fixture(scope="module")
+def coeff_f7():
+    return lambda_algebra(("s", "t", "u", "w"), F7)
+
+
+@pytest.fixture(scope="module")
+def pairs_f7():
+    return builtin_pairs(F7)
 
 
 def random_even_invertible(vs, rng, unit=True):
@@ -94,7 +108,7 @@ def test_group_closure_randomized(pairs):
         assert pair.group.check_closure_randomized(seed=5, trials=3)
 
 
-def test_group_axioms_randomized(pairs, coeff):
+def check_group_axioms(pairs, coeff):
     rng = random.Random(31)
     for name, pair in pairs.items():
         ident = hc_identity(pair, coeff)
@@ -108,7 +122,15 @@ def test_group_axioms_randomized(pairs, coeff):
             assert hc_mul(hc_inv(a), a) == ident, name
 
 
-def test_rewriting_confluence(pairs, coeff):
+def test_group_axioms_randomized(pairs, coeff):
+    check_group_axioms(pairs, coeff)
+
+
+def test_group_axioms_randomized_f7(pairs_f7, coeff_f7):
+    check_group_axioms(pairs_f7, coeff_f7)
+
+
+def check_rewriting_confluence(pairs, coeff):
     rng = random.Random(32)
     for name, pair in pairs.items():
         for _ in range(8):
@@ -119,7 +141,15 @@ def test_rewriting_confluence(pairs, coeff):
             assert left == right, name
 
 
-def test_unipotent_matrix_model(pairs, coeff):
+def test_rewriting_confluence(pairs, coeff):
+    check_rewriting_confluence(pairs, coeff)
+
+
+def test_rewriting_confluence_f7(pairs_f7, coeff_f7):
+    check_rewriting_confluence(pairs_f7, coeff_f7)
+
+
+def check_unipotent_matrix_model(pairs, coeff):
     rng = random.Random(33)
     pair = pairs["unipotent"]
     for _ in range(25):
@@ -130,6 +160,14 @@ def test_unipotent_matrix_model(pairs, coeff):
         )
         rhs = unipotent_matrix_model(hc_mul(a, b))
         assert lhs == rhs
+
+
+def test_unipotent_matrix_model(pairs, coeff):
+    check_unipotent_matrix_model(pairs, coeff)
+
+
+def test_unipotent_matrix_model_f7(pairs_f7, coeff_f7):
+    check_unipotent_matrix_model(pairs_f7, coeff_f7)
 
 
 def test_graded_criterion(pairs):

@@ -1,8 +1,10 @@
-"""The compiled kernel and the pure-Python fallback must agree exactly."""
+"""The term kernel: the odd sign rule against brute force, and the hooks
+through which polynomial products reach it."""
 
 import random
 
-from superalg import _kernel, _kernel_py
+from superalg import _kernel
+from superalg.superpoly import VarSet
 
 
 def brute_odd_merge(a, b):
@@ -24,24 +26,7 @@ def test_odd_merge_matches_bruteforce():
     for _ in range(2000):
         a = rng.randrange(1 << 10)
         b = rng.randrange(1 << 10)
-        assert _kernel_py.odd_merge(a, b) == brute_odd_merge(a, b)
-
-
-def test_kernels_agree():
-    rng = random.Random(12)
-    for _ in range(2000):
-        a = rng.randrange(1 << 12)
-        b = rng.randrange(1 << 12)
-        assert _kernel.odd_merge(a, b) == _kernel_py.odd_merge(a, b)
-    for _ in range(500):
-        m = rng.randint(1, 5)
-        e1 = tuple(rng.randint(0, 6) for _ in range(m))
-        e2 = tuple(rng.randint(0, 6) for _ in range(m))
-        assert _kernel.exp_add(e1, e2) == _kernel_py.exp_add(e1, e2)
-        assert _kernel.exp_lcm(e1, e2) == _kernel_py.exp_lcm(e1, e2)
-        assert _kernel.exp_divides(e1, e2) == _kernel_py.exp_divides(e1, e2)
-        big = _kernel.exp_lcm(e1, e2)
-        assert _kernel.exp_sub(big, e1) == _kernel_py.exp_sub(big, e1)
+        assert _kernel.odd_merge(a, b) == brute_odd_merge(a, b)
 
 
 def test_high_bits():
@@ -50,3 +35,31 @@ def test_high_bits():
     assert _kernel.odd_merge(b, a) == (1, a | b)
     assert _kernel.odd_merge(a, b) == (-1, a | b)
     assert _kernel.odd_merge(a, a) == (0, 0)
+
+
+def test_superpoly_products_go_through_kernel(monkeypatch):
+    """The benchmark stamps ``IMPLEMENTATION`` and counts products by
+    rebinding ``_kernel.mul_terms``; a product that bypasses the module
+    attribute would silently stop being counted."""
+    calls = {"mul_terms": 0, "scale_terms": 0}
+
+    def counting(name):
+        fn = getattr(_kernel, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    vs = VarSet(("x",), ("y1", "y2"))
+    x, y1, y2 = vs.gens()
+    a, b = x + y1, x - y2
+    expected = a * b
+    for name in calls:
+        monkeypatch.setattr(_kernel, name, counting(name))
+    assert a * b == expected
+    assert calls == {"mul_terms": 1, "scale_terms": 0}
+    a.scale(3)
+    assert calls == {"mul_terms": 1, "scale_terms": 1}
+    assert _kernel.IMPLEMENTATION == "python"
