@@ -675,10 +675,14 @@ def run_command(argv, out=None):
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args, out)
-    except (InputError, dsl.ParseError, FieldError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ParityError, StructureError, hcgroup.HCError) as e:
+    except (
+        InputError,
+        dsl.ParseError,
+        FieldError,
+        ParityError,
+        StructureError,
+        hcgroup.HCError,
+    ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

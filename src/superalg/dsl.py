@@ -16,6 +16,7 @@ e.g. ``y1y2``) are resolved greedily into products of odd generators.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -179,6 +180,14 @@ class PolyParser:
     # exponent times the base's degree, so ((x + 1)^64)^64 cannot escape
     # it; shipped inputs stay below 6.
     MAX_EXPONENT = 64
+    # A product of sums multiplies term counts, so a small exponent over
+    # many generators still explodes: (a + ... + j + 1)^8 in ten even
+    # generators has 43,758 terms.  Each product or power is refused
+    # before it is built when its term count could exceed this: len(a) *
+    # len(b) for a product, the number of degree-k monomials in len(base)
+    # symbols for a power.  Inputs in data/, tests/ and the benchmark pools
+    # reach at most 65, at (x + 1)^64.
+    MAX_TERMS = 5000
 
     def __init__(self, stream, vs):
         self.s = stream
@@ -189,6 +198,14 @@ class PolyParser:
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
             self.s.error("expression nested too deeply")
+
+    def _bound_terms(self, count, tok):
+        if count > self.MAX_TERMS:
+            raise ParseError(
+                "expression could build %d terms, more than %d" % (count, self.MAX_TERMS),
+                tok.line,
+                tok.col,
+            )
 
     def parse(self):
         return self._sum()
@@ -219,7 +236,9 @@ class PolyParser:
             t = self.s.peek()
             if t.text == "*":
                 self.s.next()
-                acc = acc * self._power()
+                rhs = self._power()
+                self._bound_terms(len(acc.terms) * len(rhs.terms), t)
+                acc = acc * rhs
             else:
                 return acc
 
@@ -234,6 +253,7 @@ class PolyParser:
             k = int(e.text)
             if k * max(base.total_degree(), 1) > self.MAX_EXPONENT:
                 self.s.error("exponent too large")
+            self._bound_terms(math.comb(max(len(base.terms), 1) + k - 1, k), e)
             self.s.next()
             return base ** k
         return base

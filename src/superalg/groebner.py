@@ -392,12 +392,6 @@ class SuperIdeal:
         return "SuperIdeal(%r)" % [str(g) for g in self.generators]
 
 
-def normal_form(f, ideal):
-    """Unique remainder of f supported on standard monomials; zero iff f
-    lies in the ideal."""
-    return ideal.nf(f)
-
-
 def ideal_equal(I, J):
     if I.ambient is not J.ambient and I.ambient.vs != J.ambient.vs:
         raise StructureError("ideals live in different ambient algebras")

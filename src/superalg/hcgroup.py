@@ -15,51 +15,12 @@ import random
 from fractions import Fraction
 
 from superalg.groebner import SuperAlgebra
+from superalg.linalg import Echelon, dependencies
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 
 class HCError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra over the coefficient field
-
-
-def nullspace(rows, ncols, field):
-    """Basis of the kernel of the matrix given by ``rows`` (lists of field
-    scalars) acting on column vectors of length ncols."""
-    rows = [list(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lc = rows[r][c]
-        rows[r] = [v / lc for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +213,13 @@ class EvenGroupSpec:
                         c = c - dd  # delta d = -trace contribution
                     row.append(c)
             rows.append(row)
-        basis = []
-        for vec in nullspace(rows, N * N, field):
-            basis.append([[vec[i * N + j] for j in range(N)] for i in range(N)])
-        self._lie = basis
-        return basis
+        # a kernel vector is a linear relation among the Jacobian's columns
+        columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(N * N)]
+        self._lie = [
+            [[rel.get(i * N + j, field.zero) for j in range(N)] for i in range(N)]
+            for rel in dependencies(columns, int, field.one)
+        ]
+        return self._lie
 
     def contains_matrix(self, algebra, M, raising=True):
         """Membership of a matrix over the even part of a coefficient
@@ -489,12 +452,14 @@ def validate_hc_pair(pair):
     report["bracket_symmetric"] = (ok, wit)
 
     # bracket values lie in the Lie algebra
-    lie = group.lie_basis()
+    lie = Echelon(int)
+    for x in group.lie_basis():
+        lie.insert(_entries(x))
     ok = True
     wit = None
     for i in range(t):
         for j in range(i, t):
-            if not _in_span(pair.bracket_matrix(i, j), lie, group.field):
+            if lie.reduce(_entries(pair.bracket_matrix(i, j))):
                 ok, wit = False, "bracket[%d][%d] outside the Lie algebra" % (i, j)
     report["bracket_in_lie"] = (ok, wit)
 
@@ -554,6 +519,12 @@ def validate_hc_pair(pair):
     return report
 
 
+def _entries(mat):
+    """A scalar matrix as a sparse vector indexed by row-major position."""
+    n = len(mat)
+    return {i * n + j: c for i, row in enumerate(mat) for j, c in enumerate(row) if c}
+
+
 def _check_rho_multiplicative(pair):
     group = pair.group
     N = group.N
@@ -585,34 +556,6 @@ def _check_rho_multiplicative(pair):
             if alg2.nf(lhs - rhs):
                 return (False, "rho entry (%d,%d) not multiplicative" % (r, c))
     return (True, None)
-
-
-def _in_span(mat, basis, field):
-    n = len(mat)
-    cols = [[b[i][j] for b in basis] for i in range(n) for j in range(n)]
-    target = [mat[i][j] for i in range(n) for j in range(n)]
-    # solve basis coefficients by Gaussian elimination on the stacked system
-    rows = [cols[r] + [target[r]] for r in range(n * n)]
-    ncols = len(basis)
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lc = rows[r][c]
-        rows[r] = [v / lc for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    # rows beyond rank must have zero target
-    return all(not rows[i][-1] for i in range(r, len(rows)))
 
 
 def is_graded_pair(pair):

@@ -1,0 +1,68 @@
+"""Exact linear algebra over a coefficient field: one echelon form.
+
+Vectors are sparse dicts {index: coeff}.  The caller's ``key`` orders the
+indices; the largest index of a vector under it is its pivot.  Every row
+reduction in the package goes through ``Echelon``.
+"""
+
+from __future__ import annotations
+
+
+class Echelon:
+    """Echelon basis of the span of the inserted vectors."""
+
+    def __init__(self, key):
+        self.key = key
+        self.rows = {}  # pivot index -> monic row {index: coeff}
+
+    def reduce(self, v):
+        """A residual of v that is empty iff v lies in the span."""
+        key = self.key
+        rows = self.rows
+        work = dict(v)
+        while work:
+            t = max(work, key=key)
+            row = rows.get(t)
+            if row is None:
+                return work
+            c = work[t]
+            for u, cu in row.items():
+                nc = work.get(u)
+                nc = -c * cu if nc is None else nc - c * cu
+                if nc:
+                    work[u] = nc
+                elif u in work:
+                    del work[u]
+        return work
+
+    def insert(self, v):
+        """Add v to the span; False when it already lay there."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        t = max(r, key=self.key)
+        lc = r[t]
+        self.rows[t] = {u: c / lc for u, c in r.items()}
+        return True
+
+
+def dependencies(vectors, key, one):
+    """One relation {i: 1, j: c_j, ...} for each vector v_i that lies in
+    the span of the vectors before it: v_i + sum c_j v_j = 0, with every j
+    an earlier vector independent of those before it.  The relation is
+    unique, so it does not depend on ``key``.
+
+    Vector i carries an extra coordinate (0, i), its tag, below every real
+    index (1, u); once the real part of its residual is gone, the tags
+    left are the relation."""
+    span = Echelon(lambda w: (1, key(w[1])) if w[0] else w)
+    out = []
+    for i, v in enumerate(vectors):
+        w = {(1, u): c for u, c in v.items()}
+        w[(0, i)] = one
+        r = span.reduce(w)
+        if max(r, key=span.key)[0]:
+            span.insert(r)
+        else:
+            out.append({j: c for (_, j), c in r.items()})
+    return out

@@ -2,13 +2,15 @@
 
 These deliberately avoid the Gröbner machinery: ideals are spanned
 degree-by-degree by monomial multiples of the generators and membership is
-decided by exact row reduction.  The test suite uses them as an
-independent second implementation.
+decided by exact row reduction (``superalg.linalg``, which the Gröbner code
+checked here never calls).  The test suite uses them as an independent
+second implementation.
 """
 
 from __future__ import annotations
 
-from superalg.superpoly import SuperPoly, term_key
+from superalg.linalg import Echelon, dependencies
+from superalg.superpoly import term_key
 
 
 def all_monomials(vs, max_degree):
@@ -34,44 +36,10 @@ def all_monomials(vs, max_degree):
     return out
 
 
-class EchelonSpan:
-    """Echelon basis of a k-linear span of polynomials, keyed by leading
-    monomial in the global order."""
-
-    def __init__(self):
-        self.rows = {}  # pivot term -> monic row dict {term: coeff}
-
-    def reduce(self, terms):
-        work = dict(terms)
-        while work:
-            t = max(work, key=term_key)
-            row = self.rows.get(t)
-            if row is None:
-                return work
-            c = work[t]
-            for u, cu in row.items():
-                nc = work.get(u)
-                nc = -c * cu if nc is None else nc - c * cu
-                if nc:
-                    work[u] = nc
-                elif u in work:
-                    del work[u]
-        return work
-
-    def insert(self, terms):
-        r = self.reduce(terms)
-        if not r:
-            return False
-        t = max(r, key=term_key)
-        lc = r[t]
-        self.rows[t] = {u: c / lc for u, c in r.items()}
-        return True
-
-
 def ideal_span(gens, max_degree):
     """Echelon basis of the degree-truncated superideal span: all monomial
     multiples u*g with total degree <= max_degree."""
-    span = EchelonSpan()
+    span = Echelon(term_key)
     if not gens:
         return span
     vs = gens[0].vs
@@ -100,49 +68,9 @@ def oracle_annihilator_basis(p, gens, elt_degree, span_degree):
     vs = p.vs
     span = ideal_span(gens, span_degree)
     candidates = all_monomials(vs, elt_degree)
-    residuals = []
-    for exps, mask in candidates:
-        prod = vs.monomial(exps, mask) * p
-        residuals.append(span.reduce(prod.terms))
-    # kernel of c -> sum c_i residual_i via elimination with bookkeeping
-    basis = []  # list of (residual_row, combination dict {cand_index: coeff})
-    kernel = []
-    for i, r in enumerate(residuals):
-        work = dict(r)
-        combo = {i: vs.field.one}
-        for row, row_combo in basis:
-            if not work:
-                break
-            t = max(row, key=term_key)
-            c = work.get(t)
-            if c is None:
-                continue
-            for u, cu in row.items():
-                nc = work.get(u)
-                nc = -c * cu if nc is None else nc - c * cu
-                if nc:
-                    work[u] = nc
-                elif u in work:
-                    del work[u]
-            for j, cj in row_combo.items():
-                nc = combo.get(j)
-                nc = -c * cj if nc is None else nc - c * cj
-                if nc:
-                    combo[j] = nc
-                elif j in combo:
-                    del combo[j]
-        if not work:
-            kernel.append(combo)
-        else:
-            t = max(work, key=term_key)
-            lc = work[t]
-            basis.append(
-                ({u: c / lc for u, c in work.items()}, {j: c / lc for j, c in combo.items()})
-            )
-            # keep rows ordered by pivot so earlier pivots reduce first
-            basis.sort(key=lambda rc: term_key(max(rc[0], key=term_key)), reverse=True)
+    residuals = [span.reduce((vs.monomial(exps, mask) * p).terms) for exps, mask in candidates]
     out = []
-    for combo in kernel:
+    for combo in dependencies(residuals, term_key, vs.field.one):
         poly = vs.zero()
         for j, c in combo.items():
             exps, mask = candidates[j]

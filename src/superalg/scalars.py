@@ -195,11 +195,16 @@ class Field:
         return self.of(int(text))
 
     def render(self, v):
-        if self.char == 0:
-            if v.denominator == 1:
-                return str(v.numerator)
-            return "%d/%d" % (v.numerator, v.denominator)
-        return str(v.v)
+        try:
+            if self.char == 0:
+                if v.denominator == 1:
+                    return str(v.numerator)
+                return "%d/%d" % (v.numerator, v.denominator)
+            return str(v.v)
+        except ValueError:
+            # CPython refuses to print an int longer than its int-to-str
+            # limit (4300 digits by default); the limit stays as it is.
+            raise FieldError("coefficient too long to print") from None
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char

@@ -21,7 +21,8 @@ from superalg.groebner import (
     superideal_closure,
     weight_term_key,
 )
-from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, mask_indices
+from superalg.linalg import Echelon
+from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, mask_indices, term_key
 
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
@@ -286,13 +287,11 @@ def phi_dim_at_point(algebra, pt):
 def phi_basis_lift(algebra, pt):
     """Odd monomials whose classes form a basis of the odd part modulo the
     maximal ideal, as elements of the algebra."""
-    from superalg.oracle import EchelonSpan
-
     pt.validate(algebra)
     vs = algebra.vs
     ideal = SuperIdeal(algebra, pt.max_ideal_even_gens(algebra))
     out = []
-    span = EchelonSpan()
+    span = Echelon(term_key)
     zero_exps = (0,) * vs.m
     for mask in range(1, 1 << vs.n):
         if mask.bit_count() & 1 == 0:

@@ -53,9 +53,6 @@ class VarSet:
     def even_index(self, name):
         return self._even_index[name]
 
-    def odd_index(self, name):
-        return self._odd_index[name]
-
     def parity_of(self, name):
         if name in self._even_index:
             return 0
@@ -110,12 +107,6 @@ class VarSet:
         if not c:
             return self.zero()
         return SuperPoly(self, {(tuple(exps), mask): c})
-
-    def odd_mask_of(self, names):
-        mask = 0
-        for n in names:
-            mask |= 1 << self._odd_index[n]
-        return mask
 
 
 def mask_indices(mask):

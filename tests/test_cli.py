@@ -85,7 +85,7 @@ def test_mono_check():
     assert code in (0, 1, 2)
 
 
-def test_hc_commands():
+def test_hc_commands(tmp_path, capsys):
     code, out = run(["hc", "validate", "unipotent"])
     assert code == 0 and "FAIL" not in out
     code, out = run(["hc", "validate", data("unipotent.shc")])
@@ -100,6 +100,19 @@ def test_hc_commands():
     assert code == 0
     code, _ = run(["hc", "graded", "unipotent"])
     assert code == 1
+    # E11 lies outside the Lie algebra of the unipotent group
+    doc = tmp_path / "diagonal.shc"
+    doc.write_text(
+        "hcpair diagonal\n  size 2\n  odd-dim 1\n"
+        "  rel g11 - 1; g22 - 1; g21\n  rho 1\n  bracket 1 1: 1, 0; 0, 0\nend\n"
+    )
+    code, out = run(["hc", "validate", str(doc)])
+    assert code == 1
+    assert "bracket_in_lie: FAIL (bracket[0][0] outside the Lie algebra)" in out
+    capsys.readouterr()
+    code, out = run(["hc", "mul", "gl1-weight", "g[[s*t]]", "g[[1]]"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: matrix determinant st is not invertible\n"
 
 
 def test_orbit_commands():
@@ -136,7 +149,7 @@ def test_named_blocks_from_file():
     assert code == 2
 
 
-def test_input_errors():
+def test_input_errors(tmp_path):
     code, _ = run(["ksdim", data("missing.salg")])
     assert code == 2
     code, _ = run(["ann", data("xy.salg"), "--element", "zz"])
@@ -149,9 +162,17 @@ def test_input_errors():
     assert code == 2
     code, _ = run(["ann", data("xy.salg"), "--element", "x+" + "-" * 1200 + "x"])
     assert code == 2
+    huge = "7" * 3000  # its square is too long for CPython to print
+    code, _ = run(["ann", data("xy.salg"), "--element", "%s*%s*x" % (huge, huge)])
+    assert code == 2
+    ten = tmp_path / "ten.salg"
+    ten.write_text("superalgebra ten\n  even a b c d e f g h i j\nend\n")
     start = time.perf_counter()
     for element in ("(x+1)^3000", "((x+1)^64)^64", "x^" + "9" * 5000):
         code, _ = run(["ann", data("xy.salg"), "--element", element])
+        assert code == 2
+    for k in (8, 16):
+        code, _ = run(["ann", str(ten), "--element", "(a+b+c+d+e+f+g+h+i+j+1)^%d" % k])
         assert code == 2
     assert time.perf_counter() - start < 1
     code, _ = run(["nonsense"])

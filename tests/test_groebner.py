@@ -14,7 +14,6 @@ from superalg.groebner import (
     ideal_equal,
     localize_at_even,
     module_groebner,
-    normal_form,
     poly_to_vec,
     super_term_key,
     superideal_closure,
@@ -150,8 +149,8 @@ def test_normal_form_unique_remainder():
     A = make_algebra(("x",), ("y",), lambda vs: [vs.gen("x") * vs.gen("y")])
     ideal = SuperIdeal(A, [A.vs.gen("x") - A.vs.one()])
     f = A.vs.gen("x") ** 3 + A.vs.gen("y")
-    r = normal_form(f, ideal)
-    assert normal_form(r, ideal) == r
+    r = ideal.nf(f)
+    assert ideal.nf(r) == r
     assert ideal.contains(f - r)
 
 

@@ -20,6 +20,7 @@ from superalg.hcgroup import (
     lambda_algebra,
     mat_inverse,
     mat_mul,
+    matrix_exp,
     normalize_word,
     sdim_of_pair,
     unipotent_matrix_model,
@@ -306,3 +307,30 @@ def test_caches_never_serve_another_algebra():
             A, g, g_inv = SuperAlgebra(vs, []), vs.one() + st, vs.one() - st
         assert mat_inverse(A, M) == [[g_inv]]
         assert pair.rho_at(A, M) == [[g]]
+
+
+def test_exhausted_caps_raise_hc_error(pairs, coeff):
+    """Each bound on rewriting, on the geometric series of an inverse and on
+    the exponential series ends in HCError, which the CLI maps to exit 2."""
+    from superalg.groebner import SuperAlgebra
+    from superalg.superpoly import VarSet
+
+    vs = coeff.vs
+    nu = vs.gen("s") * vs.gen("t") + vs.gen("u") * vs.gen("w")  # nu^3 = 0, nu^2 != 0
+    word = random_element(pairs["sl2-standard"], coeff, random.Random(37)).word()
+    word = word + word
+    normalize_word(pairs["sl2-standard"], coeff, word)
+    with pytest.raises(HCError, match="did not terminate within 2 steps"):
+        normalize_word(pairs["sl2-standard"], coeff, word, max_steps=2)
+    assert coeff.nf((vs.one() + nu) * invert_even(coeff, vs.one() + nu, cap=3)) == vs.one()
+    with pytest.raises(HCError, match="not nilpotent"):
+        invert_even(coeff, vs.one() + nu, cap=2)
+    matrix_exp(coeff, [[nu]], cap=3)
+    with pytest.raises(HCError, match="not nilpotent"):
+        matrix_exp(coeff, [[nu]], cap=2)
+    # with the default caps, on an even generator that is not nilpotent
+    kx = SuperAlgebra(VarSet(("x",), (), QQ), [])
+    with pytest.raises(HCError):
+        invert_even(kx, kx.vs.one() + kx.vs.gen("x"))
+    with pytest.raises(HCError):
+        matrix_exp(kx, [[kx.vs.gen("x")]])
