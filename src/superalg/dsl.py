@@ -56,7 +56,6 @@ KEYWORDS = {
     "end",
     "on",
     "size",
-    "odd-dim",
     "odddim",
     "rho",
     "bracket",
@@ -629,18 +628,15 @@ def parse_pair_document(text, field=None):
             break
         if t.text == "size":
             stream.next()
-            size = int(stream.next().text)
-        elif t.text in ("odd-dim", "odddim"):
+            size = _parse_count(stream, "size", MAX_PAIR_SIZE)
+        elif t.text in ("odd", "odddim"):
             stream.next()
-            odd_dim = int(stream.next().text)
-        elif t.text == "odd":
-            # tolerate "odd - dim" tokenization of "odd-dim"
-            stream.next()
-            if stream.peek().text == "-":
+            # "odd-dim" tokenizes as odd, -, dim
+            if t.text == "odd" and stream.peek().text == "-":
                 stream.next()
                 if stream.peek().text == "dim":
                     stream.next()
-            odd_dim = int(stream.next().text)
+            odd_dim = _parse_count(stream, "odd-dim")
         elif t.text == "rel":
             stream.next()
             rel_starts.append(stream.i)
@@ -655,10 +651,11 @@ def parse_pair_document(text, field=None):
             _skip_matrix(stream)
         elif t.text == "bracket":
             stream.next()
-            i = int(stream.next().text)
-            j = int(stream.next().text)
+            at = stream.peek()
+            i = _parse_count(stream, "bracket index")
+            j = _parse_count(stream, "bracket index")
             stream.expect(":")
-            brackets.append((i, j, stream.i))
+            brackets.append((i, j, stream.i, at))
             _skip_matrix(stream)
         else:
             stream.error("expected size, odd-dim, rel, rho, bracket or end")
@@ -679,7 +676,9 @@ def parse_pair_document(text, field=None):
     if len(rho) != odd_dim or any(len(r) != odd_dim for r in rho):
         raise ParseError("rho must be a %d x %d matrix" % (odd_dim, odd_dim))
     bracket = {}
-    for i, j, start in brackets:
+    for i, j, start, at in brackets:
+        if max(i, j) > odd_dim:
+            raise ParseError("bracket index beyond odd-dim %d" % odd_dim, at.line, at.col)
         sub = TokenStream(stream.tokens)
         sub.i = start
         rows = _parse_matrix(sub, vs)
@@ -695,6 +694,24 @@ def parse_pair_document(text, field=None):
             scalar_rows.append(srow)
         bracket[(min(i, j) - 1, max(i, j) - 1)] = scalar_rows
     return HCPair(group, odd_dim, rho, bracket, name=name)
+
+
+# hc validate on GL_N with no relations completes S-pairs of two N x N
+# determinants: 0.04 s at N = 4, 9 s at N = 5 and over 100 s at N = 6
+# (Python 3.11 on 2 vCPUs).  Every built-in and shipped pair has N = 2.
+MAX_PAIR_SIZE = 4
+
+
+def _parse_count(stream, what, most=None):
+    """The next token as a positive integer, at most ``most`` when given;
+    anything else is a ParseError."""
+    t = stream.next()
+    n = int(t.text) if t.kind == "int" else 0
+    if n < 1 or (most is not None and n > most):
+        limit = "" if most is None else " up to %d" % most
+        message = "%s must be a positive integer%s, found %r" % (what, limit, t.text or "end of input")
+        raise ParseError(message, t.line, t.col)
+    return n
 
 
 def _skip_matrix(stream):

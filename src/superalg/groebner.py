@@ -6,9 +6,10 @@ monomials.  Signs enter only when the closure operation multiplies
 generators by odd monomials; after that everything is commutative module
 Gröbner theory with a position-over-term flavored order.
 
-Vectors are dicts {(comp, exps): coeff} where comp is a hashable component
-id (an odd bitmask for superideals, a (block, bitmask) pair for the
-annihilator elimination) and exps is an even exponent tuple.
+Vectors are SuperPoly term dicts {(exps, comp): coeff}, where exps is an
+even exponent tuple and comp is a hashable component id: the odd bitmask
+for superideals, a (block, bitmask) pair inside the annihilator's
+elimination.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import heapq
 
 from superalg import _kernel
 from superalg.superpoly import (
+    TERM_KEY_CACHE_SIZE,
     ParityError,
     StructureError,
     SuperPoly,
@@ -28,47 +30,29 @@ from superalg.superpoly import (
 
 
 # ---------------------------------------------------------------------------
-# term orders on module monomials
-#
-# A key is a pure function of the module monomial, so a memo shared by every
-# algebra can never serve a key computed for a different one.  The bound
-# keeps memory flat on long runs; a whole perfbench pool touches at most
-# about 300 distinct monomials per order.
-
-TERM_KEY_CACHE_SIZE = 1 << 12
+# term orders on module monomials; the standard order is superpoly.term_key
 
 
 @functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def super_term_key(comp, exps):
-    """Standard order: grevlex on even exponents, then odd subset."""
-    return (
-        0,
-        sum(exps),
-        tuple(-e for e in reversed(exps)),
-        comp.bit_count(),
-        tuple(mask_indices(comp)),
-    )
-
-
-@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def weight_term_key(comp, exps):
+def weight_term_key(term):
     """Odd-weight-first order: fewer odd factors = greater.  The leading
     term of any element then lies in its lowest odd-weight slice, which is
     what makes initial forms of a Gröbner basis present gr(A)."""
+    exps, mask = term
     return (
-        -comp.bit_count(),
+        -mask.bit_count(),
         sum(exps),
         tuple(-e for e in reversed(exps)),
-        tuple(mask_indices(comp)),
+        tuple(mask_indices(mask)),
     )
 
 
 @functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def elim_term_key(comp, exps):
+def elim_term_key(term):
     """Elimination order for the annihilator computation: every term in the
     main block dominates every term in the tag block."""
-    block, mask = comp
-    return (1 if block == 0 else 0,) + super_term_key(mask, exps)[1:]
+    exps, (block, mask) = term
+    return (1 if block == 0 else 0,) + term_key((exps, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +62,8 @@ def elim_term_key(comp, exps):
 def vec_add_scaled(dst, src, coeff, shift=None):
     """dst += coeff * x^shift * src, in place."""
     eadd = _kernel.exp_add
-    for (comp, exps), c in src.items():
-        t = (comp, exps if shift is None else eadd(exps, shift))
+    for (exps, comp), c in src.items():
+        t = (exps if shift is None else eadd(exps, shift), comp)
         nc = dst.get(t)
         nc = coeff * c if nc is None else nc + coeff * c
         if nc:
@@ -89,7 +73,7 @@ def vec_add_scaled(dst, src, coeff, shift=None):
 
 
 def vec_lead(v, key):
-    return max(v, key=lambda t: key(*t))
+    return max(v, key=key)
 
 
 def vec_monic(v, key):
@@ -115,11 +99,11 @@ class GBasis:
 
     def append(self, v):
         lead = vec_lead(v, self.key)
-        self.by_comp.setdefault(lead[0], []).append((len(self.vectors), lead[1]))
+        self.by_comp.setdefault(lead[1], []).append((len(self.vectors), lead[0]))
         self.vectors.append(v)
         self.leads.append(lead)
 
-    def _find_reducer(self, comp, exps, skip=None):
+    def _find_reducer(self, exps, comp, skip=None):
         divides = _kernel.exp_divides
         for i, lead_exps in self.by_comp.get(comp, ()):
             if i != skip and divides(lead_exps, exps):
@@ -136,14 +120,14 @@ class GBasis:
         work = dict(v)
         result = {}
         while work:
-            t = max(work, key=lambda u: key(*u))
-            comp, exps = t
-            i = self._find_reducer(comp, exps, skip=skip)
+            t = max(work, key=key)
+            exps, comp = t
+            i = self._find_reducer(exps, comp, skip=skip)
             if i is None:
                 result[t] = work.pop(t)
             else:
                 c = work[t]
-                shift = sub(exps, self.leads[i][1])
+                shift = sub(exps, self.leads[i][0])
                 # the reducer is monic, so the lead term cancels exactly
                 vec_add_scaled(work, self.vectors[i], -c, shift)
         return result
@@ -182,11 +166,11 @@ def complete(vectors, key):
             return
         j = len(gb.vectors)
         gb.append(vec_monic(r, key))
-        comp, ej = gb.leads[j]
+        ej, comp = gb.leads[j]
         for i, ei in gb.by_comp[comp]:
             if i < j:
                 m = lcm(ei, ej)
-                heapq.heappush(heap, (key(comp, m), i, j, comp, m))
+                heapq.heappush(heap, (key((m, comp)), i, j, comp, m))
                 pending.add((i, j))
 
     def chain_redundant(i, j, comp, m):
@@ -201,14 +185,14 @@ def complete(vectors, key):
                 return True
         return False
 
-    for v in sorted((v for v in vectors if v), key=lambda v: key(*vec_lead(v, key))):
+    for v in sorted((v for v in vectors if v), key=lambda v: key(vec_lead(v, key))):
         insert(v)
     while heap:
         _, i, j, comp, m = heapq.heappop(heap)
         pending.discard((i, j))
         if chain_redundant(i, j, comp, m):
             continue
-        ei, ej = gb.leads[i][1], gb.leads[j][1]
+        ei, ej = gb.leads[i][0], gb.leads[j][0]
         # basis vectors are monic: the stored lead coefficient is the one
         one = gb.vectors[i][gb.leads[i]]
         s = {}
@@ -225,29 +209,17 @@ def _autoreduce(key, leads_and_vectors):
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
     work = GBasis([], key)
-    for (comp, exps), v in sorted(leads_and_vectors, key=lambda lv: key(*lv[0])):
+    for (exps, comp), v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
         if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
             work.append(v)
     # tail-reduce each element against the others; with pairwise
     # indivisible leads this terminates in the unique reduced basis
     out = [vec_monic(work.nf(v, skip=i), key) for i, v in enumerate(work.vectors)]
-    out.sort(key=lambda v: key(*vec_lead(v, key)), reverse=True)
+    out.sort(key=lambda v: key(vec_lead(v, key)), reverse=True)
     final = GBasis([], key)
     for v in out:
         final.append(v)
     return final
-
-
-# ---------------------------------------------------------------------------
-# SuperPoly <-> vector
-
-
-def poly_to_vec(p):
-    return {(mask, exps): c for (exps, mask), c in p.terms.items()}
-
-
-def vec_to_poly(vs, v):
-    return SuperPoly(vs, {(exps, mask): c for (mask, exps), c in v.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +256,14 @@ def superideal_closure(gens):
     return list(closed)
 
 
-def module_groebner(gens, key=super_term_key):
+def module_groebner(gens, key=term_key):
     """Reduced Gröbner basis (as SuperPolys) of the k[x]-span of gens.
     Callers pass a superideal-closed generating set."""
     if not gens:
         return []
     vs = gens[0].vs
-    gb = buchberger([poly_to_vec(g) for g in gens], key)
-    return [vec_to_poly(vs, v) for v in gb.vectors]
+    gb = buchberger([g.terms for g in gens], key)
+    return [SuperPoly(vs, v) for v in gb.vectors]
 
 
 class SuperAlgebra:
@@ -324,13 +296,13 @@ class SuperAlgebra:
         if self._gb is None:
             closed = superideal_closure(self.relations)
             self._gb = module_groebner(closed)
-            self._gbasis = GBasis([poly_to_vec(g) for g in self._gb], super_term_key)
+            self._gbasis = GBasis([g.terms for g in self._gb], term_key)
         return self._gb
 
     def nf(self, f):
         if not self.module_gb:
             return f
-        return vec_to_poly(self.vs, self._gbasis.nf(poly_to_vec(f)))
+        return SuperPoly(self.vs, self._gbasis.nf(f.terms))
 
     def contains_in_ideal(self, f):
         return self.nf(f).is_zero()
@@ -363,11 +335,11 @@ class SuperIdeal:
         self.ann_of_zero = ann_of_zero
         closed = superideal_closure(self.generators) + list(ambient.module_gb)
         self.module_gb = module_groebner(closed)
-        self._gbasis = GBasis([poly_to_vec(g) for g in self.module_gb], super_term_key)
+        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
 
     @classmethod
     def _from_reduced_basis(cls, ambient, generators, basis):
-        """A superideal whose reduced Gröbner basis under super_term_key is
+        """A superideal whose reduced Gröbner basis under term_key is
         already known: ``basis`` becomes ``module_gb`` as given, with no
         closure and no Buchberger run.  The caller vouches that it is the
         reduced basis of a superideal containing the relation module."""
@@ -376,11 +348,11 @@ class SuperIdeal:
         self.generators = generators
         self.ann_of_zero = False
         self.module_gb = basis
-        self._gbasis = GBasis([poly_to_vec(g) for g in self.module_gb], super_term_key)
+        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
         return self
 
     def nf(self, f):
-        return vec_to_poly(self.ambient.vs, self._gbasis.nf(poly_to_vec(f)))
+        return SuperPoly(self.ambient.vs, self._gbasis.nf(f.terms))
 
     def contains(self, f):
         return self.nf(f).is_zero()
@@ -422,27 +394,27 @@ def annihilator(p, algebra):
     zero_exps = (0,) * vs.m
     for mask in range(1 << vs.n):
         col = vs.monomial(zero_exps, mask) * p if mask else p
-        v = {((0, cm), ce): c for (cm, ce), c in poly_to_vec(algebra.nf(col)).items()}
-        v[((1, mask), zero_exps)] = vs.field.one
+        v = {(ce, (0, cm)): c for (ce, cm), c in algebra.nf(col).terms.items()}
+        v[(zero_exps, (1, mask))] = vs.field.one
         vectors.append(v)
     for g in algebra.module_gb:
-        vectors.append({((0, cm), ce): c for (cm, ce), c in poly_to_vec(g).items()})
+        vectors.append({(ce, (0, cm)): c for (ce, cm), c in g.terms.items()})
     gb = complete(vectors, elim_term_key)
     # Only the elements with a tag-block lead are reduced: the tag block
     # sorts below every main-block term, so they lie wholly in it, and a
     # main-block lead divides no tag-block term, so the main-block elements
     # take no part in their reduction.  The result is the tag-block part of
     # the reduced elimination basis, and that is already the reduced basis
-    # of the kernel K under super_term_key: elim_term_key restricted to the
-    # tag block is super_term_key; K contains J and is closed under odd
+    # of the kernel K under term_key: elim_term_key restricted to the tag
+    # block is term_key; K contains J and is closed under odd
     # multiplication, so closing it and adding the relation basis changes
     # nothing; and the reduced basis of a parity-graded module is
     # parity-homogeneous.
     tag = _autoreduce(
-        elim_term_key, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[0][0] == 1]
+        elim_term_key, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
     )
     kernel = [
-        SuperPoly(vs, {(exps, comp[1]): c for (comp, exps), c in v.items()})
+        SuperPoly(vs, {(exps, comp[1]): c for (exps, comp), c in v.items()})
         for v in tag.vectors
     ]
     gens = [g for g in (algebra.nf(k) for k in kernel) if g]
@@ -525,7 +497,7 @@ def check_mono_necessary(phi):
     dst = phi.dst
     vs = dst.vs
     src_odd_monomials = odd_square_free_monomials(phi.src.vs, parity=1)
-    vectors = [poly_to_vec(g) for g in dst.module_gb]
+    vectors = [g.terms for g in dst.module_gb]
     even_monomials = [vs.one()] + odd_square_free_monomials(vs, parity=0)
     for m in src_odd_monomials:
         img = phi.apply(m)
@@ -534,12 +506,12 @@ def check_mono_necessary(phi):
         for u in even_monomials:
             prod = dst.nf(u * img)
             if prod:
-                vectors.append(poly_to_vec(prod))
-    gb = buchberger(vectors, super_term_key) if vectors else GBasis([], super_term_key)
+                vectors.append(prod.terms)
+    gb = buchberger(vectors, term_key) if vectors else GBasis([], term_key)
     for w in odd_square_free_monomials(vs, parity=1):
         wn = dst.nf(w)
         if wn.is_zero():
             continue
-        if gb.nf(poly_to_vec(wn)):
+        if gb.nf(wn.terms):
             return False
     return True

@@ -117,7 +117,18 @@ def invert_even(algebra, u, cap=64):
     raise HCError("non-constant part of %s is not nilpotent" % u)
 
 
+# The one bound on the HC memos (``_INVERSE_CACHE`` and each pair's
+# ``rho_at`` cache): a memo that reaches it is emptied before it stores more.
+HC_CACHE_SIZE = 4096
+
 _INVERSE_CACHE = {}
+
+
+def _remember(cache, key, value):
+    if len(cache) >= HC_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def _matrix_key(M):
@@ -137,10 +148,7 @@ def mat_inverse(algebra, M):
     else:
         dinv = invert_even(algebra, det)
         out = [[algebra.nf(e * dinv) for e in row] for row in adj]
-    if len(_INVERSE_CACHE) > 4096:
-        _INVERSE_CACHE.clear()
-    _INVERSE_CACHE[key] = out
-    return out
+    return _remember(_INVERSE_CACHE, key, out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +229,24 @@ class EvenGroupSpec:
         ]
         return self._lie
 
+    def point_images(self, algebra, M, polys):
+        """Images of g11..gNN at a matrix M over the even part of a
+        coefficient algebra, and of d, the inverse determinant, when one of
+        ``polys`` mentions it."""
+        N = self.N
+        images = {
+            "g%d%d" % (i + 1, j + 1): algebra.nf(M[i][j]) for i in range(N) for j in range(N)
+        }
+        didx = self.vs.even_index("d")
+        if any(exps[didx] for f in polys for (exps, _) in f.terms):
+            images["d"] = invert_even(algebra, algebra.nf(mat_det(M)))
+        return images
+
     def contains_matrix(self, algebra, M, raising=True):
         """Membership of a matrix over the even part of a coefficient
         algebra, modulo the coefficient relations."""
-        images = {}
-        for i in range(self.N):
-            for j in range(self.N):
-                images["g%d%d" % (i + 1, j + 1)] = algebra.nf(M[i][j])
-        dname = "d"
-        didx = self.vs.even_index(dname)
-        if any(
-            any(exps[didx] for (exps, _) in f.terms) for f in self.defining
-        ):
-            det = algebra.nf(mat_det(M))
-            images[dname] = invert_even(algebra, det)
-        else:
+        images = self.point_images(algebra, M, self.defining)
+        if "d" not in images:
             # no defining equation mentions the inverse determinant, but
             # membership still requires the determinant to be invertible
             det = algebra.nf(mat_det(M))
@@ -243,7 +254,6 @@ class EvenGroupSpec:
                 if raising:
                     raise HCError("matrix determinant %s is not invertible" % det)
                 return False
-            images[dname] = algebra.vs.zero()
         for f in self.defining:
             r = algebra.nf(f.substitute(images, algebra.vs, check_parity=False))
             if r:
@@ -318,15 +328,7 @@ def f_of(group, algebra, b, x):
     b = algebra.nf(b)
     if algebra.nf(b * b):
         raise HCError("square of %s is not zero" % b)
-    one = algebra.vs.one()
-    N = len(x)
-    M = [
-        [
-            (one if i == j else algebra.vs.zero()) + b.scale(x[i][j])
-            for j in range(N)
-        ]
-        for i in range(N)
-    ]
+    M = _f_matrix(algebra, b, x)
     group.contains_matrix(algebra, M)
     return M
 
@@ -354,6 +356,7 @@ class HCPair:
                         [group.field.zero] * group.N for _ in range(group.N)
                     ]
         self._drho_cache = {}
+        self._rho_at_cache = {}
 
     def drho(self, x):
         """Linearization of the module action at the identity applied to a
@@ -388,28 +391,12 @@ class HCPair:
         matrix contents: the rewriting engine hits the same group factors
         repeatedly."""
         key = (algebra.key, _matrix_key(M))
-        cache = getattr(self, "_rho_at_cache", None)
-        if cache is None:
-            cache = self._rho_at_cache = {}
-        if key in cache:
-            return cache[key]
-        out = self._rho_at(algebra, M)
-        cache[key] = out
-        return out
+        if key in self._rho_at_cache:
+            return self._rho_at_cache[key]
+        return _remember(self._rho_at_cache, key, self._rho_at(algebra, M))
 
     def _rho_at(self, algebra, M):
-        images = {}
-        for i in range(self.group.N):
-            for j in range(self.group.N):
-                images["g%d%d" % (i + 1, j + 1)] = algebra.nf(M[i][j])
-        didx = self.group.vs.even_index("d")
-        if any(
-            any(exps[didx] for (exps, _) in p.terms) for row in self.rho for p in row
-        ):
-            det = algebra.nf(mat_det(M))
-            images["d"] = invert_even(algebra, det)
-        else:
-            images["d"] = algebra.vs.zero()
+        images = self.group.point_images(algebra, M, [p for row in self.rho for p in row])
         return [
             [algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
             for row in self.rho
@@ -646,10 +633,10 @@ def hc_identity(pair, algebra):
     )
 
 
-def _f_matrix(pair, algebra, b, x):
-    """I + b*x for a scalar Lie matrix x and an even nilpotent b."""
+def _f_matrix(algebra, b, x):
+    """I + b*x for a scalar N x N Lie matrix x and an even nilpotent b."""
     one = algebra.vs.one()
-    N = pair.group.N
+    N = len(x)
     return [
         [
             (one if i == j else algebra.vs.zero()) + b.scale(x[i][j])
@@ -733,7 +720,7 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
                     x = pair.bracket_matrix(i, i)
                     xh = [[half * e for e in row] for row in x]
                     if any(e for row in xh for e in row):
-                        new.append(("g", _f_matrix(pair, algebra, corr, xh)))
+                        new.append(("g", _f_matrix(algebra, corr, xh)))
                 merged = algebra.nf(a + b)
                 if merged:
                     new.append(("e", merged, i))
@@ -744,7 +731,7 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
                 if corr:
                     x = pair.bracket_matrix(i, j)
                     if any(e for row in x for e in row):
-                        new.append(("g", _f_matrix(pair, algebra, corr, x)))
+                        new.append(("g", _f_matrix(algebra, corr, x)))
                 new.extend([("e", b, j), ("e", a, i)])
                 word[k : k + 2] = new
     # collapse: optional single leading group factor, exponentials ascending

@@ -16,15 +16,20 @@ class Echelon:
         self.rows = {}  # pivot index -> monic row {index: coeff}
 
     def reduce(self, v):
-        """A residual of v that is empty iff v lies in the span."""
+        """The residual of v: v minus the combination of rows that leaves
+        no term at a pivot.  It is unique, and empty iff v lies in the
+        span, so two vectors differ by an element of the span iff their
+        residuals are equal."""
         key = self.key
         rows = self.rows
         work = dict(v)
+        out = {}
         while work:
             t = max(work, key=key)
             row = rows.get(t)
             if row is None:
-                return work
+                out[t] = work.pop(t)
+                continue
             c = work[t]
             for u, cu in row.items():
                 nc = work.get(u)
@@ -33,7 +38,7 @@ class Echelon:
                     work[u] = nc
                 elif u in work:
                     del work[u]
-        return work
+        return out
 
     def insert(self, v):
         """Add v to the span; False when it already lay there."""

@@ -65,12 +65,19 @@ class OddParamCertificate:
 # largest purely even quotient and even Krull dimension
 
 
+def _kill_odd(vs, bvs):
+    """Generator images from vs into its purely even VarSet bvs: each even
+    generator to itself, each odd one to zero."""
+    images = {n: bvs.gen(n) for n in vs.even}
+    images.update({n: bvs.zero() for n in vs.odd})
+    return images
+
+
 def bar(algebra):
     """The largest purely even quotient: all odd generators become zero."""
     vs = algebra.vs
     bvs = VarSet(vs.even, (), vs.field)
-    images = {n: bvs.gen(n) for n in vs.even}
-    images.update({n: bvs.zero() for n in vs.odd})
+    images = _kill_odd(vs, bvs)
     rels = []
     for r in algebra.relations:
         rr = r.substitute(images, bvs)
@@ -107,10 +114,8 @@ def krull_dim_even(algebra):
 def even_annihilator_image_in_bar(ideal, bar_algebra):
     """Generators (in the purely even quotient) of the image of the even
     part of a parity-graded superideal."""
-    vs = ideal.ambient.vs
     bvs = bar_algebra.vs
-    images = {n: bvs.gen(n) for n in vs.even}
-    images.update({n: bvs.zero() for n in vs.odd})
+    images = _kill_odd(ideal.ambient.vs, bvs)
     out = []
     for g in ideal.module_gb:
         if g.parity() == 0:
@@ -364,8 +369,7 @@ def covers_unit(algebra, elements):
     so the answer agrees)."""
     bar_a = bar(algebra)
     bvs = bar_a.vs
-    images = {n: bvs.gen(n) for n in algebra.vs.even}
-    images.update({n: bvs.zero() for n in algebra.vs.odd})
+    images = _kill_odd(algebra.vs, bvs)
     gens = [a.substitute(images, bvs) for a in elements]
     test = SuperAlgebra(bvs, bar_a.relations + [g for g in gens if g])
     return test.is_zero_ring()

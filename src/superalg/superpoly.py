@@ -7,6 +7,8 @@ absorbed into the coefficient.  Values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
+
 from superalg import _kernel
 from superalg.scalars import QQ, Field
 
@@ -118,6 +120,14 @@ def mask_indices(mask):
     return out
 
 
+# The term keys are pure functions of the monomial, so a memo shared by
+# every algebra can never serve a key computed for a different one.  The
+# bound keeps memory flat on long runs; a whole perfbench pool touches at
+# most about 300 distinct monomials per order.
+TERM_KEY_CACHE_SIZE = 1 << 12
+
+
+@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
 def term_key(term):
     """Sort key for the global monomial order.
 

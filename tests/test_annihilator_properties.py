@@ -17,14 +17,12 @@ from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
     annihilator,
-    poly_to_vec,
-    super_term_key,
     superideal_closure,
     vec_lead,
 )
 from superalg.oracle import all_monomials, oracle_annihilator_basis
 from superalg.scalars import QQ, Field
-from superalg.superpoly import VarSet
+from superalg.superpoly import VarSet, term_key
 
 FIELDS = (QQ, Field(7))
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
@@ -92,10 +90,10 @@ def test_annihilator_matches_oracle_in_every_degree(case):
     # monomials of degree <= d that some lead of its basis divides; the
     # oracle is exact for it, so it must find that many
     divides = _kernel.exp_divides
-    leads = [vec_lead(poly_to_vec(g), super_term_key) for g in ann.module_gb]
+    leads = [vec_lead(g.terms, term_key) for g in ann.module_gb]
     lead_multiples = sum(
         1
         for exps, mask in all_monomials(A.vs, ELT_DEGREE)
-        if any(c == mask and divides(le, exps) for c, le in leads)
+        if any(c == mask and divides(le, exps) for le, c in leads)
     )
     assert len(oracle) == lead_multiples

@@ -175,6 +175,27 @@ def test_input_errors(tmp_path):
         code, _ = run(["ann", str(ten), "--element", "(a+b+c+d+e+f+g+h+i+j+1)^%d" % k])
         assert code == 2
     assert time.perf_counter() - start < 1
+    # pair documents: every integer is checked, so a bad one exits 2 (not 3),
+    # an index beyond odd-dim is not ignored, and a size beyond the bound is
+    # refused before any work
+    pair = tmp_path / "pair.shc"
+    start = time.perf_counter()
+    for header, bracket in (
+        ("size x\n  odd-dim 1", ""),
+        ("size 2\n  odd-dim x", ""),
+        ("size 0\n  odd-dim 1", ""),
+        ("size 7\n  odd-dim 1", ""),
+        ("size 10\n  odd-dim 1", ""),
+        ("size 2\n  odd-dim 0", ""),
+        ("size 2\n  odd-dim 1", "bracket 1 y: 0, 0; 0, 0"),
+        ("size 2\n  odd-dim 1", "bracket 0 1: 0, 0; 0, 0"),
+        ("size 2\n  odd-dim 1", "bracket 1 5: 0, 0; 0, 0"),
+    ):
+        pair.write_text("hcpair p\n  %s\n  rho 1\n  %s\nend\n" % (header, bracket))
+        for command in ("sdim", "validate"):
+            code, out = run(["hc", command, str(pair)])
+            assert code == 2 and out == "", (header, bracket)
+    assert time.perf_counter() - start < 1
     code, _ = run(["nonsense"])
     assert code == 2
     code, _ = run(["ksdim", data("xy.salg"), "--field", "fp", "4"])

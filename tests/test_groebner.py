@@ -14,8 +14,6 @@ from superalg.groebner import (
     ideal_equal,
     localize_at_even,
     module_groebner,
-    poly_to_vec,
-    super_term_key,
     superideal_closure,
 )
 from superalg.oracle import oracle_annihilator_basis, oracle_member
@@ -120,6 +118,28 @@ def test_annihilator_matches_oracle():
         # and every annihilator generator is killed by p
         for g in ann.generators:
             assert A.contains_in_ideal(g * p)
+
+
+def test_oracle_annihilator_finds_elements_whose_monomials_do_not_kill():
+    # x1*x2 + x2^2 kills x2, but x1*x2^2 and x2^3 each leave a residual
+    # modulo the span; only their sum lies in it
+    A = make_algebra(
+        ("x1", "x2"),
+        ("y1", "y2"),
+        lambda vs: [
+            vs.gen("x1") * vs.gen("x2") ** 2
+            + vs.gen("x2") ** 3
+            + vs.gen("x2") * vs.gen("y1") * vs.gen("y2"),
+            vs.gen("y1"),
+        ],
+    )
+    x1, x2 = A.vs.gen("x1"), A.vs.gen("x2")
+    basis = oracle_annihilator_basis(x2, superideal_closure(A.relations), 3, 4)
+    assert len(basis) == 13
+    assert x1 * x2 + x2**2 in basis
+    ann = annihilator(x2, A)
+    for f in basis:
+        assert ann.contains(f)
 
 
 def test_annihilator_of_zero_is_unit():

@@ -309,6 +309,24 @@ def test_caches_never_serve_another_algebra():
         assert pair.rho_at(A, M) == [[g]]
 
 
+def test_hc_caches_never_exceed_the_bound(monkeypatch, coeff):
+    """The inverse cache and each pair's rho cache share one bound: a full
+    memo is emptied before it stores more, so neither ever grows past it."""
+    bound = 5
+    monkeypatch.setattr(hcgroup, "HC_CACHE_SIZE", bound)
+    monkeypatch.setattr(hcgroup, "_INVERSE_CACHE", {})
+    pair = builtin_pairs(QQ)["sl2-standard"]
+    rng = random.Random(41)
+    largest = [0, 0]
+    for _ in range(12):
+        a = random_element(pair, coeff, rng)
+        assert hc_mul(a, hc_inv(a)) == hc_identity(pair, coeff)
+        sizes = (len(hcgroup._INVERSE_CACHE), len(pair._rho_at_cache))
+        assert max(sizes) <= bound
+        largest = [max(m, s) for m, s in zip(largest, sizes)]
+    assert largest == [bound, bound]  # both filled up, so both were emptied
+
+
 def test_exhausted_caps_raise_hc_error(pairs, coeff):
     """Each bound on rewriting, on the geometric series of an inverse and on
     the exponential series ends in HCError, which the CLI maps to exit 2."""

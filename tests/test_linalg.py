@@ -108,6 +108,15 @@ def test_kernel_size_over_f3_matches_enumeration(case):
             assert not sum((a * b for a, b in zip(row, vec)), field.zero)
 
 
+def test_reduce_leaves_no_term_at_a_pivot():
+    # with pivots 2 and 0, every vector of v + span has the residual {1: 1}
+    span = Echelon(int)
+    span.insert({2: QQ.one, 0: QQ.one})
+    span.insert({0: QQ.one})
+    for v in ({2: QQ.one, 1: QQ.one}, {1: QQ.one, 0: QQ.of(5)}, {1: QQ.one}):
+        assert span.reduce(v) == {1: QQ.one}
+
+
 @PROPERTY_SETTINGS
 @given(matrices((F3, F7), max_rows=3, max_cols=4), st.data())
 def test_reduce_vanishes_exactly_on_the_span(case, data):
