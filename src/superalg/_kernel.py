@@ -47,6 +47,11 @@ def exp_divides(ea, eb):
     return all(x <= y for x, y in zip(ea, eb))
 
 
+def exp_coprime(ea, eb):
+    """True iff x^ea and x^eb share no variable."""
+    return not any(map(min, ea, eb))
+
+
 def exp_lcm(ea, eb):
     return tuple(x if x >= y else y for x, y in zip(ea, eb))
 

@@ -97,8 +97,11 @@ class GBasis:
             if v:
                 self.append(vec_monic(v, key))
 
-    def append(self, v):
-        lead = vec_lead(v, self.key)
+    def append(self, v, lead=None):
+        """Add the monic vector v; ``lead`` is its lead term when the caller
+        already knows it."""
+        if lead is None:
+            lead = vec_lead(v, self.key)
         self.by_comp.setdefault(lead[1], []).append((len(self.vectors), lead[0]))
         self.vectors.append(v)
         self.leads.append(lead)
@@ -140,25 +143,42 @@ def buchberger(vectors, key):
     return _autoreduce(key, zip(gb.leads, gb.vectors))
 
 
-def complete(vectors, key):
+def complete(vectors, key, gb=None):
     """A Gröbner basis, not yet reduced, of the k[x]-submodule spanned by
-    ``vectors`` with respect to the module order ``key``.
+    ``vectors`` with respect to the module order ``key``.  A GBasis passed
+    as ``gb`` must already be a Gröbner basis of monic vectors with
+    distinct leads; it is extended in place, and no pair among its own
+    elements is formed.
 
     Every vector, input or S-vector, joins the basis only as its nonzero
     normal form, so the inputs that a closure repeats add no pairs.  Only
-    pairs whose leads share a component have an S-vector.  Pairs are
-    taken smallest lcm first (the normal strategy), and a pair (i, j) is
-    dropped by Buchberger's chain criterion when some other element k of
-    the component has a lead dividing lcm(i, j) while neither (i, k) nor
-    (j, k) is still pending.  The product criterion does not hold for
-    modules and is not used.
+    pairs whose leads share a component c have an S-vector.  Buchberger's
+    product criterion drops a pair unqueued when its lead exponents are
+    coprime and both vectors lie wholly in c: then f = F*e_c, g = G*e_c
+    and S(f, g) = F'*g - G'*f with F', G' the tails, a standard
+    representation (a vector with terms in other components has none).
+    The other pairs are taken smallest lcm first (the normal strategy),
+    and a pair (i, j) is dropped by Buchberger's chain criterion when some
+    other element k of the component has a lead dividing lcm(i, j) while
+    neither (i, k) nor (j, k) is still pending; a pair the product
+    criterion dropped is never pending.
     """
-    gb = GBasis([], key)
+    if gb is None:
+        gb = GBasis([], key)
     lcm = _kernel.exp_lcm
     sub = _kernel.exp_sub
     divides = _kernel.exp_divides
+    coprime = _kernel.exp_coprime
     heap = []  # (key of the lcm, i, j, comp, lcm exponents), i < j
     pending = set()
+    one_comp = {}  # index -> every term lies in the lead's component
+
+    def in_one_comp(i):
+        flag = one_comp.get(i)
+        if flag is None:
+            comp = gb.leads[i][1]
+            flag = one_comp[i] = all(c == comp for _, c in gb.vectors[i])
+        return flag
 
     def insert(v):
         r = gb.nf(v)
@@ -168,10 +188,14 @@ def complete(vectors, key):
         gb.append(vec_monic(r, key))
         ej, comp = gb.leads[j]
         for i, ei in gb.by_comp[comp]:
-            if i < j:
-                m = lcm(ei, ej)
-                heapq.heappush(heap, (key((m, comp)), i, j, comp, m))
-                pending.add((i, j))
+            if i == j:
+                break
+            # the cheap coprimality test first: it rarely holds
+            if coprime(ei, ej) and in_one_comp(i) and in_one_comp(j):
+                continue
+            m = lcm(ei, ej)
+            heapq.heappush(heap, (key((m, comp)), i, j, comp, m))
+            pending.add((i, j))
 
     def chain_redundant(i, j, comp, m):
         for k, ek in gb.by_comp[comp]:
@@ -209,16 +233,18 @@ def _autoreduce(key, leads_and_vectors):
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
     work = GBasis([], key)
-    for (exps, comp), v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
+    for lead, v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
+        exps, comp = lead
         if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
-            work.append(v)
+            work.append(v, lead)
     # tail-reduce each element against the others; with pairwise
-    # indivisible leads this terminates in the unique reduced basis
-    out = [vec_monic(work.nf(v, skip=i), key) for i, v in enumerate(work.vectors)]
-    out.sort(key=lambda v: key(vec_lead(v, key)), reverse=True)
+    # indivisible leads this terminates in the unique reduced basis, and
+    # no other lead divides a lead, so each keeps its lead and stays monic
+    out = [(work.leads[i], work.nf(v, skip=i)) for i, v in enumerate(work.vectors)]
+    out.sort(key=lambda lv: key(lv[0]), reverse=True)
     final = GBasis([], key)
-    for v in out:
-        final.append(v)
+    for lead, v in out:
+        final.append(v, lead)
     return final
 
 
@@ -330,26 +356,34 @@ class SuperIdeal:
 
     def __init__(self, ambient, generators=(), ann_of_zero=False):
         self.ambient = ambient
-        self.generators = [ambient.nf(g) for g in generators]
-        self.generators = [g for g in self.generators if g]
+        gens = [g for g in map(ambient.nf, generators) if g]
+        self._generators = gens
         self.ann_of_zero = ann_of_zero
-        closed = superideal_closure(self.generators) + list(ambient.module_gb)
+        closed = superideal_closure(gens) + list(ambient.module_gb)
         self.module_gb = module_groebner(closed)
         self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
 
     @classmethod
-    def _from_reduced_basis(cls, ambient, generators, basis):
+    def _from_reduced_basis(cls, ambient, basis):
         """A superideal whose reduced Gröbner basis under term_key is
         already known: ``basis`` becomes ``module_gb`` as given, with no
         closure and no Buchberger run.  The caller vouches that it is the
-        reduced basis of a superideal containing the relation module."""
+        reduced basis of a superideal containing the relation module.  Its
+        generators, the nonzero normal forms of the basis, are found when
+        first read."""
         self = cls.__new__(cls)
         self.ambient = ambient
-        self.generators = generators
+        self._generators = None
         self.ann_of_zero = False
         self.module_gb = basis
         self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
         return self
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = [g for g in map(self.ambient.nf, self.module_gb) if g]
+        return self._generators
 
     def nf(self, f):
         return SuperPoly(self.ambient.vs, self._gbasis.nf(f.terms))
@@ -390,16 +424,34 @@ def annihilator(p, algebra):
     p = algebra.nf(p)
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()], ann_of_zero=True)
-    vectors = []
     zero_exps = (0,) * vs.m
+    one = vs.field.one
+    # The relation basis is a reduced Gröbner basis and each e_S with
+    # y_S * p = 0 is a kernel element in a component of its own, so
+    # together they are a Gröbner basis that enters the elimination as
+    # it is, with its leads.
+    gb = GBasis([], elim_term_key)
+    rel = algebra._gbasis
+    for (exps, mask), v in zip(rel.leads, rel.vectors):
+        gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
+    odd_gens = [vs.monomial(zero_exps, 1 << i) for i in range(vs.n)]
+    cols = [p]  # cols[S] = y_S * p in normal form
+    graph = []
     for mask in range(1 << vs.n):
-        col = vs.monomial(zero_exps, mask) * p if mask else p
-        v = {(ce, (0, cm)): c for (ce, cm), c in algebra.nf(col).terms.items()}
-        v[(zero_exps, (1, mask))] = vs.field.one
-        vectors.append(v)
-    for g in algebra.module_gb:
-        vectors.append({(ce, (0, cm)): c for (ce, cm), c in g.terms.items()})
-    gb = complete(vectors, elim_term_key)
+        if mask:
+            # y_S = y_i * y_{S - i} with no sign for i = min S
+            low = mask & -mask
+            rest = cols[mask ^ low]
+            cols.append(algebra.nf(odd_gens[low.bit_length() - 1] * rest) if rest else rest)
+        e_s = (zero_exps, (1, mask))
+        col = cols[mask]
+        if col:
+            v = {(ce, (0, cm)): c for (ce, cm), c in col.terms.items()}
+            v[e_s] = one
+            graph.append(v)
+        else:
+            gb.append({e_s: one}, e_s)
+    gb = complete(graph, elim_term_key, gb)
     # Only the elements with a tag-block lead are reduced: the tag block
     # sorts below every main-block term, so they lie wholly in it, and a
     # main-block lead divides no tag-block term, so the main-block elements
@@ -417,8 +469,7 @@ def annihilator(p, algebra):
         SuperPoly(vs, {(exps, comp[1]): c for (exps, comp), c in v.items()})
         for v in tag.vectors
     ]
-    gens = [g for g in (algebra.nf(k) for k in kernel) if g]
-    return SuperIdeal._from_reduced_basis(algebra, gens, kernel)
+    return SuperIdeal._from_reduced_basis(algebra, kernel)
 
 
 # ---------------------------------------------------------------------------

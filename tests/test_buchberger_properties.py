@@ -19,7 +19,7 @@ from superalg.groebner import (
 )
 from superalg.oracle import all_monomials, ideal_span
 from superalg.scalars import QQ, Field
-from superalg.superpoly import VarSet, term_key
+from superalg.superpoly import SuperPoly, VarSet, term_key
 
 FIELDS = (QQ, Field(7))
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -102,6 +102,17 @@ def homogeneous_superideals(draw):
 @given(homogeneous_superideals(), st.sampled_from((term_key, weight_term_key)))
 def test_buchberger_membership_matches_oracle(case, key):
     vs, gens = case
+    assert_matches_oracle(vs, gens, key)
+    # the purely even case: every vector lies in component 0, so the
+    # product criterion may drop any pair whose leads are coprime
+    even_vs = VarSet(vs.even, (), vs.field)
+    even_gens = [SuperPoly(even_vs, {t: c for t, c in g.terms.items() if not t[1]}) for g in gens]
+    even_gens = [g for g in even_gens if g]
+    if even_gens:
+        assert_matches_oracle(even_vs, even_gens, key)
+
+
+def assert_matches_oracle(vs, gens, key):
     closed = superideal_closure(gens)
     vectors = [g.terms for g in closed]
     gb = buchberger(vectors, key)

@@ -202,6 +202,22 @@ def test_input_errors(tmp_path):
     assert code == 2
 
 
+def test_malformed_or_repeated_pair_directives_exit_2(tmp_path, capsys):
+    pair = tmp_path / "pair.shc"
+    for text, where in (
+        ("hcpair p\n  size 2\n  odd 1\n  rho 1\nend\n", "line 3, column 7"),
+        (
+            "hcpair p\n  size 2\n  odd-dim 1\n  rho 1\n  bracket 1 1: 0, 2; 0, 0\n"
+            "  bracket 1 1: 0, 0; 0, 0\nend\n",
+            "line 6, column 3",
+        ),
+    ):
+        pair.write_text(text)
+        code, out = run(["hc", "graded", str(pair)])
+        assert code == 2 and out == ""
+        assert where in capsys.readouterr().err
+
+
 def test_finite_field_flag():
     code, out = run(["ksdim", data("xy.salg"), "--field", "fp", "5"])
     assert code == 0 and "1|0" in out

@@ -9,6 +9,7 @@ from superalg.dsl import (
     parse_assignments,
     parse_document,
     parse_images,
+    parse_pair_document,
     parse_poly,
     parse_poly_list,
 )
@@ -119,3 +120,25 @@ def test_inline_fragments(vs):
     assert seq == [vs.gen("y1"), vs.gen("y2") + vs.gen("y3")]
     with pytest.raises(ParseError):
         parse_assignments("y1 = 1", vs)  # odd generator cannot take a value
+
+
+def test_pair_document_odd_dim_spelling_and_repeated_directives():
+    def error_at(text):
+        with pytest.raises(ParseError) as e:
+            parse_pair_document(text)
+        return e.value.line, e.value.col
+
+    # odd must be followed by -dim
+    assert parse_pair_document("hcpair p\n  size 2\n  odd-dim 1\n  rho 1\nend\n").name == "p"
+    assert error_at("hcpair p\n  size 2\n  odd 1\n  rho 1\nend\n") == (3, 7)
+    assert error_at("hcpair p\n  size 2\n  odd - 1\n  rho 1\nend\n") == (3, 9)
+    # size, odd-dim, rho and each bracket may be given once
+    body = "  size 2\n  odd-dim 1\n  rho 1\n  bracket 1 1: 0, 2; 0, 0\n"
+    assert parse_pair_document("hcpair p\n%send\n" % body).name == "p"
+    for extra in ("size 2", "odd-dim 1", "rho 1", "bracket 1 1: 0, 0; 0, 0"):
+        assert error_at("hcpair p\n%s  %s\nend\n" % (body, extra)) == (6, 3), extra
+    # a bracket is symmetric, so 2 1 repeats 1 2; rel may repeat
+    two = "  size 2\n  odd-dim 2\n  rho 1, 0; 0, 1\n  rel g21\n  rel g12\n"
+    once = "hcpair p\n%s  bracket 1 2: 0, 0; 0, 0\n" % two
+    assert parse_pair_document(once + "end\n")
+    assert error_at(once + "  bracket 2 1: 0, 0; 0, 0\nend\n") == (8, 3)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from superalg import groebner
 from superalg.groebner import (
     GBasis,
     Morphism,
@@ -11,14 +12,16 @@ from superalg.groebner import (
     SuperIdeal,
     annihilator,
     check_mono_necessary,
+    complete,
     ideal_equal,
     localize_at_even,
     module_groebner,
     superideal_closure,
 )
+from superalg.hcgroup import mat_det
 from superalg.oracle import oracle_annihilator_basis, oracle_member
 from superalg.scalars import QQ
-from superalg.superpoly import ParityError, StructureError, VarSet
+from superalg.superpoly import ParityError, StructureError, VarSet, term_key
 
 from conftest import make_algebra, random_poly
 
@@ -140,6 +143,58 @@ def test_oracle_annihilator_finds_elements_whose_monomials_do_not_kill():
     ann = annihilator(x2, A)
     for f in basis:
         assert ann.contains(f)
+
+
+def test_annihilator_generators_are_the_normal_forms_of_its_basis():
+    def lazy_generators_match(A, p):
+        ann = annihilator(p, A)
+        expected = [g for g in (A.nf(k) for k in ann.module_gb) if g]
+        assert ann.generators == expected
+
+    # the collapsing family k[x | y1..yn]/(x*y_i)
+    for n in (3, 4):
+        odd = tuple("y%d" % (i + 1) for i in range(n))
+        A = make_algebra(("x",), odd, lambda vs: [vs.gen("x") * vs.gen(y) for y in vs.odd])
+        ys = [A.vs.gen(y) for y in odd]
+        for p in (A.vs.gen("x"), ys[0], ys[0] * ys[1], ys[0] + ys[-1]):
+            lazy_generators_match(A, p)
+    # p = y1*y2 is killed by y1 and y2, so most columns y_S*p are zero and
+    # enter the elimination as pure-tag kernel vectors
+    A = make_algebra(
+        ("x",), ("y1", "y2", "y3"), lambda vs: [vs.gen("x") ** 2 - vs.gen("y1") * vs.gen("y3")]
+    )
+    vs = A.vs
+    p = vs.gen("y1") * vs.gen("y2")
+    assert A.nf(vs.gen("y1") * p).is_zero() and A.nf(vs.gen("y3") * p)
+    lazy_generators_match(A, p)
+
+
+def test_product_criterion_drops_coprime_one_component_pairs(monkeypatch):
+    # d*det(g) - 1 and e*det(h) - 1 for 5 x 5 matrices g, h in disjoint
+    # variables: one component, coprime leads, so the S-vector of the only
+    # pair is never built, let alone reduced
+    N = 5
+    g = ["g%d%d" % (i, j) for i in range(N) for j in range(N)]
+    h = ["h%d%d" % (i, j) for i in range(N) for j in range(N)]
+    vs = VarSet(tuple(g + ["d"] + h + ["e"]), (), QQ)
+
+    def unit_relation(names, inverse):
+        matrix = [[vs.gen(names[i * N + j]) for j in range(N)] for i in range(N)]
+        return vs.gen(inverse) * mat_det(matrix) - vs.one()
+
+    vectors = [unit_relation(g, "d").terms, unit_relation(h, "e").terms]
+    assert all(len(v) == 121 for v in vectors)
+    calls = []
+    add_scaled = groebner.vec_add_scaled
+
+    def counting(*args):
+        calls.append(1)
+        return add_scaled(*args)
+
+    monkeypatch.setattr(groebner, "vec_add_scaled", counting)
+    gb = complete(vectors, term_key)
+    assert calls == []
+    assert len(gb.vectors) == 2
 
 
 def test_annihilator_of_zero_is_unit():
