@@ -8,6 +8,8 @@ and ``sdim`` reach these functions as ``_kernel.<name>`` attributes.
 
 from __future__ import annotations
 
+from operator import add, le, sub
+
 # perfbench stamps every result with this name
 IMPLEMENTATION = "python"
 
@@ -34,17 +36,17 @@ def odd_merge(a: int, b: int):
 
 def exp_add(ea, eb):
     """Componentwise sum of two exponent tuples."""
-    return tuple(x + y for x, y in zip(ea, eb))
+    return tuple(map(add, ea, eb))
 
 
 def exp_sub(ea, eb):
     """Componentwise difference; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(ea, eb))
+    return tuple(map(sub, ea, eb))
 
 
 def exp_divides(ea, eb):
     """True iff x^ea divides x^eb."""
-    return all(x <= y for x, y in zip(ea, eb))
+    return all(map(le, ea, eb))
 
 
 def exp_coprime(ea, eb):
@@ -53,7 +55,7 @@ def exp_coprime(ea, eb):
 
 
 def exp_lcm(ea, eb):
-    return tuple(x if x >= y else y for x, y in zip(ea, eb))
+    return tuple(map(max, ea, eb))
 
 
 def mul_terms(aterms, bterms):
@@ -65,7 +67,7 @@ def mul_terms(aterms, bterms):
             sign, mask = odd_merge(ma, mb)
             if sign == 0:
                 continue
-            t = (tuple(x + y for x, y in zip(ea, eb)), mask)
+            t = (tuple(map(add, ea, eb)), mask)
             c = ca * cb if sign > 0 else -(ca * cb)
             nc = out.get(t)
             nc = c if nc is None else nc + c

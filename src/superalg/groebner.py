@@ -18,6 +18,7 @@ import functools
 import heapq
 
 from superalg import _kernel
+from superalg.scalars import inv
 from superalg.superpoly import (
     TERM_KEY_CACHE_SIZE,
     ParityError,
@@ -81,8 +82,8 @@ def vec_monic(v, key):
     lc = v[lt]
     if lc == 1:
         return dict(v)
-    inv = 1 / lc
-    return {t: c * inv for t, c in v.items()}
+    c_inv = inv(lc)
+    return {t: c * c_inv for t, c in v.items()}
 
 
 class GBasis:

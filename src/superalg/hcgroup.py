@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from superalg.groebner import SuperAlgebra
 from superalg.linalg import Echelon, dependencies
+from superalg.scalars import inv
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 
@@ -70,7 +71,7 @@ def mat_det(A):
 def mat_adjugate(A):
     n = len(A)
     if n == 1:
-        one = A[0][0] ** 0 if isinstance(A[0][0], SuperPoly) else Fraction(1)
+        one = A[0][0] ** 0 if isinstance(A[0][0], SuperPoly) else 1
         return [[one]]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -105,15 +106,17 @@ def invert_even(algebra, u, cap=64):
     if not c:
         raise HCError("element %s has zero constant term, not invertible here" % u)
     nu = algebra.nf(u - algebra.vs.const(c))
+    c_inv = inv(c)
     if nu.is_zero():
-        return algebra.vs.const(1 / c)
-    inv = algebra.vs.const(1 / c)
+        return algebra.vs.const(c_inv)
+    out = algebra.vs.const(c_inv)
+    step = nu.scale(-c_inv)
     power = algebra.vs.one()
     for _ in range(cap):
-        power = algebra.nf(power * nu.scale(-1 / c))
+        power = algebra.nf(power * step)
         if power.is_zero():
-            return algebra.nf(inv)
-        inv = inv + power.scale(1 / c)
+            return algebra.nf(out)
+        out = out + power.scale(c_inv)
     raise HCError("non-constant part of %s is not nilpotent" % u)
 
 
@@ -658,7 +661,7 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     degree, and the odd part of the coefficient algebra is nilpotent.
     """
     word = list(word)
-    half = Fraction(1, 2) if algebra.vs.field.char == 0 else algebra.vs.field.of(Fraction(1, 2))
+    half = algebra.vs.field.of(Fraction(1, 2))
 
     def rule_positions():
         pos = []

@@ -7,6 +7,8 @@ reduction in the package goes through ``Echelon``.
 
 from __future__ import annotations
 
+from superalg.scalars import inv
+
 
 class Echelon:
     """Echelon basis of the span of the inserted vectors."""
@@ -46,8 +48,8 @@ class Echelon:
         if not r:
             return False
         t = max(r, key=self.key)
-        lc = r[t]
-        self.rows[t] = {u: c / lc for u, c in r.items()}
+        lc_inv = inv(r[t])
+        self.rows[t] = {u: c * lc_inv for u, c in r.items()}
         return True
 
 

@@ -1,7 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields of odd characteristic.
 
 All coefficient arithmetic in the package goes through the objects defined
-here.  No floating point is ever used.
+here.  No floating point is ever used.  A rational is an ``int`` while it is
+integral and a ``Fraction`` otherwise; an element of F_p is a ``GFElement``.
+Coefficients are never divided with ``/``: ``inv`` is the one inverse.
 """
 
 from __future__ import annotations
@@ -99,6 +101,23 @@ class GFElement:
         return str(self.v)
 
 
+# Everything a SuperPoly accepts as a scalar operand.
+SCALARS = (int, Fraction, GFElement)
+
+
+def inv(c):
+    """The inverse of a nonzero coefficient; ZeroDivisionError for zero.
+
+    Over Q the inverse of +-1 stays an ``int`` and that of ``1/n`` is the
+    ``int`` n, so integral values never become a ``Fraction``."""
+    if isinstance(c, int):
+        return c if c == 1 or c == -1 else Fraction(1, c)
+    if isinstance(c, Fraction):
+        n, d = c.numerator, c.denominator
+        return n * d if n == 1 or n == -1 else Fraction(d, n)
+    return 1 / c
+
+
 def _gf_of_fraction(p, v):
     """The image of a Fraction in F_p; FieldError when p divides its
     denominator."""
@@ -163,10 +182,10 @@ class Field:
     def of(self, v):
         """Coerce an int, Fraction or field element into this field."""
         if self.char == 0:
-            if isinstance(v, Fraction):
-                return v
             if isinstance(v, int):
-                return Fraction(v)
+                return v
+            if isinstance(v, Fraction):
+                return v.numerator if v.denominator == 1 else v
             if isinstance(v, GFElement):
                 raise FieldError("cannot coerce F_%d element into Q" % v.p)
             raise FieldError("cannot coerce %r into Q" % (v,))
@@ -183,7 +202,7 @@ class Field:
     def is_one(self, v):
         """Cheap test against 1, avoiding generic rich comparison."""
         if self.char == 0:
-            return v._denominator == 1 and v._numerator == 1
+            return v == 1
         return v.v == 1
 
     def parse(self, text):

@@ -22,6 +22,7 @@ from superalg.groebner import (
     weight_term_key,
 )
 from superalg.linalg import Echelon
+from superalg.scalars import inv
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, mask_indices, term_key
 
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
@@ -229,7 +230,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
             p = algebra.nf(prod * pool[i])
             if p.is_zero():
                 continue
-            monic = p.scale(1 / p.lead_term()[1])
+            monic = p.scale(inv(p.lead_term()[1]))
             if monic in failed:
                 continue
             combo = chosen + [pool[i]]

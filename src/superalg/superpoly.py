@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 
 from superalg import _kernel
-from superalg.scalars import QQ, Field
+from superalg.scalars import QQ, SCALARS, Field
 
 
 class ParityError(ValueError):
@@ -215,10 +215,10 @@ class SuperPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int,)) or type(other).__name__ in ("Fraction", "GFElement"):
-            other = self.vs.const(other)
         if not isinstance(other, SuperPoly):
-            return NotImplemented
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            other = self.vs.const(other)
         self._check_same(other)
         if not other.terms:
             return self
@@ -240,10 +240,10 @@ class SuperPoly:
         return SuperPoly(self.vs, {t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int,)) or type(other).__name__ in ("Fraction", "GFElement"):
-            other = self.vs.const(other)
         if not isinstance(other, SuperPoly):
-            return NotImplemented
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            other = self.vs.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -258,10 +258,10 @@ class SuperPoly:
         return SuperPoly(self.vs, _kernel.scale_terms(self.terms, c))
 
     def __mul__(self, other):
-        if isinstance(other, (int,)) or type(other).__name__ in ("Fraction", "GFElement"):
-            return self.scale(other)
         if not isinstance(other, SuperPoly):
-            return NotImplemented
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            return self.scale(other)
         self._check_same(other)
         if not self.terms or not other.terms:
             return SuperPoly(self.vs, {})
@@ -276,7 +276,7 @@ class SuperPoly:
         return SuperPoly(self.vs, _kernel.mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
-        if isinstance(other, (int,)) or type(other).__name__ in ("Fraction", "GFElement"):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 

@@ -1,8 +1,11 @@
 """Harish-Chandra pairs: axioms, normal forms, group laws, matrix model."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg import hcgroup
 from superalg.hcgroup import (
@@ -42,8 +45,8 @@ def pairs():
     return builtin_pairs(QQ)
 
 
-# The group-law checks run again over F_7 under their own names, so the
-# Q cases keep theirs.
+# The matrix-model check runs again over F_7 under its own name, so the Q
+# case keeps its.
 @pytest.fixture(scope="module")
 def coeff_f7():
     return lambda_algebra(("s", "t", "u", "w"), F7)
@@ -109,45 +112,46 @@ def test_group_closure_randomized(pairs):
         assert pair.group.check_closure_randomized(seed=5, trials=3)
 
 
-def check_group_axioms(pairs, coeff):
-    rng = random.Random(31)
-    for name, pair in pairs.items():
-        ident = hc_identity(pair, coeff)
-        for _ in range(10):
-            a = random_element(pair, coeff, rng)
-            b = random_element(pair, coeff, rng)
-            c = random_element(pair, coeff, rng)
-            assert hc_mul(hc_mul(a, b), c) == hc_mul(a, hc_mul(b, c)), name
-            assert hc_mul(a, ident) == a and hc_mul(ident, a) == a, name
-            assert hc_mul(a, hc_inv(a)) == ident, name
-            assert hc_mul(hc_inv(a), a) == ident, name
+# The group laws go through invert_even and the rewriting rules, whose
+# coefficient arithmetic differs between Q and F_p and, over F_p, with the
+# size of p.
+HC_LAW_FIELDS = (QQ, F7, Field(11), Field(32003))
+HC_LAW_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def test_group_axioms_randomized(pairs, coeff):
-    check_group_axioms(pairs, coeff)
+@functools.lru_cache(maxsize=None)
+def hc_setting(field):
+    """The Grassmann coefficient algebra on s, t, u, w and the built-in
+    pairs over ``field``."""
+    return lambda_algebra(("s", "t", "u", "w"), field), builtin_pairs(field)
 
 
-def test_group_axioms_randomized_f7(pairs_f7, coeff_f7):
-    check_group_axioms(pairs_f7, coeff_f7)
+@st.composite
+def hc_elements(draw, count):
+    """(pair, coeff, elements): ``count`` normal forms of one built-in pair
+    over one of HC_LAW_FIELDS, drawn as ``random_element`` draws them."""
+    coeff, pairs = hc_setting(draw(st.sampled_from(HC_LAW_FIELDS)))
+    pair = pairs[draw(st.sampled_from(sorted(pairs)))]
+    rng = draw(st.randoms())
+    return pair, coeff, [random_element(pair, coeff, rng) for _ in range(count)]
 
 
-def check_rewriting_confluence(pairs, coeff):
-    rng = random.Random(32)
-    for name, pair in pairs.items():
-        for _ in range(8):
-            a = random_element(pair, coeff, rng)
-            b = random_element(pair, coeff, rng)
-            left = hc_mul(a, b, strategy="left")
-            right = hc_mul(a, b, strategy="right")
-            assert left == right, name
+@HC_LAW_SETTINGS
+@given(hc_elements(3))
+def test_group_axioms_randomized(case):
+    pair, coeff, (a, b, c) = case
+    ident = hc_identity(pair, coeff)
+    assert hc_mul(hc_mul(a, b), c) == hc_mul(a, hc_mul(b, c))
+    assert hc_mul(a, ident) == a and hc_mul(ident, a) == a
+    assert hc_mul(a, hc_inv(a)) == ident
+    assert hc_mul(hc_inv(a), a) == ident
 
 
-def test_rewriting_confluence(pairs, coeff):
-    check_rewriting_confluence(pairs, coeff)
-
-
-def test_rewriting_confluence_f7(pairs_f7, coeff_f7):
-    check_rewriting_confluence(pairs_f7, coeff_f7)
+@HC_LAW_SETTINGS
+@given(hc_elements(2))
+def test_rewriting_confluence(case):
+    _, _, (a, b) = case
+    assert hc_mul(a, b, strategy="left") == hc_mul(a, b, strategy="right")
 
 
 def check_unipotent_matrix_model(pairs, coeff):

@@ -3,6 +3,9 @@ through which polynomial products reach it."""
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from superalg import _kernel
 from superalg.superpoly import VarSet
 
@@ -35,6 +38,28 @@ def test_high_bits():
     assert _kernel.odd_merge(b, a) == (1, a | b)
     assert _kernel.odd_merge(a, b) == (-1, a | b)
     assert _kernel.odd_merge(a, a) == (0, 0)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent tuples of one length from 0 to 5; length 0 is an
+    algebra with no even generator."""
+    n = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exponent_pairs())
+def test_exponent_kernels_are_componentwise(pair):
+    ea, eb = pair
+    assert _kernel.exp_add(ea, eb) == tuple(x + y for x, y in zip(ea, eb))
+    assert _kernel.exp_sub(ea, eb) == tuple(x - y for x, y in zip(ea, eb))
+    assert _kernel.exp_lcm(ea, eb) == tuple(max(x, y) for x, y in zip(ea, eb))
+    assert _kernel.exp_divides(ea, eb) == all(x <= y for x, y in zip(ea, eb))
+    assert _kernel.exp_coprime(ea, eb) == all(x == 0 or y == 0 for x, y in zip(ea, eb))
+    for e in (_kernel.exp_add(ea, eb), _kernel.exp_lcm(ea, eb)):
+        assert type(e) is tuple and len(e) == len(ea)
 
 
 def test_superpoly_products_go_through_kernel(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from superalg import sdim
 from superalg.groebner import SuperAlgebra
 from superalg.oracle import all_monomials
-from superalg.scalars import QQ, Field
+from superalg.scalars import QQ, Field, inv
 from superalg.sdim import (
     ZERO_RING_DIM,
     OddParamCertificate,
@@ -103,7 +103,7 @@ def test_no_product_reaches_the_annihilator_twice(n, monkeypatch):
     annihilator = sdim.annihilator
 
     def recording(p, algebra):
-        seen.append(p.scale(1 / p.lead_term()[1]))
+        seen.append(p.scale(inv(p.lead_term()[1])))
         return annihilator(p, algebra)
 
     monkeypatch.setattr(sdim, "annihilator", recording)

@@ -8,6 +8,7 @@ combination of the inserted ones hits.
 """
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,9 @@ def rref_nullspace(rows, ncols, field):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        lc = rows[r][c]
-        rows[r] = [v / lc for v in rows[r]]
+        # Fraction(1) keeps the division exact on an int entry
+        lc_inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * lc_inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
