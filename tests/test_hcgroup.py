@@ -45,8 +45,8 @@ def pairs():
     return builtin_pairs(QQ)
 
 
-# The matrix-model check runs again over F_7 under its own name, so the Q
-# case keeps its.
+# The seeded group-law, rewriting and matrix-model checks run again over F_7
+# under their own names.
 @pytest.fixture(scope="module")
 def coeff_f7():
     return lambda_algebra(("s", "t", "u", "w"), F7)
@@ -152,6 +152,31 @@ def test_group_axioms_randomized(case):
 def test_rewriting_confluence(case):
     _, _, (a, b) = case
     assert hc_mul(a, b, strategy="left") == hc_mul(a, b, strategy="right")
+
+
+def test_group_axioms_randomized_f7(pairs_f7, coeff_f7):
+    rng = random.Random(31)
+    for name, pair in pairs_f7.items():
+        ident = hc_identity(pair, coeff_f7)
+        for _ in range(10):
+            a = random_element(pair, coeff_f7, rng)
+            b = random_element(pair, coeff_f7, rng)
+            c = random_element(pair, coeff_f7, rng)
+            assert hc_mul(hc_mul(a, b), c) == hc_mul(a, hc_mul(b, c)), name
+            assert hc_mul(a, ident) == a and hc_mul(ident, a) == a, name
+            assert hc_mul(a, hc_inv(a)) == ident, name
+            assert hc_mul(hc_inv(a), a) == ident, name
+
+
+def test_rewriting_confluence_f7(pairs_f7, coeff_f7):
+    rng = random.Random(32)
+    for name, pair in pairs_f7.items():
+        for _ in range(8):
+            a = random_element(pair, coeff_f7, rng)
+            b = random_element(pair, coeff_f7, rng)
+            left = hc_mul(a, b, strategy="left")
+            right = hc_mul(a, b, strategy="right")
+            assert left == right, name
 
 
 def check_unipotent_matrix_model(pairs, coeff):
