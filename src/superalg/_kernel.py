@@ -3,7 +3,9 @@
 A term is ``(exps, mask)``: a tuple of even exponents and a bitmask of odd
 generators (bit i set = generator i present, i < 63).  ``odd_merge`` holds
 the sign rule for anticommuting odd generators; ``superpoly``, ``groebner``
-and ``sdim`` reach these functions as ``_kernel.<name>`` attributes.
+and ``sdim`` reach these functions as ``_kernel.<name>`` attributes.  The
+kernels that make coefficients take the characteristic p (0 for Q) and
+reduce mod p when it is set.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def exp_lcm(ea, eb):
     return tuple(map(max, ea, eb))
 
 
-def mul_terms(aterms, bterms):
-    """Product of two term dicts {(exps, mask): coeff}; signs from
-    odd_merge, like terms combined, zeros dropped."""
+def mul_terms(aterms, bterms, p):
+    """Product of two term dicts {(exps, mask): coeff} in characteristic p
+    (0 for Q); signs from odd_merge, like terms combined, zeros dropped."""
     out = {}
     for (ea, ma), ca in aterms.items():
         for (eb, mb), cb in bterms.items():
@@ -71,6 +73,8 @@ def mul_terms(aterms, bterms):
             c = ca * cb if sign > 0 else -(ca * cb)
             nc = out.get(t)
             nc = c if nc is None else nc + c
+            if p:
+                nc %= p
             if nc:
                 out[t] = nc
             elif t in out:
@@ -78,5 +82,6 @@ def mul_terms(aterms, bterms):
     return out
 
 
-def scale_terms(terms, c):
-    return {t: v * c for t, v in terms.items()}
+def scale_terms(terms, c, p):
+    """Every coefficient times the nonzero scalar c, in characteristic p."""
+    return {t: v * c % p if p else v * c for t, v in terms.items()}

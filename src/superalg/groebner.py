@@ -60,13 +60,16 @@ def elim_term_key(term):
 # vector arithmetic
 
 
-def vec_add_scaled(dst, src, coeff, shift=None):
-    """dst += coeff * x^shift * src, in place."""
+def vec_add_scaled(dst, src, coeff, shift, p):
+    """dst += coeff * x^shift * src, in place, in characteristic p (0 for
+    Q); ``shift`` None means no shift."""
     eadd = _kernel.exp_add
     for (exps, comp), c in src.items():
         t = (exps if shift is None else eadd(exps, shift), comp)
         nc = dst.get(t)
         nc = coeff * c if nc is None else nc + coeff * c
+        if p:
+            nc %= p
         if nc:
             dst[t] = nc
         elif t in dst:
@@ -77,26 +80,28 @@ def vec_lead(v, key):
     return max(v, key=key)
 
 
-def vec_monic(v, key):
+def vec_monic(v, key, p):
     lt = vec_lead(v, key)
     lc = v[lt]
     if lc == 1:
         return dict(v)
-    c_inv = inv(lc)
-    return {t: c * c_inv for t, c in v.items()}
+    c_inv = inv(lc, p)
+    return {t: c * c_inv % p if p else c * c_inv for t, c in v.items()}
 
 
 class GBasis:
-    """A list of monic vectors with normal-form reduction against them."""
+    """A list of monic vectors over characteristic p (0 for Q) with
+    normal-form reduction against them."""
 
-    def __init__(self, vectors, key):
+    def __init__(self, vectors, key, p):
         self.key = key
+        self.p = p
         self.vectors = []
         self.leads = []
         self.by_comp = {}  # component -> [(index, lead exponents)], by index
         for v in vectors:
             if v:
-                self.append(vec_monic(v, key))
+                self.append(vec_monic(v, key, p))
 
     def append(self, v, lead=None):
         """Add the monic vector v; ``lead`` is its lead term when the caller
@@ -120,6 +125,7 @@ class GBasis:
         if not self.vectors:
             return dict(v)
         key = self.key
+        p = self.p
         sub = _kernel.exp_sub
         work = dict(v)
         result = {}
@@ -133,23 +139,24 @@ class GBasis:
                 c = work[t]
                 shift = sub(exps, self.leads[i][0])
                 # the reducer is monic, so the lead term cancels exactly
-                vec_add_scaled(work, self.vectors[i], -c, shift)
+                vec_add_scaled(work, self.vectors[i], -c, shift, p)
         return result
 
 
-def buchberger(vectors, key):
+def buchberger(vectors, key, p):
     """Unique reduced Gröbner basis of the k[x]-submodule spanned by
-    ``vectors`` with respect to the module order ``key``."""
-    gb = complete(vectors, key)
-    return _autoreduce(key, zip(gb.leads, gb.vectors))
+    ``vectors`` with respect to the module order ``key``, over
+    characteristic p (0 for Q)."""
+    gb = complete(vectors, key, p)
+    return _autoreduce(key, p, zip(gb.leads, gb.vectors))
 
 
-def complete(vectors, key, gb=None):
+def complete(vectors, key, p, gb=None):
     """A Gröbner basis, not yet reduced, of the k[x]-submodule spanned by
-    ``vectors`` with respect to the module order ``key``.  A GBasis passed
-    as ``gb`` must already be a Gröbner basis of monic vectors with
-    distinct leads; it is extended in place, and no pair among its own
-    elements is formed.
+    ``vectors`` with respect to the module order ``key``, over
+    characteristic p (0 for Q).  A GBasis passed as ``gb`` must already be
+    a Gröbner basis over p of monic vectors with distinct leads; it is
+    extended in place, and no pair among its own elements is formed.
 
     Every vector, input or S-vector, joins the basis only as its nonzero
     normal form, so the inputs that a closure repeats add no pairs.  Only
@@ -165,7 +172,7 @@ def complete(vectors, key, gb=None):
     criterion dropped is never pending.
     """
     if gb is None:
-        gb = GBasis([], key)
+        gb = GBasis([], key, p)
     lcm = _kernel.exp_lcm
     sub = _kernel.exp_sub
     divides = _kernel.exp_divides
@@ -186,7 +193,7 @@ def complete(vectors, key, gb=None):
         if not r:
             return
         j = len(gb.vectors)
-        gb.append(vec_monic(r, key))
+        gb.append(vec_monic(r, key, p))
         ej, comp = gb.leads[j]
         for i, ei in gb.by_comp[comp]:
             if i == j:
@@ -221,19 +228,19 @@ def complete(vectors, key, gb=None):
         # basis vectors are monic: the stored lead coefficient is the one
         one = gb.vectors[i][gb.leads[i]]
         s = {}
-        vec_add_scaled(s, gb.vectors[i], one, sub(m, ei))
-        vec_add_scaled(s, gb.vectors[j], -one, sub(m, ej))
+        vec_add_scaled(s, gb.vectors[i], one, sub(m, ei), p)
+        vec_add_scaled(s, gb.vectors[j], -one, sub(m, ej), p)
         insert(s)
     return gb
 
 
-def _autoreduce(key, leads_and_vectors):
-    """The unique reduced basis from the (lead, monic vector) pairs of a
-    completed basis."""
+def _autoreduce(key, p, leads_and_vectors):
+    """The unique reduced basis over characteristic p from the (lead, monic
+    vector) pairs of a completed basis."""
     divides = _kernel.exp_divides
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
-    work = GBasis([], key)
+    work = GBasis([], key, p)
     for lead, v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
         exps, comp = lead
         if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
@@ -243,7 +250,7 @@ def _autoreduce(key, leads_and_vectors):
     # no other lead divides a lead, so each keeps its lead and stays monic
     out = [(work.leads[i], work.nf(v, skip=i)) for i, v in enumerate(work.vectors)]
     out.sort(key=lambda lv: key(lv[0]), reverse=True)
-    final = GBasis([], key)
+    final = GBasis([], key, p)
     for lead, v in out:
         final.append(v, lead)
     return final
@@ -289,7 +296,7 @@ def module_groebner(gens, key=term_key):
     if not gens:
         return []
     vs = gens[0].vs
-    gb = buchberger([g.terms for g in gens], key)
+    gb = buchberger([g.terms for g in gens], key, vs.field.char)
     return [SuperPoly(vs, v) for v in gb.vectors]
 
 
@@ -323,7 +330,7 @@ class SuperAlgebra:
         if self._gb is None:
             closed = superideal_closure(self.relations)
             self._gb = module_groebner(closed)
-            self._gbasis = GBasis([g.terms for g in self._gb], term_key)
+            self._gbasis = GBasis([g.terms for g in self._gb], term_key, self.vs.field.char)
         return self._gb
 
     def nf(self, f):
@@ -362,7 +369,7 @@ class SuperIdeal:
         self.ann_of_zero = ann_of_zero
         closed = superideal_closure(gens) + list(ambient.module_gb)
         self.module_gb = module_groebner(closed)
-        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
+        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, ambient.vs.field.char)
 
     @classmethod
     def _from_reduced_basis(cls, ambient, basis):
@@ -377,7 +384,7 @@ class SuperIdeal:
         self._generators = None
         self.ann_of_zero = False
         self.module_gb = basis
-        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key)
+        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, ambient.vs.field.char)
         return self
 
     @property
@@ -426,12 +433,13 @@ def annihilator(p, algebra):
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()], ann_of_zero=True)
     zero_exps = (0,) * vs.m
+    char = vs.field.char
     one = vs.field.one
     # The relation basis is a reduced Gröbner basis and each e_S with
     # y_S * p = 0 is a kernel element in a component of its own, so
     # together they are a Gröbner basis that enters the elimination as
     # it is, with its leads.
-    gb = GBasis([], elim_term_key)
+    gb = GBasis([], elim_term_key, char)
     rel = algebra._gbasis
     for (exps, mask), v in zip(rel.leads, rel.vectors):
         gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
@@ -452,7 +460,7 @@ def annihilator(p, algebra):
             graph.append(v)
         else:
             gb.append({e_s: one}, e_s)
-    gb = complete(graph, elim_term_key, gb)
+    gb = complete(graph, elim_term_key, char, gb)
     # Only the elements with a tag-block lead are reduced: the tag block
     # sorts below every main-block term, so they lie wholly in it, and a
     # main-block lead divides no tag-block term, so the main-block elements
@@ -464,7 +472,7 @@ def annihilator(p, algebra):
     # nothing; and the reduced basis of a parity-graded module is
     # parity-homogeneous.
     tag = _autoreduce(
-        elim_term_key, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
+        elim_term_key, char, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
     )
     kernel = [
         SuperPoly(vs, {(exps, comp[1]): c for (exps, comp), c in v.items()})
@@ -559,7 +567,8 @@ def check_mono_necessary(phi):
             prod = dst.nf(u * img)
             if prod:
                 vectors.append(prod.terms)
-    gb = buchberger(vectors, term_key) if vectors else GBasis([], term_key)
+    p = vs.field.char
+    gb = buchberger(vectors, term_key, p) if vectors else GBasis([], term_key, p)
     for w in odd_square_free_monomials(vs, parity=1):
         wn = dst.nf(w)
         if wn.is_zero():

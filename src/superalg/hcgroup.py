@@ -106,7 +106,7 @@ def invert_even(algebra, u, cap=64):
     if not c:
         raise HCError("element %s has zero constant term, not invertible here" % u)
     nu = algebra.nf(u - algebra.vs.const(c))
-    c_inv = inv(c)
+    c_inv = inv(c, algebra.vs.field.char)
     if nu.is_zero():
         return algebra.vs.const(c_inv)
     out = algebra.vs.const(c_inv)
@@ -221,14 +221,14 @@ class EvenGroupSpec:
                 for j in range(N):
                     c = f.diff_even("g%d%d" % (i + 1, j + 1)).evaluate_at_point(pt)
                     if i == j:
-                        c = c - dd  # delta d = -trace contribution
+                        c = field.of(c - dd)  # delta d = -trace contribution
                     row.append(c)
             rows.append(row)
         # a kernel vector is a linear relation among the Jacobian's columns
         columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(N * N)]
         self._lie = [
             [[rel.get(i * N + j, field.zero) for j in range(N)] for i in range(N)]
-            for rel in dependencies(columns, int, field.one)
+            for rel in dependencies(columns, int, field)
         ]
         return self._lie
 
@@ -370,7 +370,7 @@ class HCPair:
         group = self.group
         pt = group.identity_point()
         field = group.field
-        trace = sum((x[i][i] for i in range(group.N)), start=field.zero)
+        trace = sum(x[i][i] for i in range(group.N))
         out = []
         for r in range(self.t):
             row = []
@@ -382,8 +382,7 @@ class HCPair:
                         pd = p.diff_even("g%d%d" % (i + 1, j + 1)).evaluate_at_point(pt)
                         acc = acc + pd * x[i][j]
                 dd = p.diff_even("d").evaluate_at_point(pt)
-                acc = acc - dd * trace
-                row.append(acc)
+                row.append(field.of(acc - dd * trace))
             out.append(row)
         self._drho_cache[key] = out
         return out
@@ -442,7 +441,7 @@ def validate_hc_pair(pair):
     report["bracket_symmetric"] = (ok, wit)
 
     # bracket values lie in the Lie algebra
-    lie = Echelon(int)
+    lie = Echelon(int, group.field.char)
     for x in group.lie_basis():
         lie.insert(_entries(x))
     ok = True
@@ -661,7 +660,8 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     degree, and the odd part of the coefficient algebra is nilpotent.
     """
     word = list(word)
-    half = algebra.vs.field.of(Fraction(1, 2))
+    field = algebra.vs.field
+    half = field.of(Fraction(1, 2))
 
     def rule_positions():
         pos = []
@@ -721,7 +721,7 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
                 new = []
                 if corr:
                     x = pair.bracket_matrix(i, i)
-                    xh = [[half * e for e in row] for row in x]
+                    xh = [[field.of(half * e) for e in row] for row in x]
                     if any(e for row in xh for e in row):
                         new.append(("g", _f_matrix(algebra, corr, xh)))
                 merged = algebra.nf(a + b)
@@ -824,8 +824,8 @@ def sl2_standard_pair(field=None):
     # [v_i, v_j] = v_i v_j^T eps + v_j v_i^T eps
     bracket = {
         (0, 0): [[z, two], [z, z]],
-        (0, 1): [[-one, z], [z, one]],
-        (1, 1): [[z, z], [-two, z]],
+        (0, 1): [[field.of(-1), z], [z, one]],
+        (1, 1): [[z, z], [field.of(-2), z]],
     }
     return HCPair(group, 2, rho, bracket, name="sl2-standard")
 

@@ -39,10 +39,10 @@ def all_monomials(vs, max_degree):
 def ideal_span(gens, max_degree):
     """Echelon basis of the degree-truncated superideal span: all monomial
     multiples u*g with total degree <= max_degree."""
-    span = Echelon(term_key)
     if not gens:
-        return span
+        return Echelon(term_key, 0)  # no rows, so no arithmetic
     vs = gens[0].vs
+    span = Echelon(term_key, vs.field.char)
     for g in gens:
         if g.is_zero():
             continue
@@ -70,7 +70,7 @@ def oracle_annihilator_basis(p, gens, elt_degree, span_degree):
     candidates = all_monomials(vs, elt_degree)
     residuals = [span.reduce((vs.monomial(exps, mask) * p).terms) for exps, mask in candidates]
     out = []
-    for combo in dependencies(residuals, term_key, vs.field.one):
+    for combo in dependencies(residuals, term_key, vs.field):
         poly = vs.zero()
         for j, c in combo.items():
             exps, mask = candidates[j]

@@ -195,7 +195,7 @@ def orbit_ideal(action, pt, pivot=None):
         for i, (w, lam) in enumerate(zip(gens, slopes)):
             if i == pivot:
                 continue
-            odd_gens.append(w - wj.scale(lam * inv(lamj)))
+            odd_gens.append(w - wj.scale(lam * inv(lamj, vs.field.char)))
         odd_gens.extend(g * wj for g in m_gens)
         ideal = SuperIdeal(A, _minimalize_gens(A, m_gens + odd_gens))
         result = OrbitResult(

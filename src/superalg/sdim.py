@@ -114,16 +114,16 @@ def krull_dim_even(algebra):
 
 def even_annihilator_image_in_bar(ideal, bar_algebra):
     """Generators (in the purely even quotient) of the image of the even
-    part of a parity-graded superideal."""
+    part of a parity-graded superideal: killing the odd generators keeps
+    exactly the terms of an even element that have no odd factor."""
     bvs = bar_algebra.vs
-    images = _kill_odd(ideal.ambient.vs, bvs)
-    out = []
-    for g in ideal.module_gb:
-        if g.parity() == 0:
-            gg = g.substitute(images, bvs)
-            if gg and gg not in out:
-                out.append(gg)
-    return out
+    images = (
+        SuperPoly(bvs, {t: c for t, c in g.terms.items() if not t[1]})
+        for g in ideal.module_gb
+        if g.parity() == 0
+    )
+    # dict.fromkeys drops repeats and keeps first-occurrence order
+    return [gg for gg in dict.fromkeys(images) if gg]
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +178,20 @@ def odd_parameter_candidates(algebra, extra=(), random_combos=4, seed=0):
     """Finite search pool: odd generators, square-free odd monomials of odd
     degree, caller extras, and seeded random combinations."""
     vs = algebra.vs
-    pool = []
-    for p in odd_square_free_monomials(vs, parity=1):
-        q = algebra.nf(p)
-        if q and q not in pool:
-            pool.append(q)
     for p in extra:
         if p.parity() != 1:
             raise ParityError("extra candidate %s is not odd" % p)
-        q = algebra.nf(p)
-        if q and q not in pool:
-            pool.append(q)
-    if pool and random_combos:
+    monos = odd_square_free_monomials(vs, parity=1)
+    pool = [algebra.nf(p) for p in itertools.chain(monos, extra)]
+    if random_combos and any(pool):
         rng = random.Random(seed)
-        monos = odd_square_free_monomials(vs, parity=1)
         for _ in range(random_combos):
             combo = vs.zero()
             for mpoly in monos:
                 combo = combo + mpoly.scale(rng.randint(-2, 2))
-            q = algebra.nf(combo)
-            if q and q not in pool:
-                pool.append(q)
-    return pool
+            pool.append(algebra.nf(combo))
+    # dict.fromkeys drops repeats and keeps first-occurrence order
+    return [q for q in dict.fromkeys(pool) if q]
 
 
 def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
@@ -223,6 +215,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
     pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
+    char = algebra.vs.field.char
     failed = set()  # monic products of the candidates that failed
 
     def first_system(k, chosen, prod, start):
@@ -230,7 +223,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
             p = algebra.nf(prod * pool[i])
             if p.is_zero():
                 continue
-            monic = p.scale(inv(p.lead_term()[1]))
+            monic = p.scale(inv(p.lead_term()[1], char))
             if monic in failed:
                 continue
             combo = chosen + [pool[i]]
@@ -297,7 +290,7 @@ def phi_basis_lift(algebra, pt):
     vs = algebra.vs
     ideal = SuperIdeal(algebra, pt.max_ideal_even_gens(algebra))
     out = []
-    span = Echelon(term_key)
+    span = Echelon(term_key, vs.field.char)
     zero_exps = (0,) * vs.m
     for mask in range(1, 1 << vs.n):
         if mask.bit_count() & 1 == 0:

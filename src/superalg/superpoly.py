@@ -149,14 +149,13 @@ class SuperPoly:
     def __init__(self, vs, terms):
         self.vs = vs
         self.terms = terms  # {(exps, mask): nonzero coeff}; owned, never mutated
+        self._frozen = None
 
     def frozen_terms(self):
-        try:
-            return self._frozen
-        except AttributeError:
-            f = frozenset(self.terms.items())
-            self._frozen = f
-            return f
+        f = self._frozen
+        if f is None:
+            f = self._frozen = frozenset(self.terms.items())
+        return f
 
     # -- basics ---------------------------------------------------------------
 
@@ -172,7 +171,8 @@ class SuperPoly:
         return self.vs == other.vs and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vs, self.frozen_terms()))
+        # equal values have equal terms; __eq__ also compares the VarSet
+        return hash(self.frozen_terms())
 
     def _check_same(self, other):
         if self.vs is other.vs:
@@ -224,10 +224,13 @@ class SuperPoly:
             return self
         if not self.terms:
             return other
+        p = self.vs.field.char
         terms = dict(self.terms)
         for t, c in other.terms.items():
             nc = terms.get(t)
             nc = c if nc is None else nc + c
+            if p:
+                nc %= p
             if nc:
                 terms[t] = nc
             elif t in terms:
@@ -237,7 +240,8 @@ class SuperPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.vs, {t: -c for t, c in self.terms.items()})
+        p = self.vs.field.char
+        return SuperPoly(self.vs, {t: -c % p if p else -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperPoly):
@@ -250,12 +254,13 @@ class SuperPoly:
         return (-self) + other
 
     def scale(self, c):
-        c = self.vs.field.of(c)
+        field = self.vs.field
+        c = field.of(c)
         if not c:
             return self.vs.zero()
-        if self.vs.field.is_one(c):
+        if field.is_one(c):
             return self
-        return SuperPoly(self.vs, _kernel.scale_terms(self.terms, c))
+        return SuperPoly(self.vs, _kernel.scale_terms(self.terms, c, field.char))
 
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
@@ -273,7 +278,7 @@ class SuperPoly:
             (t, c), = other.terms.items()
             if not t[1] and not any(t[0]):
                 return self.scale(c)
-        return SuperPoly(self.vs, _kernel.mul_terms(self.terms, other.terms))
+        return SuperPoly(self.vs, _kernel.mul_terms(self.terms, other.terms, self.vs.field.char))
 
     def __rmul__(self, other):
         if isinstance(other, SCALARS):
@@ -305,6 +310,7 @@ class SuperPoly:
         if missing:
             raise StructureError("unassigned even generators: %s" % ", ".join(missing))
         field = self.vs.field
+        p = field.char
         vals = [field.of(pt[n]) for n in self.vs.even]
         acc = field.zero
         for (exps, mask), c in self.terms.items():
@@ -315,6 +321,8 @@ class SuperPoly:
                 for _ in range(e):
                     v = v * x
             acc = acc + v
+            if p:
+                acc %= p
         return acc
 
     def apply_derivation(self, images, parity):
@@ -402,6 +410,7 @@ class SuperPoly:
     def diff_even(self, name):
         """Formal partial derivative with respect to an even generator."""
         i = self.vs.even_index(name)
+        p = self.vs.field.char
         terms = {}
         for (exps, mask), c in self.terms.items():
             e = exps[i]
@@ -410,9 +419,11 @@ class SuperPoly:
             rest = list(exps)
             rest[i] -= 1
             t = (tuple(rest), mask)
-            nc = c * e
             prev = terms.get(t)
-            terms[t] = nc if prev is None else prev + nc
+            nc = c * e if prev is None else prev + c * e
+            if p:
+                nc %= p
+            terms[t] = nc
         return SuperPoly(self.vs, {t: c for t, c in terms.items() if c})
 
     # -- rendering ------------------------------------------------------------

@@ -27,7 +27,7 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 @st.composite
 def module_vectors(draw, elim=False):
-    """(key, vectors): up to six vectors with at most four terms each, in
+    """(key, p, vectors): up to six vectors with at most four terms each, in
     two even variables, over two components (or two blocks of two for the
     elimination order).  Few components make long same-component chains."""
     field = draw(st.sampled_from(FIELDS))
@@ -44,7 +44,7 @@ def module_vectors(draw, elim=False):
     )
     coeffs = st.integers(-3, 3).filter(bool).map(field.of)
     vector = st.dictionaries(terms, coeffs, min_size=1, max_size=4)
-    return key, draw(st.lists(vector, min_size=1, max_size=6))
+    return key, field.char, draw(st.lists(vector, min_size=1, max_size=6))
 
 
 def assert_reduced(gb):
@@ -63,21 +63,21 @@ def assert_basis_of(gb, vectors):
     for v in vectors:
         assert gb.nf(v) == {}
     # the reduced basis is unique: the inputs in another order give it again
-    assert buchberger(list(reversed(vectors)), gb.key).vectors == gb.vectors
+    assert buchberger(list(reversed(vectors)), gb.key, gb.p).vectors == gb.vectors
 
 
 @PROPERTY_SETTINGS
 @given(module_vectors())
 def test_buchberger_reduced_basis(case):
-    key, vectors = case
-    assert_basis_of(buchberger(vectors, key), vectors)
+    key, p, vectors = case
+    assert_basis_of(buchberger(vectors, key, p), vectors)
 
 
 @PROPERTY_SETTINGS
 @given(module_vectors(elim=True))
 def test_buchberger_reduced_basis_elimination_order(case):
-    key, vectors = case
-    assert_basis_of(buchberger(vectors, key), vectors)
+    key, p, vectors = case
+    assert_basis_of(buchberger(vectors, key, p), vectors)
 
 
 @st.composite
@@ -115,7 +115,7 @@ def test_buchberger_membership_matches_oracle(case, key):
 def assert_matches_oracle(vs, gens, key):
     closed = superideal_closure(gens)
     vectors = [g.terms for g in closed]
-    gb = buchberger(vectors, key)
+    gb = buchberger(vectors, key, vs.field.char)
     assert_basis_of(gb, vectors)
     # for a graded superideal both sides count dim I_d in every degree d:
     # the oracle by its echelon rows, the basis by the monomials its leads

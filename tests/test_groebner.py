@@ -192,7 +192,7 @@ def test_product_criterion_drops_coprime_one_component_pairs(monkeypatch):
         return add_scaled(*args)
 
     monkeypatch.setattr(groebner, "vec_add_scaled", counting)
-    gb = complete(vectors, term_key)
+    gb = complete(vectors, term_key, vs.field.char)
     assert calls == []
     assert len(gb.vectors) == 2
 

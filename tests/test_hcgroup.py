@@ -338,6 +338,25 @@ def test_caches_never_serve_another_algebra():
         assert pair.rho_at(A, M) == [[g]]
 
 
+def test_caches_keep_q_and_fp_apart(monkeypatch):
+    """A residue and a rational integer compare equal, so the same integer
+    matrix over Q and over F_7 has the same terms; the inverse and rho
+    caches must still answer each over its own field, in either order."""
+    inverses = {QQ: [["1/2", "-1/2"], ["-1/2", "3/2"]], F7: [["4", "3"], ["3", "5"]]}
+    for order in ((QQ, F7), (F7, QQ)):
+        monkeypatch.setattr(hcgroup, "_INVERSE_CACHE", {})
+        pair = builtin_pairs(QQ)["sl2-standard"]  # rho(g) = g
+        for field in order:
+            A = lambda_algebra(("s", "t"), field)
+            M = [[A.vs.const(3), A.vs.one()], [A.vs.one(), A.vs.one()]]
+            inverse = mat_inverse(A, M)
+            assert [[str(e) for e in row] for row in inverse] == inverses[field]
+            rho = pair.rho_at(A, M)
+            assert [[str(e) for e in row] for row in rho] == [["3", "1"], ["1", "1"]]
+            for e in [e for row in inverse + rho for e in row]:
+                assert e.vs == A.vs
+
+
 def test_hc_caches_never_exceed_the_bound(monkeypatch, coeff):
     """The inverse cache and each pair's rho cache share one bound: a full
     memo is emptied before it stores more, so neither ever grows past it."""

@@ -23,7 +23,13 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 def rref_nullspace(rows, ncols, field):
     """Kernel basis by dense Gauss-Jordan elimination: one vector per free
-    column, 1 there and minus that column's entries at the pivots."""
+    column, 1 there and minus that column's entries at the pivots.  Over
+    F_p every entry is reduced mod p as it is made."""
+    p = field.char
+
+    def red(v):
+        return v % p if p else v
+
     rows = [list(r) for r in rows if any(r)]
     pivots = []
     r = 0
@@ -37,12 +43,12 @@ def rref_nullspace(rows, ncols, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         # Fraction(1) keeps the division exact on an int entry
-        lc_inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * lc_inv for v in rows[r]]
+        lc_inv = pow(rows[r][c], -1, p) if p else Fraction(1) / rows[r][c]
+        rows[r] = [red(v * lc_inv) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [red(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -54,7 +60,7 @@ def rref_nullspace(rows, ncols, field):
         vec = [field.zero] * ncols
         vec[fc] = field.one
         for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
+            vec[pc] = red(-rows[ri][fc])
         basis.append(vec)
     return basis
 
@@ -77,7 +83,7 @@ def columns(rows, ncols):
 def kernel(rows, ncols, field, key=int):
     return [
         [rel.get(c, field.zero) for c in range(ncols)]
-        for rel in dependencies(columns(rows, ncols), key, field.one)
+        for rel in dependencies(columns(rows, ncols), key, field)
     ]
 
 
@@ -102,17 +108,17 @@ def test_kernel_size_over_f3_matches_enumeration(case):
     found = kernel(rows, ncols, field)
     zero_products = 0
     for v in itertools.product(range(3), repeat=ncols):
-        if all(not sum((a * b for a, b in zip(row, v)), field.zero) for row in rows):
+        if all(not sum(a * b for a, b in zip(row, v)) % 3 for row in rows):
             zero_products += 1
     assert 3 ** len(found) == zero_products
     for vec in found:
         for row in rows:
-            assert not sum((a * b for a, b in zip(row, vec)), field.zero)
+            assert not sum(a * b for a, b in zip(row, vec)) % 3
 
 
 def test_reduce_leaves_no_term_at_a_pivot():
     # with pivots 2 and 0, every vector of v + span has the residual {1: 1}
-    span = Echelon(int)
+    span = Echelon(int, QQ.char)
     span.insert({2: QQ.one, 0: QQ.one})
     span.insert({0: QQ.one})
     for v in ({2: QQ.one, 1: QQ.one}, {1: QQ.one, 0: QQ.of(5)}, {1: QQ.one}):
@@ -125,12 +131,12 @@ def test_reduce_vanishes_exactly_on_the_span(case, data):
     field, rows, ncols = case
     entries = st.integers(0, field.char - 1)
     target = [field.of(data.draw(entries)) for _ in range(ncols)]
-    span = Echelon(int)
+    span = Echelon(int, field.char)
     for row in rows:
         span.insert(sparse(row))
     hit = any(
         all(
-            sum((c * row[j] for c, row in zip(coeffs, rows)), field.zero) == target[j]
+            sum(c * row[j] for c, row in zip(coeffs, rows)) % field.char == target[j]
             for j in range(ncols)
         )
         for coeffs in itertools.product(range(field.char), repeat=len(rows))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superalg.scalars import Field, FieldError, GFElement, QQ, _is_prime
+from superalg.scalars import Field, FieldError, QQ, _is_prime
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 from conftest import random_poly
@@ -154,11 +154,27 @@ def test_prime_check_is_deterministic_miller_rabin():
 
 
 def test_fraction_with_denominator_divisible_by_p_is_a_field_error():
-    assert GFElement(7, 1) + Fraction(1, 3) == GFElement(7, 6)
+    F7 = Field(7)
+    assert F7.of(1) + F7.of(Fraction(1, 3)) == 6
     with pytest.raises(FieldError):
-        GFElement(7, 1) + Fraction(1, 7)
+        F7.of(Fraction(1, 7))
     with pytest.raises(FieldError):
-        Fraction(3, 14) * GFElement(7, 2)
+        F7.of(Fraction(3, 14))
+    x = VarSet(("x",), (), F7).gen("x")
+    with pytest.raises(FieldError):
+        x + Fraction(1, 7)
+    with pytest.raises(FieldError):
+        Fraction(3, 14) * x
+
+
+def test_polys_over_q_and_fp_do_not_mix():
+    xq = VarSet(("x",), (), QQ).gen("x")
+    x7 = VarSet(("x",), (), Field(7)).gen("x")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(StructureError):
+            op(xq, x7)
+        with pytest.raises(StructureError):
+            op(x7, xq)
 
 
 def test_max_odd_limit():
