@@ -36,11 +36,6 @@ def odd_merge(a: int, b: int):
     return (-1 if inv & 1 else 1), a | b
 
 
-def exp_add(ea, eb):
-    """Componentwise sum of two exponent tuples."""
-    return tuple(map(add, ea, eb))
-
-
 def exp_sub(ea, eb):
     """Componentwise difference; caller guarantees divisibility."""
     return tuple(map(sub, ea, eb))

@@ -11,6 +11,11 @@ Exit codes: 0 success, 1 a predicate evaluated to false, 2 input error,
 ``run_command`` may be called repeatedly in one process: the argument parser
 is built on the first call and reused, and no state carries over between
 calls.
+
+A command imports only the layers it uses: ``dsl``, ``groebner``, ``sdim``,
+``scalars`` and ``superpoly`` are shared by all of them, while ``hcgroup``
+is imported by the ``hc`` handlers, ``orbits`` by ``orbit`` and
+``verify-orbits`` and ``selftest`` by ``selftest``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import functools
 import json
 import sys
 
-from superalg import dsl, hcgroup, orbits, sdim
+from superalg import dsl, sdim
 from superalg.groebner import (
     Morphism,
     SuperAlgebra,
@@ -30,7 +35,7 @@ from superalg.groebner import (
     localize_at_even,
 )
 from superalg.scalars import Field, FieldError, QQ
-from superalg.superpoly import ParityError, StructureError
+from superalg.superpoly import HCError, ParityError, StructureError
 
 
 class InputError(ValueError):
@@ -63,6 +68,8 @@ def _load_manifest(path, field):
 
 
 def _load_pair(spec, field):
+    from superalg import hcgroup
+
     builtins = hcgroup.builtin_pairs(field)
     if spec in builtins:
         return builtins[spec]
@@ -77,11 +84,15 @@ def _load_pair(spec, field):
 
 def _coeff_algebra(field):
     """The default coefficient superalgebra for hc element words."""
+    from superalg import hcgroup
+
     return hcgroup.lambda_algebra(("s", "t", "u", "w"), field)
 
 
 def _parse_element_word(text, pair, algebra):
     """``g[[1,s],[0,1]] e(s*t, 1) e(u, 2)`` -> normalized HCElement."""
+    from superalg import hcgroup
+
     stream = dsl.TokenStream(dsl.tokenize(text))
     word = []
     vs = algebra.vs
@@ -371,6 +382,8 @@ def _cmd_mono_check(args, out):
 
 
 def _cmd_hc(args, out):
+    from superalg import hcgroup
+
     field = _field_from_args(args)
     pair = _load_pair(args.pair, field)
     A = _coeff_algebra(field)
@@ -451,6 +464,8 @@ def _cmd_hc(args, out):
 
 
 def _resolve_action(args, manifest):
+    from superalg import orbits
+
     A = manifest.algebra
     if args.derivation in manifest.derivations:
         images = manifest.derivations[args.derivation].images
@@ -474,6 +489,8 @@ def _resolve_point(text, manifest):
 
 
 def _cmd_orbit(args, out):
+    from superalg import orbits
+
     field = _field_from_args(args)
     manifest = _load_manifest(args.file, field)
     try:
@@ -506,6 +523,8 @@ def _cmd_orbit(args, out):
 
 
 def _cmd_verify_orbits(args, out):
+    from superalg import orbits
+
     field = _field_from_args(args)
     manifest = _load_manifest(args.file, field)
     try:
@@ -681,7 +700,7 @@ def run_command(argv, out=None):
         FieldError,
         ParityError,
         StructureError,
-        hcgroup.HCError,
+        HCError,
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from operator import add, le, sub
 
 from superalg import _kernel
 from superalg.scalars import inv
@@ -62,10 +63,9 @@ def elim_term_key(term):
 
 def vec_add_scaled(dst, src, coeff, shift, p):
     """dst += coeff * x^shift * src, in place, in characteristic p (0 for
-    Q); ``shift`` None means no shift."""
-    eadd = _kernel.exp_add
+    Q)."""
     for (exps, comp), c in src.items():
-        t = (exps if shift is None else eadd(exps, shift), comp)
+        t = (tuple(map(add, exps, shift)), comp)
         nc = dst.get(t)
         nc = coeff * c if nc is None else nc + coeff * c
         if p:
@@ -98,6 +98,7 @@ class GBasis:
         self.p = p
         self.vectors = []
         self.leads = []
+        self.tails = []  # each vector without its lead term
         self.by_comp = {}  # component -> [(index, lead exponents)], by index
         for v in vectors:
             if v:
@@ -111,35 +112,46 @@ class GBasis:
         self.by_comp.setdefault(lead[1], []).append((len(self.vectors), lead[0]))
         self.vectors.append(v)
         self.leads.append(lead)
-
-    def _find_reducer(self, exps, comp, skip=None):
-        divides = _kernel.exp_divides
-        for i, lead_exps in self.by_comp.get(comp, ()):
-            if i != skip and divides(lead_exps, exps):
-                return i
-        return None
+        tail = dict(v)
+        del tail[lead]
+        self.tails.append(tail)
 
     def nf(self, v, skip=None):
         """Full normal form: every term of the result is a standard
-        monomial (irreducible against the basis)."""
+        monomial (irreducible against the basis).  ``skip`` is the index of
+        a basis vector not to reduce by."""
         if not self.vectors:
             return dict(v)
         key = self.key
         p = self.p
-        sub = _kernel.exp_sub
+        by_comp = self.by_comp
+        tails = self.tails
         work = dict(v)
         result = {}
         while work:
             t = max(work, key=key)
             exps, comp = t
-            i = self._find_reducer(exps, comp, skip=skip)
-            if i is None:
-                result[t] = work.pop(t)
+            c = work.pop(t)
+            for i, lead_exps in by_comp.get(comp, ()):
+                if i != skip and all(map(le, lead_exps, exps)):
+                    break
             else:
-                c = work[t]
-                shift = sub(exps, self.leads[i][0])
-                # the reducer is monic, so the lead term cancels exactly
-                vec_add_scaled(work, self.vectors[i], -c, shift, p)
+                result[t] = c
+                continue
+            # work -= c * x^shift * (reducer i), inline: the reducer is monic,
+            # so its lead cancels t exactly and only its tail is subtracted
+            c = -c
+            shift = tuple(map(sub, exps, lead_exps))
+            for (e, tc), d in tails[i].items():
+                s = (tuple(map(add, e, shift)), tc)
+                nc = work.get(s)
+                nc = c * d if nc is None else nc + c * d
+                if p:
+                    nc %= p
+                if nc:
+                    work[s] = nc
+                elif s in work:
+                    del work[s]
         return result
 
 

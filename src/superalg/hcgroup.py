@@ -17,11 +17,7 @@ from fractions import Fraction
 from superalg.groebner import SuperAlgebra
 from superalg.linalg import Echelon, dependencies
 from superalg.scalars import inv
-from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
-
-
-class HCError(ValueError):
-    pass
+from superalg.superpoly import HCError, ParityError, StructureError, SuperPoly, VarSet
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,13 @@ whole group (all orbit slopes vanish) or trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
     fresh_name,
     odd_square_free_monomials,
 )
-from superalg.sdim import PointIdeal, SuperDim, ksdim
+from superalg.sdim import PointIdeal, Record, SuperDim, ksdim
 from superalg.scalars import inv
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
@@ -133,17 +131,40 @@ def odd_module_generators(algebra):
     return gens
 
 
-@dataclass
-class OrbitResult:
-    point: dict
-    generators: list  # odd module generators w_i used
-    slopes: list  # ev_x(phi(w_i))
-    pivot: int  # index of the chosen nonzero slope, or -1
-    ideal: object  # SuperIdeal cutting out the orbit
-    stabilizer: str  # "full" or "trivial"
-    orbit_sdim: SuperDim = field(default=None)
-    group_sdim: SuperDim = field(default=SuperDim(0, 1))
-    stabilizer_sdim: SuperDim = field(default=None)
+class OrbitResult(Record):
+    __slots__ = (
+        "point",
+        "generators",
+        "slopes",
+        "pivot",
+        "ideal",
+        "stabilizer",
+        "orbit_sdim",
+        "group_sdim",
+        "stabilizer_sdim",
+    )
+
+    def __init__(
+        self,
+        point,
+        generators,
+        slopes,
+        pivot,
+        ideal,
+        stabilizer,
+        orbit_sdim=None,
+        group_sdim=SuperDim(0, 1),
+        stabilizer_sdim=None,
+    ):
+        self.point = point  # dict
+        self.generators = generators  # odd module generators w_i used
+        self.slopes = slopes  # ev_x(phi(w_i))
+        self.pivot = pivot  # index of the chosen nonzero slope, or -1
+        self.ideal = ideal  # SuperIdeal cutting out the orbit
+        self.stabilizer = stabilizer  # "full" or "trivial"
+        self.orbit_sdim = orbit_sdim
+        self.group_sdim = group_sdim
+        self.stabilizer_sdim = stabilizer_sdim
 
 
 def orbit_slopes(action, pt):

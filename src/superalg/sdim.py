@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from superalg.groebner import (
     SuperAlgebra,
@@ -28,10 +27,46 @@ from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, m
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
 
-@dataclass(frozen=True)
-class SuperDim:
-    even: object  # int, or ZERO_RING_DIM for the zero ring
-    odd: int
+class Record:
+    """Value semantics over ``__slots__``: two instances of one class are
+    equal when their fields are, in slot order, and the repr names every
+    field."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+
+class SuperDim(Record):
+    """An immutable, hashable super-dimension even|odd."""
+
+    __slots__ = ("even", "odd")
+
+    def __init__(self, even, odd):
+        object.__setattr__(self, "even", even)  # int, or ZERO_RING_DIM for the zero ring
+        object.__setattr__(self, "odd", odd)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash((self.even, self.odd))
+
+    def __reduce__(self):
+        return SuperDim, (self.even, self.odd)
 
     def as_tuple(self):
         return (self.even, self.odd)
@@ -54,12 +89,14 @@ class SuperDim:
         return self.render()
 
 
-@dataclass
-class OddParamCertificate:
-    elements: list
-    annihilator: object  # SuperIdeal or None
-    even_dim_witness: object
-    reason: str = ""
+class OddParamCertificate(Record):
+    __slots__ = ("elements", "annihilator", "even_dim_witness", "reason")
+
+    def __init__(self, elements, annihilator, even_dim_witness, reason=""):
+        self.elements = elements
+        self.annihilator = annihilator  # SuperIdeal or None
+        self.even_dim_witness = even_dim_witness
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +141,6 @@ def leading_term_dim(comm_algebra):
             if all(not s <= u for s in supports):
                 return size
     return 0
-
-
-def krull_dim_even(algebra):
-    """Kdim of the even part, computed on the largest purely even quotient
-    (the kernel of the projection is nil, so the dimension agrees)."""
-    return leading_term_dim(bar(algebra))
 
 
 def even_annihilator_image_in_bar(ideal, bar_algebra):
@@ -249,9 +280,11 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
 # rational points
 
 
-@dataclass
-class PointIdeal:
-    point: dict  # even generator name -> scalar
+class PointIdeal(Record):
+    __slots__ = ("point",)
+
+    def __init__(self, point):
+        self.point = point  # even generator name -> scalar
 
     def validate(self, algebra):
         """The point lies on the scheme iff every relation vanishes there
@@ -300,15 +333,6 @@ def phi_basis_lift(algebra, pt):
         if r and span.insert(r.terms):
             out.append(mono)
     return out
-
-
-def check_oddly_regular_at_point(algebra, pt):
-    """Sufficient certificate: a lifted minimal odd generating set is an
-    odd regular sequence."""
-    lifts = phi_basis_lift(algebra, pt)
-    if not lifts:
-        return True
-    return is_odd_regular_sequence(algebra, lifts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ class StructureError(ValueError):
     pass
 
 
+class HCError(ValueError):
+    """A Harish-Chandra pair computation that cannot proceed: a non-invertible
+    or non-nilpotent element, or an exhausted rewriting cap.  Defined here,
+    beside the other input errors, so that the command line maps it to
+    exit 2 without importing ``hcgroup``."""
+
+
 class VarSet:
     """Ordered even and odd generator names over a fixed coefficient field."""
 

@@ -4,15 +4,18 @@ import argparse
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import superalg
 from superalg import cli
 from superalg.cli import run_command
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(superalg.__file__)))
 
 
 def run(argv):
@@ -286,6 +289,47 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
     code, over_f7 = run(orbit + ["--field", "fp", "7"])
     assert code == 0 and over_f7 != over_q
     assert run(orbit) == (0, over_q)
+
+
+def run_fresh(code):
+    """Runs Python source in a fresh interpreter that imports superalg
+    from the same tree as this test."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_imports_only_the_shared_layers():
+    done = run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import superalg.cli\n"
+        "print(json.dumps([sorted(before), sorted(sys.modules)]))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = (set(names) for names in json.loads(done.stdout))
+    for name in ("superalg.hcgroup", "superalg.orbits", "superalg.selftest", "superalg.oracle"):
+        assert name not in after
+    assert "dataclasses" not in after - before
+    for name in ("superalg.dsl", "superalg.groebner", "superalg.sdim"):
+        assert name in after
+
+
+def test_hc_error_exits_2_in_a_fresh_process():
+    """``run_command`` maps HCError to exit 2 before anything has imported
+    ``hcgroup``; here the rewriting cap is cut to two steps."""
+    done = run_fresh(
+        "import functools, sys\n"
+        "from superalg import cli\n"
+        "from superalg import hcgroup\n"
+        "hcgroup.normalize_word = functools.partial(hcgroup.normalize_word, max_steps=2)\n"
+        "sys.argv = ['superalg', 'hc', 'inv', 'sl2-standard', 'e(s,1) e(t,2)']\n"
+        "cli.main()\n"
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: rewriting did not terminate within 2 steps\n"
 
 
 def test_json_outputs_are_stable():

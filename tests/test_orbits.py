@@ -6,6 +6,7 @@ from superalg.groebner import SuperIdeal, ideal_equal
 from superalg.orbits import (
     ActionError,
     OddAction,
+    OrbitResult,
     check_coaction_multiplicative,
     odd_module_generators,
     orbit_ideal,
@@ -63,6 +64,19 @@ def test_translation_orbits(free_line):
         assert res.orbit_sdim == SuperDim(0, 1)
         want = SuperIdeal(free_line, [free_line.vs.gen("x") - free_line.vs.const(c)])
         assert ideal_equal(res.ideal, want)
+
+
+def test_orbit_result_defaults(free_line):
+    res = OrbitResult({"x": 0}, [], [], -1, None, "full")
+    assert (res.orbit_sdim, res.group_sdim, res.stabilizer_sdim) == (None, SuperDim(0, 1), None)
+    assert res == OrbitResult(
+        point={"x": 0}, generators=[], slopes=[], pivot=-1, ideal=None, stabilizer="full"
+    )
+    assert res != OrbitResult({"x": 0}, [], [], -1, None, "full", SuperDim(0, 0))
+    assert repr(res).startswith("OrbitResult(point={'x': 0}, generators=[], slopes=[], pivot=-1")
+    assert repr(res).endswith("group_sdim=SuperDim(even=0, odd=1), stabilizer_sdim=None)")
+    act = OddAction(free_line, {"y": free_line.vs.one()})
+    assert orbit_ideal(act, PointIdeal({"x": QQ.of(2)})).group_sdim == SuperDim(0, 1)
 
 
 def test_scaling_orbits(free_line):

@@ -1,23 +1,26 @@
 """Dimension theory: Krull super-dimension, gr, covers, rational points."""
 
+import pickle
+
 import pytest
 
 from superalg.groebner import SuperAlgebra, SuperIdeal, localize_at_even
 from superalg.scalars import QQ
 from superalg.sdim import (
+    OddParamCertificate,
     PointIdeal,
     SuperDim,
     ZERO_RING_DIM,
     bar,
-    check_oddly_regular_at_point,
     covers_unit,
     gr_presentation,
     hilbert_slice_dims,
     is_odd_parameter_system,
     is_odd_regular_sequence,
     is_odd_weight_homogeneous,
-    krull_dim_even,
     ksdim,
+    leading_term_dim,
+    phi_basis_lift,
     phi_dim_at_point,
     verify_cover,
 )
@@ -48,12 +51,52 @@ def test_superdim_ordering():
     assert SuperDim(1, 2).render() == "1|2"
 
 
+def test_records_keep_value_semantics():
+    d = SuperDim(1, 2)
+    assert d == SuperDim(even=1, odd=2) and d != SuperDim(2, 1)
+    assert d != (1, 2) and d.as_tuple() == (1, 2)
+    assert hash(d) == hash(SuperDim(1, 2)) and len({d, SuperDim(1, 2), SuperDim(0, 1)}) == 2
+    with pytest.raises(AttributeError):
+        d.even = 3
+    with pytest.raises(AttributeError):
+        del d.odd
+    assert d == SuperDim(1, 2)
+    assert SuperDim(1, 2) <= d <= SuperDim(1, 3) and not SuperDim(1, 3) <= d
+    assert SuperDim(0, 2) < d and not d < d
+    assert SuperDim(3, 2) - d == SuperDim(2, 0)
+    assert repr(d) == "SuperDim(even=1, odd=2)" and str(d) == "1|2"
+    zero = SuperDim(ZERO_RING_DIM, 0)
+    assert zero.render() == "-inf|0" and repr(zero) == "SuperDim(even=-inf, odd=0)"
+    assert pickle.loads(pickle.dumps(d)) == d
+
+    pt = PointIdeal({"x": 1})
+    assert pt == PointIdeal({"x": 1}) and pt != PointIdeal({"x": 2})
+    assert repr(pt) == "PointIdeal(point={'x': 1})"
+    with pytest.raises(TypeError):
+        hash(pt)
+
+    cert = OddParamCertificate(["y"], None, 1)
+    assert (cert.elements, cert.annihilator, cert.even_dim_witness, cert.reason) == (
+        ["y"],
+        None,
+        1,
+        "",
+    )
+    assert cert == OddParamCertificate(
+        elements=["y"], annihilator=None, even_dim_witness=1, reason=""
+    )
+    assert cert != OddParamCertificate(["y"], None, 1, "product is zero")
+    assert repr(cert) == (
+        "OddParamCertificate(elements=['y'], annihilator=None, even_dim_witness=1, reason='')"
+    )
+
+
 def test_bar():
     A = corpus()["xy"]
     B = bar(A)
     assert B.vs.odd == ()
     assert B.relations == []  # x*y dies when y -> 0
-    assert krull_dim_even(A) == 1
+    assert leading_term_dim(B) == 1
 
 
 def test_free_algebra_ksdim():
@@ -139,11 +182,15 @@ def test_phi_dim_examples():
 
 
 def test_oddly_regular_at_point():
+    # a lifted minimal odd generating set that is an odd regular sequence
     free = make_algebra(("x",), ("y",))
-    assert check_oddly_regular_at_point(free, PointIdeal({"x": QQ.of(0)}))
+    lifts = phi_basis_lift(free, PointIdeal({"x": QQ.of(0)}))
+    assert lifts == [free.vs.gen("y")]
+    assert is_odd_regular_sequence(free, lifts)
     A = corpus()["xy"]
     # at x = 1 the odd part needs no generators: trivially oddly regular
-    assert check_oddly_regular_at_point(A, PointIdeal({"x": QQ.of(1)}))
+    assert phi_basis_lift(A, PointIdeal({"x": QQ.of(1)})) == []
+    assert is_odd_regular_sequence(A, [])
 
 
 def test_covers_and_localization():
