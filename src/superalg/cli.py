@@ -70,15 +70,15 @@ def _load_manifest(path, field):
 def _load_pair(spec, field):
     from superalg import hcgroup
 
-    builtins = hcgroup.builtin_pairs(field)
-    if spec in builtins:
-        return builtins[spec]
+    make = hcgroup.BUILTIN_PAIRS.get(spec)
+    if make is not None:
+        return make(field)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise InputError("%r is not a built-in pair (%s) or a readable file: %s"
-                         % (spec, ", ".join(sorted(builtins)), e))
+                         % (spec, ", ".join(sorted(hcgroup.BUILTIN_PAIRS)), e))
     return dsl.parse_pair_document(text, field)
 
 

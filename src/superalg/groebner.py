@@ -381,7 +381,7 @@ class SuperIdeal:
         self.ann_of_zero = ann_of_zero
         closed = superideal_closure(gens) + list(ambient.module_gb)
         self.module_gb = module_groebner(closed)
-        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, ambient.vs.field.char)
+        self._gbasis = None  # built from module_gb by the first nf
 
     @classmethod
     def _from_reduced_basis(cls, ambient, basis):
@@ -396,7 +396,7 @@ class SuperIdeal:
         self._generators = None
         self.ann_of_zero = False
         self.module_gb = basis
-        self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, ambient.vs.field.char)
+        self._gbasis = None
         return self
 
     @property
@@ -406,6 +406,8 @@ class SuperIdeal:
         return self._generators
 
     def nf(self, f):
+        if self._gbasis is None:
+            self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, self.ambient.vs.field.char)
         return SuperPoly(self.ambient.vs, self._gbasis.nf(f.terms))
 
     def contains(self, f):
@@ -431,19 +433,30 @@ def ideal_equal(I, J):
 
 
 def annihilator(p, algebra):
-    """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal.
-
-    Computed as the kernel of multiplication-by-p on the free module: the
-    graph vectors (y_S * p, e_S-tag) together with the relation basis are
-    completed under an order eliminating the main block; basis elements
-    supported entirely on the tag block generate the kernel.
-    """
+    """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal."""
     vs = algebra.vs
     if p.parity() is None:
         raise ParityError("annihilator argument must be parity-homogeneous")
     p = algebra.nf(p)
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()], ann_of_zero=True)
+    return annihilator_from_elimination(algebra, annihilator_elimination(p, algebra))
+
+
+def annihilator_elimination(p, algebra):
+    """The kernel of multiplication by p on the free module, for a nonzero
+    parity-homogeneous p in normal form, as the (lead, vector) pairs of a
+    Gröbner basis of it that is not yet reduced.
+
+    The graph vectors (y_S * p, e_S-tag) together with the relation basis
+    are completed under an order eliminating the main block; the basis
+    elements with a tag-block lead lie wholly in the tag block, because it
+    sorts below every main-block term, and they are a Gröbner basis of the
+    kernel.  Each is homogeneous, with a tag mask of one parity, since every
+    input is homogeneous when a main-block mask counts as its parity plus
+    that of p.
+    """
+    vs = algebra.vs
     zero_exps = (0,) * vs.m
     char = vs.field.char
     one = vs.field.one
@@ -452,6 +465,7 @@ def annihilator(p, algebra):
     # together they are a Gröbner basis that enters the elimination as
     # it is, with its leads.
     gb = GBasis([], elim_term_key, char)
+    algebra.module_gb  # builds algebra._gbasis on first use
     rel = algebra._gbasis
     for (exps, mask), v in zip(rel.leads, rel.vectors):
         gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
@@ -473,19 +487,24 @@ def annihilator(p, algebra):
         else:
             gb.append({e_s: one}, e_s)
     gb = complete(graph, elim_term_key, char, gb)
-    # Only the elements with a tag-block lead are reduced: the tag block
-    # sorts below every main-block term, so they lie wholly in it, and a
-    # main-block lead divides no tag-block term, so the main-block elements
-    # take no part in their reduction.  The result is the tag-block part of
-    # the reduced elimination basis, and that is already the reduced basis
-    # of the kernel K under term_key: elim_term_key restricted to the tag
-    # block is term_key; K contains J and is closed under odd
-    # multiplication, so closing it and adding the relation basis changes
-    # nothing; and the reduced basis of a parity-graded module is
-    # parity-homogeneous.
-    tag = _autoreduce(
-        elim_term_key, char, [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
-    )
+    return [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
+
+
+def annihilator_from_elimination(algebra, kernel_pairs):
+    """The annihilator as a SuperIdeal from the pairs that
+    ``annihilator_elimination`` returned.
+
+    They are autoreduced on their own: a main-block lead divides no
+    tag-block term, so the main-block elements take no part in their
+    reduction, and the result is the tag-block part of the reduced
+    elimination basis.  That is already the reduced basis of the kernel K
+    under term_key: elim_term_key restricted to the tag block is term_key;
+    K contains J and is closed under odd multiplication, so closing it and
+    adding the relation basis changes nothing; and the reduced basis of a
+    parity-graded module is parity-homogeneous.
+    """
+    vs = algebra.vs
+    tag = _autoreduce(elim_term_key, vs.field.char, kernel_pairs)
     kernel = [
         SuperPoly(vs, {(exps, comp[1]): c for (exps, comp), c in v.items()})
         for v in tag.vectors

@@ -826,12 +826,16 @@ def sl2_standard_pair(field=None):
     return HCPair(group, 2, rho, bracket, name="sl2-standard")
 
 
+# name -> constructor of each built-in pair
+BUILTIN_PAIRS = {
+    "unipotent": unipotent_pair,
+    "gl1-weight": gl1_weight_pair,
+    "sl2-standard": sl2_standard_pair,
+}
+
+
 def builtin_pairs(field=None):
-    return {
-        "unipotent": unipotent_pair(field),
-        "gl1-weight": gl1_weight_pair(field),
-        "sl2-standard": sl2_standard_pair(field),
-    }
+    return {name: make(field) for name, make in BUILTIN_PAIRS.items()}
 
 
 def unipotent_matrix_model(E):

@@ -13,6 +13,8 @@ from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
     annihilator,
+    annihilator_elimination,
+    annihilator_from_elimination,
     ideal_equal,
     localize_at_even,
     module_groebner,
@@ -146,7 +148,11 @@ def leading_term_dim(comm_algebra):
 def even_annihilator_image_in_bar(ideal, bar_algebra):
     """Generators (in the purely even quotient) of the image of the even
     part of a parity-graded superideal: killing the odd generators keeps
-    exactly the terms of an even element that have no odd factor."""
+    exactly the terms of an even element that have no odd factor.
+
+    The parameter test reads the same image off the unreduced kernel basis
+    (``_even_dim_modulo_annihilator``); this form, from a SuperIdeal, is
+    its reference."""
     bvs = bar_algebra.vs
     images = (
         SuperPoly(bvs, {t: c for t, c in g.terms.items() if not t[1]})
@@ -167,6 +173,24 @@ def _check_all_odd(elements):
             raise ParityError("%s is not odd" % y)
 
 
+def _even_dim_modulo_annihilator(kernel_pairs, bar_algebra):
+    """Krull dimension of bar(A) modulo the image of Ann(p)_0, read from the
+    kernel basis that ``annihilator_elimination`` returned for p.
+
+    That basis is not reduced, but it generates Ann(p) over k[x] and each
+    element is parity-homogeneous.  An even f in Ann(p) is a sum of a_i*g_i
+    with even a_i in k[x], so the terms of f without an odd factor are the
+    sum of a_i times those of g_i: the mask-0 terms of the basis generate
+    the image of Ann(p)_0, as those of the reduced basis do."""
+    bvs = bar_algebra.vs
+    image = []
+    for _, v in kernel_pairs:
+        terms = {(exps, 0): c for (exps, (_, mask)), c in v.items() if not mask}
+        if terms:
+            image.append(SuperPoly(bvs, terms))
+    return leading_term_dim(SuperAlgebra(bvs, bar_algebra.relations + image))
+
+
 def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
     """Tests whether the product of the elements has an annihilator small
     enough to preserve the even Krull dimension.
@@ -181,14 +205,13 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
     prod = algebra.nf(prod)
     if prod.is_zero():
         return False, OddParamCertificate(list(elements), None, None, "product is zero")
-    ann = annihilator(prod, algebra)
     bar_a = bar(algebra) if bar_algebra is None else bar_algebra
     d = leading_term_dim(bar_a) if even_dim is None else even_dim
-    image = even_annihilator_image_in_bar(ann, bar_a)
-    quotient = SuperAlgebra(bar_a.vs, bar_a.relations + image)
-    dq = leading_term_dim(quotient)
+    pairs = annihilator_elimination(prod, algebra)
+    dq = _even_dim_modulo_annihilator(pairs, bar_a)
     ok = dq == d
     reason = "" if ok else "annihilator drops even dimension to %s" % dq
+    ann = annihilator_from_elimination(algebra, pairs)
     return ok, OddParamCertificate(list(elements), ann, d, reason)
 
 
@@ -238,8 +261,25 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     when that product is zero or a scalar multiple of a product already
     found wanting.  Both skips are exact: Ann(c*p) = Ann(p) for a nonzero
     scalar c, and Ann(p) is contained in Ann(p*q), so a product that
-    fails fails in every extension.  Each distinct product, up to a
-    scalar, is therefore tested once.
+    fails fails in every extension.  Every verdict is kept under its monic
+    product, so each distinct product, up to a scalar, is tested once; a
+    pass that another combination reaches is issued with that
+    combination's elements.
+
+    The same containment makes a failing candidate fail in every set that
+    holds it.  Once the walk has recorded as many failures as the pool has
+    candidates, and while it looks for two or more parameters, it tests a
+    single-term candidate on its own, once, before extending with it, and
+    skips the candidate when that test fails.  The screen is lazy so that
+    an input whose walk succeeds early pays at most about double, and only
+    monomials are screened because their own tests are cheap, where a
+    random combination's elimination can cost more than it saves.
+
+    A test needs only its verdict, and reads it from the kernel basis as
+    the elimination leaves it: that basis generates Ann(p) over k[x] as
+    the reduced one does, so the image of Ann(p)_0 in bar(A), and the
+    Krull dimension it leaves, are the same (``_even_dim_modulo_annihilator``).
+    Only the passing test reduces the basis, for its certificate.
     """
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
@@ -247,33 +287,54 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
     pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
     char = algebra.vs.field.char
-    failed = set()  # monic products of the candidates that failed
+    verdicts = {}  # monic product -> kernel pairs of a passing test, None for a failing one
+    failures = 0
+
+    def monic_of(p):
+        return p.scale(inv(p.lead_term()[1], char))
+
+    def passes(monic):
+        nonlocal failures
+        if monic not in verdicts:
+            pairs = annihilator_elimination(monic, algebra)
+            if _even_dim_modulo_annihilator(pairs, bar_a) == even:
+                verdicts[monic] = pairs
+            else:
+                verdicts[monic] = None
+                failures += 1
+        return verdicts[monic] is not None
 
     def first_system(k, chosen, prod, start):
         for i in range(start, len(pool) - k + len(chosen) + 1):
             p = algebra.nf(prod * pool[i])
             if p.is_zero():
                 continue
-            monic = p.scale(inv(p.lead_term()[1], char))
-            if monic in failed:
+            monic = monic_of(p)
+            if monic in verdicts and verdicts[monic] is None:
                 continue
+            if k >= 2 and failures >= len(pool) and len(pool[i].terms) == 1:
+                if not passes(monic_of(pool[i])):
+                    continue
             combo = chosen + [pool[i]]
             if len(combo) < k:
                 cert = first_system(k, combo, p, i + 1)
                 if cert is not None:
                     return cert
-                continue
-            ok, cert = is_odd_parameter_system(algebra, combo, bar_a, even)
-            if ok:
-                return cert
-            failed.add(monic)
+            elif passes(monic):
+                ann = annihilator_from_elimination(algebra, verdicts[monic])
+                return OddParamCertificate(combo, ann, even, "")
         return None
 
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):
         cert = first_system(k, [], algebra.vs.one(), 0)
         if cert is not None:
-            return SuperDim(even, k), cert
-    return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")
+            break
+    else:
+        k, cert = 0, OddParamCertificate([], None, even, "no odd parameters")
+    # first_system refers to itself through its closure; breaking that cycle
+    # frees the walk's verdicts now rather than at a later full collection
+    del first_system
+    return SuperDim(even, k), cert
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,26 @@ def test_hc_commands(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix determinant st is not invertible\n"
 
 
+def test_hc_command_builds_only_the_named_pair(monkeypatch, capsys):
+    from superalg import hcgroup
+
+    argv = ["hc", "mul", "unipotent", "g[[1,2],[0,1]] e(s,1)", "e(t,1)", "--json"]
+    expected = run(argv)
+
+    def unused(field=None):
+        raise AssertionError("built a pair the command did not name")
+
+    for name in ("gl1-weight", "sl2-standard"):
+        monkeypatch.setitem(hcgroup.BUILTIN_PAIRS, name, unused)
+    assert run(argv) == expected
+    capsys.readouterr()
+    code, out = run(["hc", "validate", "no-such-pair"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: 'no-such-pair' is not a built-in pair (gl1-weight, sl2-standard, unipotent)"
+    )
+
+
 def test_orbit_commands():
     code, out = run(
         ["orbit", data("a11.salg"), "--derivation", "translate", "--point", "x = 2"]

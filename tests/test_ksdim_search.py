@@ -2,22 +2,28 @@
 
 ``ksdim`` walks the candidate combinations depth first and skips every
 prefix whose product is zero or a scalar multiple of a product that has
-already failed.  Random small presentations over Q and F_7 check that it
-returns what trying every combination in ``itertools.combinations`` order
-returns: the same super-dimension, the same certificate elements and the
-same annihilator.  On the family k[x | y1..yn]/(x*y_i), whose candidate
+already failed; once failures pile up it also screens single-term
+candidates on their own.  Random small presentations over Q and F_7 check
+that it returns what trying every combination in
+``itertools.combinations`` order returns: the same super-dimension, the
+same certificate elements and the same annihilator.  A second family,
+k[x | y1..yn] with x*y_i = 0 for some i, is drawn so that the screen
+changes the walk.  On the family k[x | y1..yn]/(x*y_i), whose candidate
 products collapse onto few distinct values, no product reaches the
-annihilator twice.
+elimination twice.  A failing test reads its verdict from the kernel basis
+before reduction; a property test checks that this leaves the Krull
+dimension of the quotient as the reduced annihilator does.
 """
 
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superalg import sdim
-from superalg.groebner import SuperAlgebra
+from superalg.groebner import SuperAlgebra, annihilator, annihilator_elimination
 from superalg.oracle import all_monomials
 from superalg.scalars import QQ, Field, inv
 from superalg.sdim import (
@@ -25,12 +31,13 @@ from superalg.sdim import (
     OddParamCertificate,
     SuperDim,
     bar,
+    even_annihilator_image_in_bar,
     is_odd_parameter_system,
     ksdim,
     leading_term_dim,
     odd_parameter_candidates,
 )
-from superalg.superpoly import VarSet
+from superalg.superpoly import SuperPoly, VarSet
 
 FIELDS = (QQ, Field(7))
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -52,10 +59,70 @@ def exhaustive_ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")
 
 
+def screenless_walk(algebra, random_combos=4):
+    """The monic products, in order, that the depth-first walk tests when
+    it screens no candidate on its own."""
+    bar_a = bar(algebra)
+    even = leading_term_dim(bar_a)
+    if even == ZERO_RING_DIM:
+        return []
+    pool = odd_parameter_candidates(algebra, (), random_combos)
+    char = algebra.vs.field.char
+    tested, failed = [], set()
+
+    def walk(k, chosen, prod, start):
+        for i in range(start, len(pool) - k + len(chosen) + 1):
+            p = algebra.nf(prod * pool[i])
+            if p.is_zero():
+                continue
+            monic = p.scale(inv(p.lead_term()[1], char))
+            if monic in failed:
+                continue
+            combo = chosen + [pool[i]]
+            if len(combo) < k:
+                if walk(k, combo, p, i + 1):
+                    return True
+                continue
+            tested.append(monic)
+            if is_odd_parameter_system(algebra, combo, bar_a, even)[0]:
+                return True
+            failed.add(monic)
+        return False
+
+    for k in range(min(algebra.vs.n, len(pool)), 0, -1):
+        if walk(k, [], algebra.vs.one(), 0):
+            break
+    return tested
+
+
+def recorded_ksdim(algebra, random_combos=4):
+    """``ksdim`` and the monic products that reached the elimination, in
+    order."""
+    char = algebra.vs.field.char
+    seen = []
+
+    def recording(p, algebra):
+        seen.append(p.scale(inv(p.lead_term()[1], char)))
+        return annihilator_elimination(p, algebra)
+
+    with mock.patch.object(sdim, "annihilator_elimination", recording):
+        result = ksdim(algebra, random_combos=random_combos)
+    return result, seen
+
+
 def rendered(result):
     dim, cert = result
     ann = None if cert.annihilator is None else [g.render() for g in cert.annihilator.generators]
     return dim, [e.render() for e in cert.elements], ann, cert.reason
+
+
+def draw_combination(draw, vs, terms):
+    """A sum of one to three distinct drawn terms (exps, mask) with drawn
+    nonzero coefficients in [-3, 3]."""
+    f = vs.zero()
+    for exps, mask in draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True)):
+        f = f + vs.monomial(exps, mask, draw(st.integers(-3, 3).filter(bool)))
+    return f
 
 
 @st.composite
@@ -67,12 +134,7 @@ def presentations(draw):
     odd = tuple("y%d" % i for i in range(1, draw(st.integers(2, 4)) + 1))
     vs = VarSet(even, odd, draw(st.sampled_from(FIELDS)))
     monos = [t for t in all_monomials(vs, 3) if t[1]]
-    rels = []
-    for _ in range(draw(st.integers(1, 3))):
-        r = vs.zero()
-        for exps, mask in draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True)):
-            r = r + vs.monomial(exps, mask, draw(st.integers(-3, 3).filter(bool)))
-        rels.append(r)
+    rels = [draw_combination(draw, vs, monos) for _ in range(draw(st.integers(1, 3)))]
     return SuperAlgebra(vs, rels), draw(st.integers(0, 2))
 
 
@@ -85,6 +147,30 @@ def test_search_matches_exhaustive_search(case):
     )
 
 
+@st.composite
+def screened_family(draw):
+    """k[x | y1 .. yn], n = 3 or 4, over Q or F_7, with x*y_i = 0 for i in
+    a nonempty drawn subset, so that each such y_i fails on its own, and
+    zero to two further relations like those of ``presentations``."""
+    n = draw(st.integers(3, 4))
+    odd = tuple("y%d" % i for i in range(1, n + 1))
+    vs = VarSet(("x",), odd, draw(st.sampled_from(FIELDS)))
+    x = vs.gen("x")
+    rels = [x * vs.gen(odd[i]) for i in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))]
+    monos = [t for t in all_monomials(vs, 3) if t[1]]
+    rels += [draw_combination(draw, vs, monos) for _ in range(draw(st.integers(0, 2)))]
+    return SuperAlgebra(vs, rels)
+
+
+@settings(SEARCH_SETTINGS, max_examples=30)
+@given(screened_family())
+def test_screen_matches_exhaustive_search(A):
+    result, tested = recorded_ksdim(A)
+    assume(tested != screenless_walk(A))  # the screen changed the walk
+    assert len(set(tested)) == len(tested)
+    assert rendered(result) == rendered(exhaustive_ksdim(A))
+
+
 def test_search_matches_exhaustive_search_on_the_collapsing_family():
     for n in (2, 3, 4):
         odd = tuple("y%d" % i for i in range(1, n + 1))
@@ -95,18 +181,65 @@ def test_search_matches_exhaustive_search_on_the_collapsing_family():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_no_product_reaches_the_annihilator_twice(n, monkeypatch):
+def test_no_product_reaches_the_annihilator_twice(n):
     odd = tuple("y%d" % i for i in range(1, n + 1))
     vs = VarSet(("x",), odd, QQ)
     A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in odd])
-    seen = []
-    annihilator = sdim.annihilator
-
-    def recording(p, algebra):
-        seen.append(p.scale(inv(p.lead_term()[1], vs.field.char)))
-        return annihilator(p, algebra)
-
-    monkeypatch.setattr(sdim, "annihilator", recording)
-    dim, _ = ksdim(A)
+    (dim, _), seen = recorded_ksdim(A)
     assert dim == SuperDim(1, 0)
     assert seen and len(set(seen)) == len(seen)
+
+
+def test_failing_set_keeps_its_full_annihilator():
+    vs = VarSet(("x",), ("y1", "y2", "y3", "y4"), QQ)
+    A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in vs.odd])
+    y1 = vs.gen("y1")
+    ok, cert = is_odd_parameter_system(A, [y1])
+    assert not ok
+    assert cert.reason == "annihilator drops even dimension to 0"
+    assert cert.annihilator.generators == annihilator(y1, A).generators
+
+
+@st.composite
+def odd_products(draw):
+    """(algebra, p): k[x1 (, x2) | y1 .. yn], n from 1 to 3, over Q or F_7,
+    with one to three relations of up to three terms of degree 1 to 3 of
+    either parity, and p the nonzero normal form of a product of one to
+    three odd elements of up to three terms each."""
+    even = ("x1", "x2")[: draw(st.integers(1, 2))]
+    odd = tuple("y%d" % i for i in range(1, draw(st.integers(1, 3)) + 1))
+    vs = VarSet(even, odd, draw(st.sampled_from(FIELDS)))
+    monos = [t for t in all_monomials(vs, 3) if sum(t[0]) + t[1].bit_count()]
+    odd_monos = [t for t in all_monomials(vs, 2) if t[1].bit_count() & 1]
+    A = SuperAlgebra(vs, [draw_combination(draw, vs, monos) for _ in range(draw(st.integers(1, 3)))])
+    p = vs.one()
+    for _ in range(draw(st.integers(1, 3))):
+        p = p * draw_combination(draw, vs, odd_monos)
+    p = A.nf(p)
+    assume(p)
+    return A, p
+
+
+@SEARCH_SETTINGS
+@given(odd_products())
+def test_unreduced_kernel_basis_decides_the_verdict(case):
+    A, p = case
+    bar_a = bar(A)
+    pairs = annihilator_elimination(p, A)
+    reduced = even_annihilator_image_in_bar(annihilator(p, A), bar_a)
+    unreduced = [
+        g
+        for g in (
+            SuperPoly(bar_a.vs, {(exps, 0): c for (exps, (_, mask)), c in v.items() if not mask})
+            for _, v in pairs
+        )
+        if g
+    ]
+    # both generate the same ideal of bar(A), so every dimension agrees
+    assert (
+        SuperAlgebra(bar_a.vs, bar_a.relations + unreduced).module_gb
+        == SuperAlgebra(bar_a.vs, bar_a.relations + reduced).module_gb
+    )
+    assert sdim._even_dim_modulo_annihilator(pairs, bar_a) == leading_term_dim(
+        SuperAlgebra(bar_a.vs, bar_a.relations + reduced)
+    )
