@@ -57,14 +57,17 @@ def exp_lcm(ea, eb):
 
 def mul_terms(aterms, bterms, p):
     """Product of two term dicts {(exps, mask): coeff} in characteristic p
-    (0 for Q); signs from odd_merge, like terms combined, zeros dropped."""
+    (0 for Q); signs from odd_merge, like terms combined, zeros dropped.
+
+    A pair sharing an odd generator vanishes and is skipped before its
+    sign is built; with no even generators every exponent tuple is ()."""
     out = {}
     for (ea, ma), ca in aterms.items():
         for (eb, mb), cb in bterms.items():
-            sign, mask = odd_merge(ma, mb)
-            if sign == 0:
+            if ma & mb:
                 continue
-            t = (tuple(map(add, ea, eb)), mask)
+            sign, mask = odd_merge(ma, mb)
+            t = (tuple(map(add, ea, eb)) if ea else ea, mask)
             c = ca * cb if sign > 0 else -(ca * cb)
             nc = out.get(t)
             nc = c if nc is None else nc + c

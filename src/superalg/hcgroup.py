@@ -10,13 +10,11 @@ every word rewrites to the unique form  g * e(a_1, v_1) ... e(a_t, v_t).
 
 from __future__ import annotations
 
-import itertools
-import random
 from fractions import Fraction
 
 from superalg.groebner import SuperAlgebra
 from superalg.linalg import Echelon, dependencies
-from superalg.scalars import inv
+from superalg.scalars import QQ, inv
 from superalg.superpoly import HCError, ParityError, StructureError, SuperPoly, VarSet
 
 
@@ -169,10 +167,7 @@ class EvenGroupSpec:
             self.vs = defining[0].vs
             field = self.vs.field
         else:
-            if field is None:
-                from superalg.scalars import QQ
-
-                field = QQ
+            field = field or QQ
             self.vs = group_varset(N, field)
         self.field = field
         self.defining = list(defining)
@@ -261,40 +256,6 @@ class EvenGroupSpec:
                 return False
         return True
 
-    def check_closure_randomized(self, seed=0, trials=8):
-        """Probabilistic closure check on points of the form
-        exp(nilpotent * Lie element) over a purely odd coefficient
-        algebra."""
-        A = lambda_algebra(("s", "t", "u", "w"), self.field)
-        rng = random.Random(seed)
-        lie = self.lie_basis()
-        if not lie:
-            return True
-        nilp = [
-            A.vs.gen("s") * A.vs.gen("t"),
-            A.vs.gen("u") * A.vs.gen("w"),
-            A.vs.gen("s") * A.vs.gen("w"),
-        ]
-        def sample():
-            N = self.N
-            zero = A.vs.zero()
-            mat = [[zero for _ in range(N)] for _ in range(N)]
-            for x in lie:
-                c = rng.randint(-2, 2)
-                nu = nilp[rng.randrange(len(nilp))]
-                for i in range(N):
-                    for j in range(N):
-                        mat[i][j] = mat[i][j] + nu.scale(c * x[i][j])
-            return matrix_exp(A, mat)
-
-        for _ in range(trials):
-            g = sample()
-            h = sample()
-            self.contains_matrix(A, g)
-            self.contains_matrix(A, mat_mul(g, h))
-            self.contains_matrix(A, mat_inverse(A, g))
-        return True
-
 
 def matrix_exp(algebra, Nmat, cap=16):
     """exp of a matrix with nilpotent entries; terminates when the powers
@@ -316,8 +277,6 @@ def matrix_exp(algebra, Nmat, cap=16):
 
 
 def lambda_algebra(odd_names, field=None):
-    from superalg.scalars import QQ
-
     return SuperAlgebra(VarSet((), tuple(odd_names), field or QQ), [])
 
 
@@ -356,6 +315,30 @@ class HCPair:
                     ]
         self._drho_cache = {}
         self._rho_at_cache = {}
+        self._identity_action = None
+        self._corrections = {}
+
+    def identity_action(self):
+        """rho(I): the action matrix at the identity, as t x t scalars."""
+        if self._identity_action is None:
+            pt = self.group.identity_point()
+            self._identity_action = [[p.evaluate_at_point(pt) for p in row] for row in self.rho]
+        return self._identity_action
+
+    def correction(self, i, j):
+        """``(x, drho(x))`` for the bracket correction I + b*x that sorting
+        e(a, v_i) e(a', v_j), i >= j, emits with b = -a*a': x is the bracket
+        [v_i, v_j], halved when i == j.  None when x is zero."""
+        key = (i, j)
+        if key not in self._corrections:
+            x = self.bracket_matrix(i, j)
+            if i == j:
+                field = self.group.field
+                half = field.of(Fraction(1, 2))
+                x = [[field.of(half * e) for e in row] for row in x]
+            nonzero = any(e for row in x for e in row)
+            self._corrections[key] = (x, self.drho(x)) if nonzero else None
+        return self._corrections[key]
 
     def drho(self, x):
         """Linearization of the module action at the identity applied to a
@@ -605,15 +588,6 @@ class HCElement:
                 w.append(("e", a, i))
         return w
 
-    def map_coefficients(self, morphism):
-        """Apply a coefficient-algebra morphism entrywise, then
-        renormalize."""
-        g = [[morphism.apply(e) for e in row] for row in self.g]
-        word = [("g", g)] + [
-            ("e", morphism.apply(a), i) for i, a in enumerate(self.odd) if a
-        ]
-        return normalize_word(self.pair, morphism.dst, word)
-
     def __repr__(self):
         mat = "[" + ", ".join(
             "[" + ", ".join(str(e) for e in row) + "]" for row in self.g
@@ -644,6 +618,27 @@ def _f_matrix(algebra, b, x):
     ]
 
 
+def _matrix_of(algebra, f):
+    """The matrix of a group factor: ('g', M) or the dual-number factor
+    ('d', b, x, drho(x)), which stands for I + b*x."""
+    return f[1] if f[0] == "g" else _f_matrix(algebra, f[1], f[2])
+
+
+def _merge_group_factors(algebra, f, h):
+    """The product of two adjacent group factors, as a matrix.  A
+    dual-number factor I + b*x has a scalar x, so M*(I + b*x) = M + b*(M*x)
+    and (I + b*x)*M = M + b*(x*M) take scalar products only."""
+    if h[0] == "d":
+        M, b = _matrix_of(algebra, f), h[1]
+        P = mat_mul(M, h[2])
+    elif f[0] == "d":
+        M, b = h[1], f[1]
+        P = mat_mul(f[2], M)
+    else:
+        return [[algebra.nf(e) for e in row] for row in mat_mul(f[1], h[1])]
+    return [[algebra.nf(e + b * p) for e, p in zip(*rows)] for rows in zip(M, P)]
+
+
 def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     """Rewrite a word of group factors ('g', matrix) and odd exponentials
     ('e', coefficient, basis_index) into the unique normal form.
@@ -654,92 +649,90 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     emitting bracket corrections; merge equal indices.  Termination:
     every emitted correction carries coefficients of strictly higher odd
     degree, and the odd part of the coefficient algebra is nilpotent.
-    """
-    word = list(word)
-    field = algebra.vs.field
-    half = field.of(Fraction(1, 2))
 
-    def rule_positions():
-        pos = []
-        for k in range(len(word)):
-            f = word[k]
-            if f[0] == "e" and f[1].is_zero():
-                pos.append(k)
-                continue
-            if k + 1 < len(word):
-                nxt = word[k + 1]
-                if f[0] == "g" and nxt[0] == "g":
-                    pos.append(k)
-                elif f[0] == "e" and nxt[0] == "g":
-                    pos.append(k)
-                elif f[0] == "e" and nxt[0] == "e" and f[2] >= nxt[2]:
-                    pos.append(k)
-        return pos
+    Each step rewrites at the leftmost (``strategy="left"``) or rightmost
+    (``"right"``) rule position.  Whether k is one depends only on factors
+    k and k + 1, so after a rewrite at k the left search resumes at k - 1
+    and the right one at the end of the rewritten span.  At most t
+    ascending exponentials lie between two group factors, so each search
+    crosses O(t) factors.
+
+    A correction of two odd coefficients is a dual number I + b*x with
+    b^2 = 0, kept as ('d', b, x, drho(x)) until it merges: its inverse is
+    I - b*x and rho(I - b*x) = rho(I) - b*drho(x) for any polynomial rho.
+    """
+    if strategy not in ("left", "right"):
+        raise ValueError("strategy must be 'left' or 'right', not %r" % (strategy,))
+    word = list(word)
+    nf = algebra.nf
+    vs = algebra.vs
+    step = 1 if strategy == "left" else -1
+
+    def is_rule(k):
+        f = word[k]
+        nxt = word[k + 1] if k + 1 < len(word) else None
+        if f[0] != "e":
+            return nxt is not None and nxt[0] != "e"
+        return f[1].is_zero() or nxt is not None and (nxt[0] != "e" or f[2] >= nxt[2])
 
     steps = 0
+    k = 0 if step > 0 else len(word) - 1
     while True:
         steps += 1
         if steps > max_steps:
             raise HCError("rewriting did not terminate within %d steps" % max_steps)
-        pos = rule_positions()
-        if not pos:
+        k = max(k, 0) if step > 0 else min(k, len(word) - 1)
+        while 0 <= k < len(word) and not is_rule(k):
+            k += step
+        if not 0 <= k < len(word):
             break
-        k = pos[0] if strategy == "left" else pos[-1]
         f = word[k]
         if f[0] == "e" and f[1].is_zero():
             del word[k]
+            k -= 1
             continue
         nxt = word[k + 1]
-        if f[0] == "g" and nxt[0] == "g":
-            merged = [
-                [algebra.nf(e) for e in row] for row in mat_mul(f[1], nxt[1])
-            ]
-            word[k : k + 2] = [("g", merged)]
-        elif f[0] == "e" and nxt[0] == "g":
+        if f[0] != "e":
+            new = [("g", _merge_group_factors(algebra, f, nxt))]
+        elif nxt[0] != "e":
             # e(a, v_i) g  ->  g e(a, rho(g^-1) v_i), expanded over the basis
-            M = nxt[1]
-            Minv = mat_inverse(algebra, M)
-            R = pair.rho_at(algebra, Minv)
             a, i = f[1], f[2]
-            new = [("g", M)]
-            for kk in range(pair.t):
-                c = R[kk][i]
-                if c:
-                    coeff = algebra.nf(c * a)
-                    if coeff:
-                        new.append(("e", coeff, kk))
-            word[k : k + 2] = new
+            if nxt[0] == "g":
+                R = pair.rho_at(algebra, mat_inverse(algebra, nxt[1]))
+                column = [row[i] for row in R]
+            else:
+                b, dx = nxt[1], nxt[3]
+                column = [vs.const(r[i]) - b.scale(d[i]) for r, d in zip(pair.identity_action(), dx)]
+            new = [nxt]
+            for kk, c in enumerate(column):
+                coeff = nf(c * a) if c else None
+                if coeff:
+                    new.append(("e", coeff, kk))
         else:
             a, i = f[1], f[2]
             b, j = nxt[1], nxt[2]
-            if i == j:
-                corr = algebra.nf((a * b).scale(-1))
-                new = []
-                if corr:
-                    x = pair.bracket_matrix(i, i)
-                    xh = [[field.of(half * e) for e in row] for row in x]
-                    if any(e for row in xh for e in row):
-                        new.append(("g", _f_matrix(algebra, corr, xh)))
-                merged = algebra.nf(a + b)
-                if merged:
-                    new.append(("e", merged, i))
-                word[k : k + 2] = new
-            else:
-                corr = algebra.nf((a * b).scale(-1))
-                new = []
-                if corr:
-                    x = pair.bracket_matrix(i, j)
-                    if any(e for row in x for e in row):
-                        new.append(("g", _f_matrix(algebra, corr, x)))
-                new.extend([("e", b, j), ("e", a, i)])
-                word[k : k + 2] = new
-    # collapse: optional single leading group factor, exponentials ascending
-    g = identity_matrix(pair.group.N, algebra.vs.one())
-    odd = [algebra.vs.zero()] * pair.t
+            corr = nf((a * b).scale(-1))
+            correction = pair.correction(i, j) if corr else None
+            new = []
+            if correction is not None:
+                if a.parity() == b.parity() == 1:
+                    new.append(("d", corr) + correction)
+                else:
+                    new.append(("g", _f_matrix(algebra, corr, correction[0])))
+            if i != j:
+                new += [("e", b, j), ("e", a, i)]
+            elif merged := nf(a + b):
+                new.append(("e", merged, i))
+        word[k : k + 2] = new
+        k = k - 1 if step > 0 else k + len(new) - 1
+    # collapse: an optional single leading group factor, exponentials ascending
+    if word and word[0][0] != "e":
+        g = [[nf(e) for e in row] for row in _matrix_of(algebra, word[0])]
+    else:
+        g = identity_matrix(pair.group.N, vs.one())
+    odd = [vs.zero()] * pair.t
     for f in word:
-        if f[0] == "g":
-            g = [[algebra.nf(e) for e in row] for row in mat_mul(g, f[1])]
-        else:
+        if f[0] == "e":
             odd[f[2]] = f[1]
     pair.group.contains_matrix(algebra, g)
     return HCElement(pair, algebra, g, odd)
@@ -777,8 +770,6 @@ def _upper_unitriangular_2x2(field):
 
 def unipotent_pair(field=None):
     """1-dimensional odd space, trivial action, bracket 2*E12."""
-    from superalg.scalars import QQ
-
     field = field or QQ
     group = _upper_unitriangular_2x2(field)
     rho = [[group.vs.one()]]
@@ -791,8 +782,6 @@ def unipotent_pair(field=None):
 def gl1_weight_pair(field=None):
     """GL_1 acting with weight one on a 1-dimensional odd space, zero
     bracket."""
-    from superalg.scalars import QQ
-
     field = field or QQ
     group = EvenGroupSpec(1, [], field=field)
     rho = [[group.vs.gen("g11")]]
@@ -803,8 +792,6 @@ def sl2_standard_pair(field=None):
     """SL_2 on its 2-dimensional standard module with the symmetric
     equivariant bracket [v, w] = v w^T eps + w v^T eps (eps the
     symplectic form); the cubic identity holds identically."""
-    from superalg.scalars import QQ
-
     field = field or QQ
     vs = group_varset(2, field)
     det = vs.gen("g11") * vs.gen("g22") - vs.gen("g12") * vs.gen("g21")

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from superalg import hcgroup
 from superalg.hcgroup import (
     EvenGroupSpec,
+    HCElement,
     HCError,
+    _f_matrix,
     builtin_pairs,
     f_of,
     gr_pair,
@@ -18,6 +21,7 @@ from superalg.hcgroup import (
     hc_identity,
     hc_inv,
     hc_mul,
+    identity_matrix,
     invert_even,
     is_graded_pair,
     lambda_algebra,
@@ -33,6 +37,7 @@ from superalg.hcgroup import (
 from superalg.scalars import QQ, Field
 
 F7 = Field(7)
+F11 = Field(11)
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +112,43 @@ def test_lie_algebras(pairs):
         assert x[0][0] + x[1][1] == QQ.zero
 
 
+def check_closure_randomized(group, seed, trials):
+    """Closure of the group under products and inverses, checked on points
+    exp(nilpotent * Lie element) over a purely odd coefficient algebra."""
+    A = lambda_algebra(("s", "t", "u", "w"), group.field)
+    rng = random.Random(seed)
+    lie = group.lie_basis()
+    s, t, u, w = A.vs.gens()
+    nilp = [s * t, u * w, s * w]
+    N = group.N
+
+    def sample():
+        mat = [[A.vs.zero() for _ in range(N)] for _ in range(N)]
+        for x in lie:
+            c = rng.randint(-2, 2)
+            nu = nilp[rng.randrange(len(nilp))]
+            for i in range(N):
+                for j in range(N):
+                    mat[i][j] = mat[i][j] + nu.scale(c * x[i][j])
+        return matrix_exp(A, mat)
+
+    for _ in range(trials):
+        g = sample()
+        h = sample()
+        group.contains_matrix(A, g)
+        group.contains_matrix(A, mat_mul(g, h))
+        group.contains_matrix(A, mat_inverse(A, g))
+
+
 def test_group_closure_randomized(pairs):
     for pair in pairs.values():
-        assert pair.group.check_closure_randomized(seed=5, trials=3)
+        check_closure_randomized(pair.group, seed=5, trials=3)
 
 
 # The group laws go through invert_even and the rewriting rules, whose
 # coefficient arithmetic differs between Q and F_p and, over F_p, with the
 # size of p.
-HC_LAW_FIELDS = (QQ, F7, Field(11), Field(32003))
+HC_LAW_FIELDS = (QQ, F7, F11, Field(32003))
 HC_LAW_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -179,25 +212,25 @@ def test_rewriting_confluence_f7(pairs_f7, coeff_f7):
             assert left == right, name
 
 
-def check_unipotent_matrix_model(pairs, coeff):
-    rng = random.Random(33)
+def check_unipotent_matrix_model(field, rng):
+    coeff, pairs = hc_setting(field)
     pair = pairs["unipotent"]
-    for _ in range(25):
-        a = random_element(pair, coeff, rng)
-        b = random_element(pair, coeff, rng)
-        lhs = unipotent_model_mul(
-            unipotent_matrix_model(a), unipotent_matrix_model(b), coeff
-        )
-        rhs = unipotent_matrix_model(hc_mul(a, b))
-        assert lhs == rhs
+    a = random_element(pair, coeff, rng)
+    b = random_element(pair, coeff, rng)
+    lhs = unipotent_model_mul(unipotent_matrix_model(a), unipotent_matrix_model(b), coeff)
+    assert lhs == unipotent_matrix_model(hc_mul(a, b))
 
 
-def test_unipotent_matrix_model(pairs, coeff):
-    check_unipotent_matrix_model(pairs, coeff)
+@HC_LAW_SETTINGS
+@given(st.sampled_from((QQ, F7, F11)), st.randoms())
+def test_unipotent_matrix_model(field, rng):
+    check_unipotent_matrix_model(field, rng)
 
 
-def test_unipotent_matrix_model_f7(pairs_f7, coeff_f7):
-    check_unipotent_matrix_model(pairs_f7, coeff_f7)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.randoms())
+def test_unipotent_matrix_model_f7(rng):
+    check_unipotent_matrix_model(F7, rng)
 
 
 def test_graded_criterion(pairs):
@@ -273,6 +306,13 @@ def test_word_membership_enforced(coeff):
         normalize_word(pair, coeff, [("g", bad_g)])
 
 
+def map_coefficients(E, morphism):
+    """Apply a coefficient-algebra morphism entrywise, then renormalize."""
+    g = [[morphism.apply(e) for e in row] for row in E.g]
+    word = [("g", g)] + [("e", morphism.apply(a), i) for i, a in enumerate(E.odd) if a]
+    return normalize_word(E.pair, morphism.dst, word)
+
+
 def test_map_coefficients(pairs, coeff):
     from superalg.groebner import Morphism, SuperAlgebra
     from superalg.superpoly import VarSet
@@ -289,9 +329,9 @@ def test_map_coefficients(pairs, coeff):
     for _ in range(6):
         a = random_element(pair, coeff, rng)
         b = random_element(pair, coeff, rng)
-        lhs = a.map_coefficients(phi)
-        rhs = b.map_coefficients(phi)
-        assert hc_mul(lhs, rhs) == hc_mul(a, b).map_coefficients(phi)
+        lhs = map_coefficients(a, phi)
+        rhs = map_coefficients(b, phi)
+        assert hc_mul(lhs, rhs) == map_coefficients(hc_mul(a, b), phi)
 
 
 def test_pair_document_roundtrip(coeff):
@@ -400,3 +440,268 @@ def test_exhausted_caps_raise_hc_error(pairs, coeff):
         invert_even(kx, kx.vs.one() + kx.vs.gen("x"))
     with pytest.raises(HCError):
         matrix_exp(kx, [[kx.vs.gen("x")]])
+
+
+# ---------------------------------------------------------------------------
+# The rewriting engine against a full-rescan reference
+
+
+def rescan_normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
+    """The reference engine: it rebuilds the list of every rule position
+    at every step and multiplies every correction out as a matrix."""
+    word = list(word)
+    field = algebra.vs.field
+    half = field.of(Fraction(1, 2))
+
+    def rule_positions():
+        pos = []
+        for k in range(len(word)):
+            f = word[k]
+            if f[0] == "e" and f[1].is_zero():
+                pos.append(k)
+                continue
+            if k + 1 < len(word):
+                nxt = word[k + 1]
+                if f[0] == "g" and nxt[0] == "g":
+                    pos.append(k)
+                elif f[0] == "e" and nxt[0] == "g":
+                    pos.append(k)
+                elif f[0] == "e" and nxt[0] == "e" and f[2] >= nxt[2]:
+                    pos.append(k)
+        return pos
+
+    steps = 0
+    while True:
+        steps += 1
+        if steps > max_steps:
+            raise HCError("rewriting did not terminate within %d steps" % max_steps)
+        pos = rule_positions()
+        if not pos:
+            break
+        k = pos[0] if strategy == "left" else pos[-1]
+        f = word[k]
+        if f[0] == "e" and f[1].is_zero():
+            del word[k]
+            continue
+        nxt = word[k + 1]
+        if f[0] == "g" and nxt[0] == "g":
+            merged = [
+                [algebra.nf(e) for e in row] for row in mat_mul(f[1], nxt[1])
+            ]
+            word[k : k + 2] = [("g", merged)]
+        elif f[0] == "e" and nxt[0] == "g":
+            # e(a, v_i) g  ->  g e(a, rho(g^-1) v_i), expanded over the basis
+            M = nxt[1]
+            Minv = mat_inverse(algebra, M)
+            R = pair.rho_at(algebra, Minv)
+            a, i = f[1], f[2]
+            new = [("g", M)]
+            for kk in range(pair.t):
+                c = R[kk][i]
+                if c:
+                    coeff = algebra.nf(c * a)
+                    if coeff:
+                        new.append(("e", coeff, kk))
+            word[k : k + 2] = new
+        else:
+            a, i = f[1], f[2]
+            b, j = nxt[1], nxt[2]
+            if i == j:
+                corr = algebra.nf((a * b).scale(-1))
+                new = []
+                if corr:
+                    x = pair.bracket_matrix(i, i)
+                    xh = [[field.of(half * e) for e in row] for row in x]
+                    if any(e for row in xh for e in row):
+                        new.append(("g", _f_matrix(algebra, corr, xh)))
+                merged = algebra.nf(a + b)
+                if merged:
+                    new.append(("e", merged, i))
+                word[k : k + 2] = new
+            else:
+                corr = algebra.nf((a * b).scale(-1))
+                new = []
+                if corr:
+                    x = pair.bracket_matrix(i, j)
+                    if any(e for row in x for e in row):
+                        new.append(("g", _f_matrix(algebra, corr, x)))
+                new.extend([("e", b, j), ("e", a, i)])
+                word[k : k + 2] = new
+    # collapse: optional single leading group factor, exponentials ascending
+    g = identity_matrix(pair.group.N, algebra.vs.one())
+    odd = [algebra.vs.zero()] * pair.t
+    for f in word:
+        if f[0] == "g":
+            g = [[algebra.nf(e) for e in row] for row in mat_mul(g, f[1])]
+        else:
+            odd[f[2]] = f[1]
+    pair.group.contains_matrix(algebra, g)
+    return HCElement(pair, algebra, g, odd)
+
+
+def rewrite_outcome(normalize, pair, coeff, word, strategy, max_steps):
+    """The normal form, or the type and message of the error raised."""
+    try:
+        el = normalize(pair, coeff, word, strategy=strategy, max_steps=max_steps)
+    except (HCError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", el.g, el.odd
+
+
+def is_capped(outcome, max_steps):
+    return outcome == ("HCError", "rewriting did not terminate within %d steps" % max_steps)
+
+
+def fewest_steps(normalize, pair, coeff, word, strategy):
+    """The smallest ``max_steps`` at which rewriting is not cut off."""
+    low, high = 0, 1
+    while is_capped(rewrite_outcome(normalize, pair, coeff, word, strategy, high), high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if is_capped(rewrite_outcome(normalize, pair, coeff, word, strategy, mid), mid):
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def nilpotent_coefficient(vs, rng):
+    """An exponential's coefficient: odd mostly, sometimes zero, even or of
+    mixed parity; never with a constant term, so rewriting terminates."""
+    s, t, u, w = vs.gens()
+    kind = rng.randrange(16)
+    if kind == 0:
+        return vs.zero()
+    if kind == 1:
+        return (s * t).scale(rng.randint(1, 2)) + u * w
+    if kind == 2:
+        return s + (t * u).scale(rng.randint(-1, 1))
+    return random_odd(vs, rng)
+
+
+def group_factor(pair, coeff, rng):
+    """A group factor as ``random_element`` draws it; now and then a matrix
+    outside the group or one that is not invertible."""
+    vs = coeff.vs
+    one, zero = vs.one(), vs.zero()
+    kind = rng.randrange(12)
+    if kind == 0:
+        return [[one if i == j else zero for j in range(pair.group.N)] for i in range(pair.group.N)]
+    if kind == 1:
+        # not invertible: a nilpotent entry where a unit belongs
+        bad = vs.gen("s") * vs.gen("t")
+        return [[bad if i == j == 0 else (one if i == j else zero) for j in range(pair.group.N)]
+                for i in range(pair.group.N)]
+    if kind == 2:
+        return [[vs.const(2) if i == j == 0 else (one if i == j else zero)
+                 for j in range(pair.group.N)] for i in range(pair.group.N)]
+    if pair.name == "gl1-weight":
+        return [[random_even_invertible(vs, rng)]]
+    E = [[one, random_even_invertible(vs, rng, unit=False)], [zero, one]]
+    if pair.name == "unipotent":
+        return E
+    F = [[one, zero], [random_even_invertible(vs, rng, unit=False), one]]
+    return mat_mul(E, F)
+
+
+@st.composite
+def raw_words(draw):
+    """(pair, coeff, word): a raw word of 1 to 9 factors over Q or F_7."""
+    coeff, pairs = hc_setting(draw(st.sampled_from((QQ, F7))))
+    pair = pairs[draw(st.sampled_from(sorted(pairs)))]
+    rng = draw(st.randoms())
+    word = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rng.randrange(3):
+            word.append(("e", nilpotent_coefficient(coeff.vs, rng), rng.randrange(pair.t)))
+        else:
+            word.append(("g", group_factor(pair, coeff, rng)))
+    return pair, coeff, word
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(raw_words(), st.sampled_from(("left", "right")))
+def test_rewriting_matches_the_full_rescan(case, strategy):
+    """Same normal form or same error, reached in the same number of steps:
+    the engine applies the same rule at the same position at every step."""
+    pair, coeff, word = case
+    expected = rewrite_outcome(rescan_normalize_word, pair, coeff, word, strategy, 100000)
+    assert rewrite_outcome(normalize_word, pair, coeff, word, strategy, 100000) == expected
+    fewest = fewest_steps(rescan_normalize_word, pair, coeff, word, strategy)
+    assert not is_capped(
+        rewrite_outcome(normalize_word, pair, coeff, word, strategy, fewest), fewest
+    )
+    assert is_capped(
+        rewrite_outcome(normalize_word, pair, coeff, word, strategy, fewest - 1), fewest - 1
+    )
+
+
+def test_unknown_strategy_is_rejected(pairs, coeff):
+    word = [("e", coeff.vs.gen("s"), 0)]
+    with pytest.raises(ValueError, match="strategy"):
+        normalize_word(pairs["unipotent"], coeff, word, strategy="middle")
+
+
+# ---------------------------------------------------------------------------
+# Dual-number corrections: I + b*x with b = -a*a' for odd a, a', so b^2 = 0
+
+
+def shc_unipotent_pair(field):
+    from pathlib import Path
+
+    from superalg.dsl import parse_pair_document
+
+    path = Path(__file__).resolve().parent.parent / "data" / "unipotent.shc"
+    return parse_pair_document(path.read_text(), field)
+
+
+@pytest.mark.parametrize("field", (QQ, F7, F11), ids=("Q", "F7", "F11"))
+def test_dual_number_identities(field):
+    """For every bracket of the built-in pairs and data/unipotent.shc:
+    (I + b*x)^-1 = I - b*x, rho(I - b*x) = rho(I) - b*drho(x), and
+    g*(I + b*x) = g + b*(g*x), (I + b*x)*g = g + b*(x*g)."""
+    coeff, pairs = hc_setting(field)
+    vs = coeff.vs
+    nf = coeff.nf
+    rng = random.Random(43)
+    for pair in list(pairs.values()) + [shc_unipotent_pair(field)]:
+        N = pair.group.N
+        for i in range(pair.t):
+            for j in range(i + 1):
+                correction = pair.correction(i, j)
+                if correction is None:
+                    assert not any(c for row in pair.bracket_matrix(i, j) for c in row)
+                    continue
+                x, dx = correction
+                assert dx == pair.drho(x)
+                for _ in range(3):
+                    a, a2 = random_odd(vs, rng), random_odd(vs, rng)
+                    b = nf((a * a2).scale(-1))
+                    assert nf(b * b).is_zero()
+                    plus = _f_matrix(coeff, b, x)
+                    minus = [[nf(e) for e in row] for row in _f_matrix(coeff, -b, x)]
+                    assert mat_inverse(coeff, plus) == minus
+                    rho1 = pair.identity_action()
+                    assert pair.rho_at(coeff, minus) == [
+                        [nf(vs.const(rho1[r][c]) - b.scale(dx[r][c])) for c in range(pair.t)]
+                        for r in range(pair.t)
+                    ]
+                    g = random_element(pair, coeff, rng).g
+                    gx = [[sum((g[r][k].scale(x[k][c]) for k in range(N)), vs.zero())
+                           for c in range(N)] for r in range(N)]
+                    xg = [[sum((g[k][c].scale(x[r][k]) for k in range(N)), vs.zero())
+                            for c in range(N)] for r in range(N)]
+                    right = [[nf(e) for e in row] for row in mat_mul(g, plus)]
+                    left = [[nf(e) for e in row] for row in mat_mul(plus, g)]
+                    assert right == [[nf(g[r][c] + b * gx[r][c]) for c in range(N)]
+                                     for r in range(N)]
+                    assert left == [[nf(g[r][c] + b * xg[r][c]) for c in range(N)]
+                                    for r in range(N)]
+                    dual = ("d", b, x, dx)
+                    merge = hcgroup._merge_group_factors
+                    assert merge(coeff, ("g", g), dual) == right
+                    assert merge(coeff, dual, ("g", g)) == left
+                    assert merge(coeff, dual, dual) == [
+                        [nf(e) for e in row] for row in mat_mul(plus, plus)
+                    ]

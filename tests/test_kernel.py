@@ -87,3 +87,42 @@ def test_superpoly_products_go_through_kernel(monkeypatch):
     a.scale(3)
     assert calls == {"mul_terms": 1, "scale_terms": 1}
     assert _kernel.IMPLEMENTATION == "python"
+
+
+def brute_mul_terms(aterms, bterms, p):
+    """Reference product: every term pair signed by ``brute_odd_merge``,
+    summed, reduced mod p at the end and stripped of zeros."""
+    sums = {}
+    for (ea, ma), ca in aterms.items():
+        for (eb, mb), cb in bterms.items():
+            sign, mask = brute_odd_merge(ma, mb)
+            t = (tuple(x + y for x, y in zip(ea, eb)), mask)
+            sums[t] = sums.get(t, 0) + sign * ca * cb
+    if p:
+        sums = {t: c % p for t, c in sums.items()}
+    return {t: c for t, c in sums.items() if c}
+
+
+# Odd generators 0-3 overlap often; 61 and 62 are the highest bits a mask uses.
+ODD_BITS = (0, 1, 2, 3, 61, 62)
+
+
+@st.composite
+def term_dict_pairs(draw):
+    """(p, aterms, bterms) over m = 0..2 even generators, p in {0, 7}."""
+    p = draw(st.sampled_from((0, 7)))
+    m = draw(st.integers(0, 2))
+    masks = st.lists(st.sampled_from(ODD_BITS), max_size=3).map(
+        lambda bits: sum(set(1 << b for b in bits))
+    )
+    exps = st.tuples(*[st.integers(0, 2)] * m)
+    coeffs = st.integers(1, p - 1) if p else st.integers(-3, 3).filter(bool)
+    terms = st.dictionaries(st.tuples(exps, masks), coeffs, max_size=5)
+    return p, draw(terms), draw(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(term_dict_pairs())
+def test_mul_terms_matches_bruteforce(case):
+    p, aterms, bterms = case
+    assert _kernel.mul_terms(aterms, bterms, p) == brute_mul_terms(aterms, bterms, p)
