@@ -440,46 +440,56 @@ def annihilator(p, algebra):
     p = algebra.nf(p)
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()], ann_of_zero=True)
-    return annihilator_from_elimination(algebra, annihilator_elimination(p, algebra))
+    pairs = annihilator_elimination(p, algebra, 0) + annihilator_elimination(p, algebra, 1)
+    return annihilator_from_elimination(algebra, pairs)
 
 
-def annihilator_elimination(p, algebra):
-    """The kernel of multiplication by p on the free module, for a nonzero
-    parity-homogeneous p in normal form, as the (lead, vector) pairs of a
-    Gröbner basis of it that is not yet reduced.
+def annihilator_elimination(p, algebra, parity):
+    """The kernel elements of one parity of multiplication by p on the free
+    module, for a nonzero parity-homogeneous p in normal form, as the
+    (lead, vector) pairs of a Gröbner basis of them that is not yet reduced.
 
-    The graph vectors (y_S * p, e_S-tag) together with the relation basis
+    The graph vectors (y_S * p, e_S-tag) with |S| of the given parity,
+    together with the relation basis elements of parity ``parity`` + |p|,
     are completed under an order eliminating the main block; the basis
     elements with a tag-block lead lie wholly in the tag block, because it
     sorts below every main-block term, and they are a Gröbner basis of the
-    kernel.  Each is homogeneous, with a tag mask of one parity, since every
-    input is homogeneous when a main-block mask counts as its parity plus
-    that of p.
+    kernel's part of that parity.  Every vector of the completion lies in
+    components of that parity: tag masks of the parity and main-block masks
+    of the parity plus |p|.  The other parity's vectors lie in the other
+    components, so they neither pair with these nor reduce them, and the
+    pairs of both parities together are a Gröbner basis of the whole
+    kernel.
     """
     vs = algebra.vs
     zero_exps = (0,) * vs.m
     char = vs.field.char
     one = vs.field.one
-    # The relation basis is a reduced Gröbner basis and each e_S with
-    # y_S * p = 0 is a kernel element in a component of its own, so
-    # together they are a Gröbner basis that enters the elimination as
-    # it is, with its leads.
+    main_parity = parity ^ p.parity()
+    # The relation basis is a reduced Gröbner basis of homogeneous elements
+    # and each e_S with y_S * p = 0 is a kernel element in a component of
+    # its own, so together they are a Gröbner basis that enters the
+    # elimination as it is, with its leads.
     gb = GBasis([], elim_term_key, char)
     algebra.module_gb  # builds algebra._gbasis on first use
     rel = algebra._gbasis
     for (exps, mask), v in zip(rel.leads, rel.vectors):
-        gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
-    odd_gens = [vs.monomial(zero_exps, 1 << i) for i in range(vs.n)]
-    cols = [p]  # cols[S] = y_S * p in normal form
+        if mask.bit_count() & 1 == main_parity:
+            gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
+    cols = {0: p}  # cols[S] = y_S * p in normal form
     graph = []
     for mask in range(1 << vs.n):
+        if mask.bit_count() & 1 != parity:
+            continue
         if mask:
-            # y_S = y_i * y_{S - i} with no sign for i = min S
-            low = mask & -mask
-            rest = cols[mask ^ low]
-            cols.append(algebra.nf(odd_gens[low.bit_length() - 1] * rest) if rest else rest)
-        e_s = (zero_exps, (1, mask))
+            # y_S = y_T * y_R with no sign for T the one or two lowest
+            # indices of S: R is empty or of the parity of S
+            rest = mask & (mask - 1)
+            rest &= rest - 1
+            base = cols[rest]
+            cols[mask] = algebra.nf(vs.monomial(zero_exps, mask ^ rest) * base) if base else base
         col = cols[mask]
+        e_s = (zero_exps, (1, mask))
         if col:
             v = {(ce, (0, cm)): c for (ce, cm), c in col.terms.items()}
             v[e_s] = one

@@ -280,17 +280,6 @@ def lambda_algebra(odd_names, field=None):
     return SuperAlgebra(VarSet((), tuple(odd_names), field or QQ), [])
 
 
-def f_of(group, algebra, b, x):
-    """The dual-number exponential: the matrix I + b*x for an even b with
-    b^2 = 0; checked to stay inside the group."""
-    b = algebra.nf(b)
-    if algebra.nf(b * b):
-        raise HCError("square of %s is not zero" % b)
-    M = _f_matrix(algebra, b, x)
-    group.contains_matrix(algebra, M)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # pairs
 

@@ -175,13 +175,15 @@ def _check_all_odd(elements):
 
 def _even_dim_modulo_annihilator(kernel_pairs, bar_algebra):
     """Krull dimension of bar(A) modulo the image of Ann(p)_0, read from the
-    kernel basis that ``annihilator_elimination`` returned for p.
+    even kernel basis that ``annihilator_elimination(p, algebra, 0)``
+    returned.
 
-    That basis is not reduced, but it generates Ann(p) over k[x] and each
-    element is parity-homogeneous.  An even f in Ann(p) is a sum of a_i*g_i
-    with even a_i in k[x], so the terms of f without an odd factor are the
-    sum of a_i times those of g_i: the mask-0 terms of the basis generate
-    the image of Ann(p)_0, as those of the reduced basis do."""
+    That basis is not reduced, but it generates Ann(p)_0 over k[x].  An f
+    in Ann(p)_0 is a sum of a_i*g_i with a_i in k[x], so the terms of f
+    without an odd factor are the sum of a_i times those of g_i: the mask-0
+    terms of the basis generate the image of Ann(p)_0, as those of the
+    reduced basis do.  Odd kernel elements have no mask-0 term, so the odd
+    half of the elimination is not needed."""
     bvs = bar_algebra.vs
     image = []
     for _, v in kernel_pairs:
@@ -207,11 +209,11 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
         return False, OddParamCertificate(list(elements), None, None, "product is zero")
     bar_a = bar(algebra) if bar_algebra is None else bar_algebra
     d = leading_term_dim(bar_a) if even_dim is None else even_dim
-    pairs = annihilator_elimination(prod, algebra)
+    pairs = annihilator_elimination(prod, algebra, 0)
     dq = _even_dim_modulo_annihilator(pairs, bar_a)
     ok = dq == d
     reason = "" if ok else "annihilator drops even dimension to %s" % dq
-    ann = annihilator_from_elimination(algebra, pairs)
+    ann = annihilator_from_elimination(algebra, pairs + annihilator_elimination(prod, algebra, 1))
     return ok, OddParamCertificate(list(elements), ann, d, reason)
 
 
@@ -275,11 +277,12 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     monomials are screened because their own tests are cheap, where a
     random combination's elimination can cost more than it saves.
 
-    A test needs only its verdict, and reads it from the kernel basis as
-    the elimination leaves it: that basis generates Ann(p) over k[x] as
-    the reduced one does, so the image of Ann(p)_0 in bar(A), and the
-    Krull dimension it leaves, are the same (``_even_dim_modulo_annihilator``).
-    Only the passing test reduces the basis, for its certificate.
+    A test needs only its verdict, and reads it from the even half of the
+    elimination, Ann(p)_0, with its basis as the elimination leaves it:
+    that basis generates Ann(p)_0 over k[x] as the reduced one does, so
+    the image of Ann(p)_0 in bar(A), and the Krull dimension it leaves, are
+    the same (``_even_dim_modulo_annihilator``).  Only the accepted set
+    runs the odd half and reduces both, for its certificate.
     """
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
@@ -287,7 +290,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
     pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
     char = algebra.vs.field.char
-    verdicts = {}  # monic product -> kernel pairs of a passing test, None for a failing one
+    verdicts = {}  # monic product -> even kernel pairs of a passing test, None for a failing one
     failures = 0
 
     def monic_of(p):
@@ -296,7 +299,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     def passes(monic):
         nonlocal failures
         if monic not in verdicts:
-            pairs = annihilator_elimination(monic, algebra)
+            pairs = annihilator_elimination(monic, algebra, 0)
             if _even_dim_modulo_annihilator(pairs, bar_a) == even:
                 verdicts[monic] = pairs
             else:
@@ -321,7 +324,8 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
                 if cert is not None:
                     return cert
             elif passes(monic):
-                ann = annihilator_from_elimination(algebra, verdicts[monic])
+                pairs = verdicts[monic] + annihilator_elimination(monic, algebra, 1)
+                ann = annihilator_from_elimination(algebra, pairs)
                 return OddParamCertificate(combo, ann, even, "")
         return None
 

@@ -15,7 +15,6 @@ from superalg.hcgroup import (
     HCError,
     _f_matrix,
     builtin_pairs,
-    f_of,
     gr_pair,
     group_varset,
     hc_identity,
@@ -266,6 +265,17 @@ def test_matrix_inverse(coeff):
     Minv = mat_inverse(coeff, M)
     prod = [[coeff.nf(e) for e in row] for row in mat_mul(M, Minv)]
     assert prod == [[vs.one(), vs.zero()], [vs.zero(), vs.one()]]
+
+
+def f_of(group, algebra, b, x):
+    """The dual-number exponential: the matrix I + b*x for an even b with
+    b^2 = 0; checked to stay inside the group."""
+    b = algebra.nf(b)
+    if algebra.nf(b * b):
+        raise HCError("square of %s is not zero" % b)
+    M = _f_matrix(algebra, b, x)
+    group.contains_matrix(algebra, M)
+    return M
 
 
 def test_f_of_requires_square_zero(pairs, coeff):

@@ -6,13 +6,16 @@ already failed; once failures pile up it also screens single-term
 candidates on their own.  Random small presentations over Q and F_7 check
 that it returns what trying every combination in
 ``itertools.combinations`` order returns: the same super-dimension, the
-same certificate elements and the same annihilator.  A second family,
+same certificate elements and the same annihilator, with the odd half of
+the elimination run only for that annihilator.  A second family,
 k[x | y1..yn] with x*y_i = 0 for some i, is drawn so that the screen
 changes the walk.  On the family k[x | y1..yn]/(x*y_i), whose candidate
-products collapse onto few distinct values, no product reaches the
-elimination twice.  A failing test reads its verdict from the kernel basis
-before reduction; a property test checks that this leaves the Krull
-dimension of the quotient as the reduced annihilator does.
+products collapse onto few distinct values, no product reaches either
+half of the elimination twice, and the odd half, which only the
+certificate needs, never runs.  A test reads its verdict from the even
+half's kernel basis before reduction; a property test checks that this
+leaves the Krull dimension of the quotient as the reduced annihilator
+does, and that each half returns kernel elements of its own parity only.
 """
 
 import itertools
@@ -96,14 +99,14 @@ def screenless_walk(algebra, random_combos=4):
 
 
 def recorded_ksdim(algebra, random_combos=4):
-    """``ksdim`` and the monic products that reached the elimination, in
-    order."""
+    """``ksdim`` and the (monic product, parity) pairs that reached the
+    elimination, in order."""
     char = algebra.vs.field.char
     seen = []
 
-    def recording(p, algebra):
-        seen.append(p.scale(inv(p.lead_term()[1], char)))
-        return annihilator_elimination(p, algebra)
+    def recording(p, algebra, parity):
+        seen.append((p.scale(inv(p.lead_term()[1], char)), parity))
+        return annihilator_elimination(p, algebra, parity)
 
     with mock.patch.object(sdim, "annihilator_elimination", recording):
         result = ksdim(algebra, random_combos=random_combos)
@@ -142,9 +145,21 @@ def presentations(draw):
 @given(presentations())
 def test_search_matches_exhaustive_search(case):
     A, random_combos = case
-    assert rendered(ksdim(A, random_combos=random_combos)) == rendered(
-        exhaustive_ksdim(A, random_combos=random_combos)
-    )
+    result, seen = recorded_ksdim(A, random_combos=random_combos)
+    assert rendered(result) == rendered(exhaustive_ksdim(A, random_combos=random_combos))
+    # the odd half runs once, for the certificate of the accepted product,
+    # after its even half decided the test
+    cert = result[1]
+    odd_runs = [monic for monic, parity in seen if parity == 1]
+    if cert.annihilator is None:
+        assert odd_runs == []
+    else:
+        prod = A.vs.one()
+        for y in cert.elements:
+            prod = prod * y
+        prod = A.nf(prod)
+        accepted = prod.scale(inv(prod.lead_term()[1], A.vs.field.char))
+        assert odd_runs == [accepted] and (accepted, 0) in seen
 
 
 @st.composite
@@ -166,8 +181,10 @@ def screened_family(draw):
 @given(screened_family())
 def test_screen_matches_exhaustive_search(A):
     result, tested = recorded_ksdim(A)
-    assume(tested != screenless_walk(A))  # the screen changed the walk
+    even_tested = [monic for monic, parity in tested if parity == 0]
+    assume(even_tested != screenless_walk(A))  # the screen changed the walk
     assert len(set(tested)) == len(tested)
+    assert sum(parity for _, parity in tested) <= 1
     assert rendered(result) == rendered(exhaustive_ksdim(A))
 
 
@@ -185,9 +202,12 @@ def test_no_product_reaches_the_annihilator_twice(n):
     odd = tuple("y%d" % i for i in range(1, n + 1))
     vs = VarSet(("x",), odd, QQ)
     A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in odd])
-    (dim, _), seen = recorded_ksdim(A)
+    (dim, cert), seen = recorded_ksdim(A)
     assert dim == SuperDim(1, 0)
     assert seen and len(set(seen)) == len(seen)
+    # no certificate, so only the even half, which decides the tests, runs
+    assert cert.annihilator is None
+    assert all(parity == 0 for _, parity in seen)
 
 
 def test_failing_set_keeps_its_full_annihilator():
@@ -225,7 +245,7 @@ def odd_products(draw):
 def test_unreduced_kernel_basis_decides_the_verdict(case):
     A, p = case
     bar_a = bar(A)
-    pairs = annihilator_elimination(p, A)
+    pairs = annihilator_elimination(p, A, 0)
     reduced = even_annihilator_image_in_bar(annihilator(p, A), bar_a)
     unreduced = [
         g
@@ -243,3 +263,13 @@ def test_unreduced_kernel_basis_decides_the_verdict(case):
     assert sdim._even_dim_modulo_annihilator(pairs, bar_a) == leading_term_dim(
         SuperAlgebra(bar_a.vs, bar_a.relations + reduced)
     )
+
+
+@SEARCH_SETTINGS
+@given(odd_products())
+def test_each_half_returns_kernel_elements_of_its_parity(case):
+    A, p = case
+    for parity in (0, 1):
+        for (_, (block, lead_mask)), v in annihilator_elimination(p, A, parity):
+            assert block == 1 and lead_mask.bit_count() & 1 == parity
+            assert all(b == 1 and mask.bit_count() & 1 == parity for _, (b, mask) in v)

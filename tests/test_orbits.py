@@ -1,8 +1,20 @@
-"""Orbits of odd unipotent one-parameter actions."""
+"""Orbits of odd unipotent one-parameter actions.
+
+Besides the hand-picked actions on k[x | y], a derandomized property
+suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with relations in the
+even variables only, an odd derivation phi = sum f_i(x) d/dy_i and a
+rational point on the scheme, and checks the paper's statements there:
+every orbit theorem holds, the stabilizer is trivial exactly when some
+f_i is nonzero at the point, and the even part of the orbit ideal is
+the maximal ideal of the point.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superalg.groebner import SuperIdeal, ideal_equal
+from superalg.groebner import SuperAlgebra, SuperIdeal, ideal_equal
+from superalg.oracle import all_monomials
 from superalg.orbits import (
     ActionError,
     OddAction,
@@ -14,8 +26,9 @@ from superalg.orbits import (
     validate_action,
     verify_orbit_theorems,
 )
-from superalg.scalars import QQ
+from superalg.scalars import QQ, Field
 from superalg.sdim import PointIdeal, SuperDim
+from superalg.superpoly import VarSet
 
 from conftest import make_algebra
 
@@ -179,3 +192,50 @@ def test_slopes_on_lambda1_coefficients():
             act.apply(f).evaluate_at_point(pt)
         )
         assert lam.nf(val - expected).is_zero()
+
+
+def draw_even_poly(draw, vs, monos):
+    """A sum of one to three distinct drawn even monomials with drawn
+    nonzero coefficients in [-3, 3]."""
+    f = vs.zero()
+    for exps in draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True)):
+        f = f + vs.monomial(exps, 0, draw(st.integers(-3, 3).filter(bool)))
+    return f
+
+
+@st.composite
+def actions_at_points(draw):
+    """(action, point): k[x1 (, x2) | y1 .. yn], n from 1 to 3, over Q or
+    F_7, a point a with coordinates in [-3, 3], zero to two relations
+    g(x) - g(a) with g of degree 1 or 2, and phi(y_i) = f_i(x) of degree at
+    most 2, each f_i possibly zero.  phi kills every relation and every
+    f_i, so it is a square-zero odd derivation of A."""
+    field = draw(st.sampled_from((QQ, Field(7))))
+    even = ("x1", "x2")[: draw(st.integers(1, 2))]
+    odd = tuple("y%d" % i for i in range(1, draw(st.integers(1, 3)) + 1))
+    vs = VarSet(even, odd, field)
+    point = {x: field.of(draw(st.integers(-3, 3))) for x in even}
+    monos = [e for e, mask in all_monomials(vs, 2) if not mask]
+    rels = []
+    for _ in range(draw(st.integers(0, 2))):
+        g = draw_even_poly(draw, vs, [e for e in monos if sum(e)])
+        rels.append(g - vs.const(g.evaluate_at_point(point)))
+    A = SuperAlgebra(vs, rels)
+    images = {y: draw_even_poly(draw, vs, monos) if draw(st.booleans()) else vs.zero() for y in odd}
+    return OddAction(A, images), PointIdeal(point)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(actions_at_points())
+def test_orbit_theorems_hold_on_drawn_actions(case):
+    act, pt = case
+    vs = act.algebra.vs
+    assert all(ok for ok, _ in validate_action(act).values())
+    res, report = verify_orbit_theorems(act, pt)
+    assert all(report.values()), report
+    moved = any(act.images[y].evaluate_at_point(pt.point) for y in vs.odd)
+    assert res.stabilizer == ("trivial" if moved else "full")
+    # the even part of the orbit ideal is the maximal ideal of the point
+    for x in vs.even:
+        assert res.ideal.contains(vs.gen(x) - vs.const(pt.point[x]))
+    assert not res.ideal.contains(vs.one())
