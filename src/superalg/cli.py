@@ -308,10 +308,7 @@ def _cmd_phi_dim(args, out):
     if missing:
         raise InputError("point is missing values for: %s" % ", ".join(missing))
     pt = sdim.PointIdeal(values)
-    try:
-        d = sdim.phi_dim_at_point(A, pt)
-    except StructureError as e:
-        raise InputError(str(e))
+    d = sdim.phi_dim_at_point(A, pt)
     _emit(
         args,
         {
@@ -329,10 +326,7 @@ def _cmd_localize(args, out):
     field = _field_from_args(args)
     A = _load_manifest(args.file, field).algebra
     a = dsl.parse_poly(args.element, A.vs)
-    try:
-        loc, tname = localize_at_even(A, a)
-    except (ParityError, StructureError) as e:
-        raise InputError(str(e))
+    loc, tname = localize_at_even(A, a)
     rels = [r.render() for r in loc.relations]
     text = "localization: even %s; odd %s; rel %s (inverse variable %s)" % (
         " ".join(loc.vs.even) or "(none)",
@@ -363,11 +357,8 @@ def _cmd_mono_check(args, out):
     src = _load_manifest(args.src, field).algebra
     dst = _load_manifest(args.dst, field).algebra
     raw = dsl.parse_images(args.images, dst.vs)
-    try:
-        phi = Morphism(src, dst, raw)
-        ok = check_mono_necessary(phi)
-    except (ParityError, StructureError) as e:
-        raise InputError(str(e))
+    phi = Morphism(src, dst, raw)
+    ok = check_mono_necessary(phi)
     _emit(
         args,
         {
@@ -493,12 +484,9 @@ def _cmd_orbit(args, out):
 
     field = _field_from_args(args)
     manifest = _load_manifest(args.file, field)
-    try:
-        action = _resolve_action(args, manifest)
-        pt = _resolve_point(args.point, manifest)
-        result = orbits.orbit_ideal(action, pt)
-    except (orbits.ActionError, StructureError, ParityError) as e:
-        raise InputError(str(e))
+    action = _resolve_action(args, manifest)
+    pt = _resolve_point(args.point, manifest)
+    result = orbits.orbit_ideal(action, pt)
     gens = [g.render() for g in result.ideal.generators]
     text = "I = (%s), sdim %s, stabilizer %s" % (
         ", ".join(gens) or "0",
@@ -527,11 +515,8 @@ def _cmd_verify_orbits(args, out):
 
     field = _field_from_args(args)
     manifest = _load_manifest(args.file, field)
-    try:
-        action = _resolve_action(args, manifest)
-        points = [_resolve_point(p, manifest) for p in args.point]
-    except (orbits.ActionError, StructureError, ParityError) as e:
-        raise InputError(str(e))
+    action = _resolve_action(args, manifest)
+    points = [_resolve_point(p, manifest) for p in args.point]
     if not points:
         points = [_resolve_point(name, manifest) for name in sorted(manifest.points)]
     if not points:
@@ -540,10 +525,7 @@ def _cmd_verify_orbits(args, out):
     entries = []
     lines = []
     for pt in points:
-        try:
-            result, report = orbits.verify_orbit_theorems(action, pt)
-        except orbits.ActionError as e:
-            raise InputError(str(e))
+        result, report = orbits.verify_orbit_theorems(action, pt)
         ok = all(report.values())
         all_ok = all_ok and ok
         pt_desc = "; ".join(

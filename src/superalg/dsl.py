@@ -405,60 +405,54 @@ def _parse_name(stream, what):
 def _parse_superalgebra(stream, field):
     stream.expect("superalgebra")
     name = _parse_name(stream, "superalgebra")
-    even = []
-    odd = []
-    rel_sources = []
-    while True:
-        t = stream.peek()
-        if t.text == "end":
-            stream.next()
-            break
-        if t.text == "even":
-            stream.next()
-            while stream.peek().kind == "ident" and not stream.at_keyword():
-                even.append(stream.next().text)
-        elif t.text == "odd":
-            stream.next()
-            while stream.peek().kind == "ident" and not stream.at_keyword():
-                odd.append(stream.next().text)
-        elif t.text == "rel":
-            stream.next()
-            rel_sources.append(stream.i)
-            _skip_expression(stream)
-            while stream.peek().text == ";":
-                stream.next()
-                rel_sources.append(stream.i)
-                _skip_expression(stream)
+    # Relations may use names declared after them, so read the even and odd
+    # names first.
+    names = {"even": [], "odd": []}
+    declaring = None
+    for t in _block_tokens(stream):
+        if t.text in names:
+            declaring = names[t.text]
+        elif declaring is not None and t.kind == "ident" and t.text not in KEYWORDS:
+            declaring.append(t.text)
         else:
-            stream.error("expected even, odd, rel or end")
+            declaring = None
     try:
-        vs = VarSet(tuple(even), tuple(odd), field)
+        vs = VarSet(tuple(names["even"]), tuple(names["odd"]), field)
     except StructureError as e:
         raise ParseError(str(e))
     rels = []
-    for start in rel_sources:
-        sub = TokenStream(stream.tokens)
-        sub.i = start
-        rels.append(PolyParser(sub, vs).parse())
+    while True:
+        t = stream.next()
+        if t.text == "end":
+            break
+        if t.text in names:
+            while stream.peek().kind == "ident" and not stream.at_keyword():
+                stream.next()
+        elif t.text == "rel":
+            rels += _parse_relations(stream, vs)
+        else:
+            raise ParseError("expected even, odd, rel or end", t.line, t.col)
     return SuperAlgebraDecl(name, SuperAlgebra(vs, rels))
 
 
-def _skip_expression(stream):
-    """Advance past one polynomial expression without interpreting it."""
-    depth = 0
-    while True:
-        t = stream.peek()
-        if t.kind == "eof":
-            stream.error("unterminated expression")
-        if depth == 0 and (t.text in (";", ",") or (t.kind == "ident" and t.text in KEYWORDS)):
-            return
-        if t.text in ("(", "["):
-            depth += 1
-        elif t.text in (")", "]"):
-            if depth == 0:
-                return
-            depth -= 1
+def _block_tokens(stream):
+    """The tokens from the current one through the block's first ``end`` (or
+    the end of input).  No expression contains a keyword, so that ``end``
+    closes the block."""
+    tokens = stream.tokens
+    stop = stream.i
+    while tokens[stop].kind != "eof" and tokens[stop].text != "end":
+        stop += 1
+    return tokens[stream.i : stop + 1]
+
+
+def _parse_relations(stream, vs):
+    """The ';'-separated polynomials after a ``rel``."""
+    rels = [PolyParser(stream, vs).parse()]
+    while stream.peek().text == ";":
         stream.next()
+        rels.append(PolyParser(stream, vs).parse())
+    return rels
 
 
 def _parse_derivation(stream, vs):
@@ -608,6 +602,7 @@ def parse_pair_document(text, field=None):
 
     rho rows are ';'-separated, entries ','-separated polynomials in the
     matrix entries g11..gNN and d; bracket blocks give scalar matrices.
+    The directives may come in any order.
     """
     from superalg.hcgroup import EvenGroupSpec, HCPair, group_varset
     from superalg.scalars import QQ
@@ -616,11 +611,17 @@ def parse_pair_document(text, field=None):
     stream = TokenStream(tokenize(text))
     stream.expect("hcpair")
     name = _parse_name(stream, "hcpair")
-    size = None
+    # rel, rho and bracket may come before size, so read size first.
+    block = _block_tokens(stream)
+    sizes = [after for t, after in zip(block, block[1:]) if t.text == "size"]
+    if not sizes:
+        raise ParseError("hcpair needs both size and odd-dim")
+    size = _parse_count(sizes[0], "size", MAX_PAIR_SIZE)
+    vs = group_varset(size, field)
     odd_dim = None
-    rel_starts = []
-    rho_start = None
-    brackets = []  # (i, j, start index)
+    rels = []
+    rho = None
+    brackets = []  # (i, j, token of i, rows)
     given = set()  # the directives seen so far; only rel may repeat
 
     def once(directive, at):
@@ -629,69 +630,46 @@ def parse_pair_document(text, field=None):
         given.add(directive)
 
     while True:
-        t = stream.peek()
+        t = stream.next()
         if t.text == "end":
-            stream.next()
             break
         if t.text == "size":
             once("size", t)
             stream.next()
-            size = _parse_count(stream, "size", MAX_PAIR_SIZE)
         elif t.text in ("odd", "odddim"):
             once("odd-dim", t)
-            stream.next()
             # "odd-dim" tokenizes as odd, -, dim
             if t.text == "odd":
                 stream.expect("-")
                 stream.expect("dim")
-            odd_dim = _parse_count(stream, "odd-dim")
+            odd_dim = _parse_count(stream.next(), "odd-dim")
         elif t.text == "rel":
-            stream.next()
-            rel_starts.append(stream.i)
-            _skip_expression(stream)
-            while stream.peek().text == ";":
-                stream.next()
-                rel_starts.append(stream.i)
-                _skip_expression(stream)
+            rels += _parse_relations(stream, vs)
         elif t.text == "rho":
             once("rho", t)
-            stream.next()
-            rho_start = stream.i
-            _skip_matrix(stream)
+            rho = _parse_matrix(stream, vs)
         elif t.text == "bracket":
-            stream.next()
             at = stream.peek()
-            i = _parse_count(stream, "bracket index")
-            j = _parse_count(stream, "bracket index")
+            i = _parse_count(stream.next(), "bracket index")
+            j = _parse_count(stream.next(), "bracket index")
             once("bracket %d %d" % (min(i, j), max(i, j)), t)
             stream.expect(":")
-            brackets.append((i, j, stream.i, at))
-            _skip_matrix(stream)
+            brackets.append((i, j, at, _parse_matrix(stream, vs)))
         else:
-            stream.error("expected size, odd-dim, rel, rho, bracket or end")
-    if size is None or odd_dim is None:
+            raise ParseError("expected size, odd-dim, rel, rho, bracket or end", t.line, t.col)
+    if stream.peek().kind != "eof":
+        stream.error("expected end of input after the hcpair block")
+    if odd_dim is None:
         raise ParseError("hcpair needs both size and odd-dim")
-    vs = group_varset(size, field)
-    rels = []
-    for start in rel_starts:
-        sub = TokenStream(stream.tokens)
-        sub.i = start
-        rels.append(PolyParser(sub, vs).parse())
     group = EvenGroupSpec(size, rels, field=field)
-    if rho_start is None:
+    if rho is None:
         raise ParseError("hcpair needs a rho block")
-    sub = TokenStream(stream.tokens)
-    sub.i = rho_start
-    rho = _parse_matrix(sub, vs)
     if len(rho) != odd_dim or any(len(r) != odd_dim for r in rho):
         raise ParseError("rho must be a %d x %d matrix" % (odd_dim, odd_dim))
     bracket = {}
-    for i, j, start, at in brackets:
+    for i, j, at, rows in brackets:
         if max(i, j) > odd_dim:
             raise ParseError("bracket index beyond odd-dim %d" % odd_dim, at.line, at.col)
-        sub = TokenStream(stream.tokens)
-        sub.i = start
-        rows = _parse_matrix(sub, vs)
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ParseError("bracket %d %d must be a %d x %d matrix" % (i, j, size, size))
         scalar_rows = []
@@ -712,25 +690,15 @@ def parse_pair_document(text, field=None):
 MAX_PAIR_SIZE = 4
 
 
-def _parse_count(stream, what, most=None):
-    """The next token as a positive integer, at most ``most`` when given;
+def _parse_count(t, what, most=None):
+    """The token as a positive integer, at most ``most`` when given;
     anything else is a ParseError."""
-    t = stream.next()
     n = int(t.text) if t.kind == "int" else 0
     if n < 1 or (most is not None and n > most):
         limit = "" if most is None else " up to %d" % most
         message = "%s must be a positive integer%s, found %r" % (what, limit, t.text or "end of input")
         raise ParseError(message, t.line, t.col)
     return n
-
-
-def _skip_matrix(stream):
-    while True:
-        _skip_expression(stream)
-        if stream.peek().text in (",", ";"):
-            stream.next()
-            continue
-        return
 
 
 def _parse_matrix(stream, vs):

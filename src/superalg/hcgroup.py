@@ -257,25 +257,6 @@ class EvenGroupSpec:
         return True
 
 
-def matrix_exp(algebra, Nmat, cap=16):
-    """exp of a matrix with nilpotent entries; terminates when the powers
-    vanish."""
-    n = len(Nmat)
-    out = identity_matrix(n, algebra.vs.one())
-    power = identity_matrix(n, algebra.vs.one())
-    fact = 1
-    for k in range(1, cap + 1):
-        power = [[algebra.nf(e) for e in row] for row in mat_mul(power, Nmat)]
-        if all(e.is_zero() for row in power for e in row):
-            return [[algebra.nf(e) for e in row] for row in out]
-        fact *= k
-        out = [
-            [out[i][j] + power[i][j].scale(Fraction(1, fact)) for j in range(n)]
-            for i in range(n)
-        ]
-    raise HCError("matrix is not nilpotent")
-
-
 def lambda_algebra(odd_names, field=None):
     return SuperAlgebra(VarSet((), tuple(odd_names), field or QQ), [])
 

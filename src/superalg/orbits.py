@@ -21,7 +21,7 @@ from superalg.scalars import inv
 from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 
-class ActionError(ValueError):
+class ActionError(StructureError):
     pass
 
 
@@ -217,7 +217,6 @@ def orbit_ideal(action, pt, pivot=None):
             if i == pivot:
                 continue
             odd_gens.append(w - wj.scale(lam * inv(lamj, vs.field.char)))
-        odd_gens.extend(g * wj for g in m_gens)
         ideal = SuperIdeal(A, _minimalize_gens(A, m_gens + odd_gens))
         result = OrbitResult(
             point=dict(pt.point),

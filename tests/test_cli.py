@@ -234,11 +234,41 @@ def test_malformed_or_repeated_pair_directives_exit_2(tmp_path, capsys):
             "  bracket 1 1: 0, 0; 0, 0\nend\n",
             "line 6, column 3",
         ),
+        (
+            "hcpair p\n  size 2\n  odd-dim 1\n  rel g11 - 1; g22 - 1; g21\n  rho 1\n"
+            "  brackt 1 1: 0, 2; 0, 0\nend\n",
+            "line 6, column 3: expected size, odd-dim, rel, rho, bracket or end",
+        ),
     ):
         pair.write_text(text)
         code, out = run(["hc", "graded", str(pair)])
         assert code == 2 and out == ""
         assert where in capsys.readouterr().err
+
+
+# One input per command whose error the library raises (StructureError,
+# ParityError or ActionError); run_command reports each on one line.
+LIBRARY_ERRORS = [
+    (["phi-dim", "x2-y1y2.salg", "--point", "x = 1"], "point does not satisfy relation x^2 - y1y2"),
+    (["localize", "xy.salg", "--element", "y"], "can only localize at an even element"),
+    (["mono-check", "xy.salg", "xy.salg", "--images", "x -> y; y -> x"], "image of x has wrong parity"),
+    (
+        ["orbit", "xy.salg", "--derivation", "x -> x", "--point", "x = 0"],
+        "parity check failed: image of x has wrong parity: x",
+    ),
+    (
+        ["verify-orbits", "x2-y1y2.salg", "--derivation", "y1 -> x", "--point", "x = 1"],
+        "ideal_stable check failed: phi(x^2 - y1y2) = -x*y2 is not in the ideal",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", LIBRARY_ERRORS, ids=[argv[0] for argv, _ in LIBRARY_ERRORS])
+def test_library_errors_exit_2_with_their_message(argv, message, capsys):
+    argv = [data(a) if a.endswith(".salg") else a for a in argv]
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_finite_field_flag():

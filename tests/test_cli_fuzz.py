@@ -5,7 +5,9 @@ Each example edits a shipped ``data/*.salg`` document once or twice
 dropping or repeating a line), picks a subcommand other than ``hc`` and
 ``selftest`` (neither reads a ``.salg`` document) with arguments built
 from the document's generators or drawn from a pool of malformed ones,
-and runs it over Q or F_7.  ``run_command`` must return 0,
+and runs it over Q or F_7.  Pair examples edit a shipped ``data/*.shc``
+document the same way (or move a line) and run ``hc validate``, ``sdim``
+or ``graded`` on it.  ``run_command`` must return 0,
 1 or 2, raise nothing, and explain every exit 2 on stderr.  All examples
 go through the one argument parser that ``run_command`` builds per process.
 """
@@ -21,8 +23,9 @@ from superalg.cli import run_command
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 DOCUMENTS = sorted(name for name in os.listdir(DATA) if name.endswith(".salg"))
+PAIRS = sorted(name for name in os.listdir(DATA) if name.endswith(".shc"))
 TEXTS = {}
-for _name in DOCUMENTS:
+for _name in DOCUMENTS + PAIRS:
     with open(os.path.join(DATA, _name), encoding="utf-8") as _fh:
         TEXTS[_name] = _fh.read()
 
@@ -32,6 +35,12 @@ PIECES = (
     "x", "y", "x1", "y1", "y2", "z", "*", "+", "-", "^", "(", ")", ";", ",",
     "/", "0", "2", "7", "1/2", "5/7", "1/0", "rel", "even", "odd", "end",
     "derivation", "point", "->", "=", "#", "\n", " ", "@",
+)  # fmt: skip
+PAIR_PIECES = (
+    "g11", "g12", "g21", "g22", "d", "x", "*", "+", "-", "^", "(", ")", ";",
+    ",", ":", "/", "0", "1", "2", "3", "5", "1/2", "1/0", "5/7", "size",
+    "odd-dim", "odd", "rel", "rho", "bracket", "end", "hcpair", "#", "\n",
+    " ", "@",
 )  # fmt: skip
 SCALARS = ("0", "1", "2", "-1", "1/2")
 HOSTILE = ("5/7", "1/0")  # no value in F_7; no value at all
@@ -85,15 +94,36 @@ def documents(draw):
             # into the superalgebra block, unless an earlier edit broke its header
             at = next((k + 1 for k, ln in enumerate(lines) if ln.startswith("superalgebra")), i)
             lines.insert(at, "  rel " + draw(polys(even + odd)))
-        elif edit == "insert":
-            at = draw(st.integers(0, len(line)))
-            lines[i] = line[:at] + draw(st.sampled_from(PIECES)) + line[at:]
-        elif edit == "delete":
-            at = draw(st.integers(0, len(line)))
-            lines[i] = line[:at] + line[at + draw(st.integers(1, 3)) :]
         else:
-            lines[i : i + 1] = [] if edit == "drop-line" else [line, line]
+            edit_line(draw, lines, edit, i, PIECES)
     return "\n".join(lines), even, odd
+
+
+def edit_line(draw, lines, edit, i, pieces):
+    """Edit lines[i] in place: insert a piece, delete one to three
+    characters, or drop, repeat or move the line."""
+    line = lines[i]
+    if edit == "insert":
+        at = draw(st.integers(0, len(line)))
+        lines[i] = line[:at] + draw(st.sampled_from(pieces)) + line[at:]
+    elif edit == "delete":
+        at = draw(st.integers(0, len(line)))
+        lines[i] = line[:at] + line[at + draw(st.integers(1, 3)) :]
+    elif edit == "move-line":
+        del lines[i]
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    else:
+        lines[i : i + 1] = [] if edit == "drop-line" else [line, line]
+
+
+@st.composite
+def pair_documents(draw):
+    """A shipped pair document with one or two random edits."""
+    lines = TEXTS[draw(st.sampled_from(PAIRS))].split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(("insert", "insert", "delete", "drop-line", "repeat-line", "move-line")))
+        edit_line(draw, lines, edit, draw(st.sampled_from(range(len(lines)))), PAIR_PIECES)
+    return "\n".join(lines)
 
 
 @st.composite
@@ -137,7 +167,24 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, data):
     text, even, odd = data.draw(documents())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    argv = data.draw(invocations(path, even, odd))
+    keeps_the_contract(data.draw(invocations(path, even, odd)))
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_mutated_pair_documents_keep_the_exit_code_contract(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.shc")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(data.draw(pair_documents()))
+    argv = ["hc", data.draw(st.sampled_from(("validate", "sdim", "graded"))), path]
+    if data.draw(st.booleans()):
+        argv += ["--field", "fp", "7"]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    keeps_the_contract(argv)
+
+
+def keeps_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run_command(argv, out=out)

@@ -122,23 +122,50 @@ def test_inline_fragments(vs):
         parse_assignments("y1 = 1", vs)  # odd generator cannot take a value
 
 
-def test_pair_document_odd_dim_spelling_and_repeated_directives():
-    def error_at(text):
-        with pytest.raises(ParseError) as e:
-            parse_pair_document(text)
-        return e.value.line, e.value.col
+def error_at(parse, text):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    return e.value.line, e.value.col
 
+
+def test_pair_document_odd_dim_spelling_and_repeated_directives():
     # odd must be followed by -dim
     assert parse_pair_document("hcpair p\n  size 2\n  odd-dim 1\n  rho 1\nend\n").name == "p"
-    assert error_at("hcpair p\n  size 2\n  odd 1\n  rho 1\nend\n") == (3, 7)
-    assert error_at("hcpair p\n  size 2\n  odd - 1\n  rho 1\nend\n") == (3, 9)
+    assert error_at(parse_pair_document, "hcpair p\n  size 2\n  odd 1\n  rho 1\nend\n") == (3, 7)
+    assert error_at(parse_pair_document, "hcpair p\n  size 2\n  odd - 1\n  rho 1\nend\n") == (3, 9)
     # size, odd-dim, rho and each bracket may be given once
     body = "  size 2\n  odd-dim 1\n  rho 1\n  bracket 1 1: 0, 2; 0, 0\n"
     assert parse_pair_document("hcpair p\n%send\n" % body).name == "p"
     for extra in ("size 2", "odd-dim 1", "rho 1", "bracket 1 1: 0, 0; 0, 0"):
-        assert error_at("hcpair p\n%s  %s\nend\n" % (body, extra)) == (6, 3), extra
+        assert error_at(parse_pair_document, "hcpair p\n%s  %s\nend\n" % (body, extra)) == (6, 3), extra
     # a bracket is symmetric, so 2 1 repeats 1 2; rel may repeat
     two = "  size 2\n  odd-dim 2\n  rho 1, 0; 0, 1\n  rel g21\n  rel g12\n"
     once = "hcpair p\n%s  bracket 1 2: 0, 0; 0, 0\n" % two
     assert parse_pair_document(once + "end\n")
-    assert error_at(once + "  bracket 2 1: 0, 0; 0, 0\nend\n") == (8, 3)
+    assert error_at(parse_pair_document, once + "  bracket 2 1: 0, 0; 0, 0\nend\n") == (8, 3)
+
+
+def test_a_token_that_continues_no_expression_is_an_error():
+    salg = "superalgebra A\n  even x\n  odd y\n  rel %s\nend\n"
+    assert error_at(parse_document, salg % "x y") == (4, 9)
+    assert error_at(parse_document, salg % "x*y 3") == (4, 11)
+    assert error_at(parse_document, salg % "x*y\n  rell x") == (5, 3)
+    shc = "hcpair p\n  size 2\n  odd-dim 1\n  rho %s\nend\n"
+    assert error_at(parse_pair_document, shc % "1 g12") == (4, 9)
+    assert error_at(parse_pair_document, shc % "1\n  bracket 1 1: 0, 2 1; 0, 0") == (5, 21)
+    assert error_at(parse_pair_document, shc % "1\n  brackt 1 1: 0, 2; 0, 0") == (5, 3)
+    assert error_at(parse_pair_document, shc % "1\nend\n  bracket 1 1: 0, 2; 0, 0") == (6, 3)
+
+
+def test_declarations_may_follow_their_use():
+    canonical = parse_document("superalgebra A\n  even x\n  odd y1 y2\n  rel x*y1y2; x^2 - y1*y2\nend\n")
+    late = parse_document("superalgebra A\n  rel x*y1y2\n  odd y1\n  even x\n  rel x^2 - y1*y2\n  odd y2\nend\n")
+    assert late.render() == canonical.render()
+    body = ("  size 2", "  odd-dim 1", "  rel g11 - 1; g22 - 1; g21", "  rho g11", "  bracket 1 1: 0, 2; 0, 0")
+
+    def pair(order):
+        p = parse_pair_document("hcpair p\n%s\nend\n" % "\n".join(body[k] for k in order))
+        g = p.group
+        return g.N, g.defining, p.t, p.rho, p.bracket
+
+    assert pair((2, 3, 4, 1, 0)) == pair((0, 1, 2, 3, 4))

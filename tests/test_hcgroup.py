@@ -26,7 +26,6 @@ from superalg.hcgroup import (
     lambda_algebra,
     mat_inverse,
     mat_mul,
-    matrix_exp,
     normalize_word,
     sdim_of_pair,
     unipotent_matrix_model,
@@ -109,6 +108,25 @@ def test_lie_algebras(pairs):
     # sl2 consists of trace-zero matrices
     for x in sl2:
         assert x[0][0] + x[1][1] == QQ.zero
+
+
+def matrix_exp(algebra, Nmat, cap=16):
+    """exp of a matrix with nilpotent entries; terminates when the powers
+    vanish."""
+    n = len(Nmat)
+    out = identity_matrix(n, algebra.vs.one())
+    power = identity_matrix(n, algebra.vs.one())
+    fact = 1
+    for k in range(1, cap + 1):
+        power = [[algebra.nf(e) for e in row] for row in mat_mul(power, Nmat)]
+        if all(e.is_zero() for row in power for e in row):
+            return [[algebra.nf(e) for e in row] for row in out]
+        fact *= k
+        out = [
+            [out[i][j] + power[i][j].scale(Fraction(1, fact)) for j in range(n)]
+            for i in range(n)
+        ]
+    raise HCError("matrix is not nilpotent")
 
 
 def check_closure_randomized(group, seed, trials):

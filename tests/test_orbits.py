@@ -239,3 +239,42 @@ def test_orbit_theorems_hold_on_drawn_actions(case):
     for x in vs.even:
         assert res.ideal.contains(vs.gen(x) - vs.const(pt.point[x]))
     assert not res.ideal.contains(vs.one())
+
+
+# Stabilizer and generators of the orbit ideal on k[x1, x2 | y1 .. yn]/(x1^2 -
+# x2 - 2) with phi(y_i) = x1 + i at the point (a, a^2 - 2), keyed (n, p, a).
+# They were recorded with the products g*w_j of the point's even generators
+# and the pivot's odd generator among the candidates; those products lie in
+# the ideal the other generators make, so leaving them out changes nothing.
+PARABOLA_ORBITS = {
+    (1, 0, -1): ("full", ["x1 + 1", "x2 + 1", "y1"]),
+    (1, 0, 1): ("trivial", ["x1 - 1"]),
+    (1, 0, 2): ("trivial", ["x1 - 2"]),
+    (1, 7, -1): ("full", ["x1 + 1", "x2 + 1", "y1"]),
+    (1, 7, 1): ("trivial", ["x1 + 6"]),
+    (1, 7, 2): ("trivial", ["x1 + 5"]),
+    (2, 0, -1): ("trivial", ["x1 + 1", "y1"]),
+    (2, 0, 1): ("trivial", ["x1 - 1", "y2 - 3/2*y1"]),
+    (2, 0, 2): ("trivial", ["x1 - 2", "y2 - 4/3*y1"]),
+    (2, 7, -1): ("trivial", ["x1 + 1", "y1"]),
+    (2, 7, 1): ("trivial", ["x1 + 6", "y2 + 2*y1"]),
+    (2, 7, 2): ("trivial", ["x1 + 5", "y2 + y1"]),
+    (3, 0, -1): ("trivial", ["x1 + 1", "y1", "y3 - 2*y2"]),
+    (3, 0, 1): ("trivial", ["x1 - 1", "y2 - 3/2*y1", "y3 - 2*y1"]),
+    (3, 0, 2): ("trivial", ["x1 - 2", "y2 - 4/3*y1", "y3 - 5/3*y1"]),
+    (3, 7, -1): ("trivial", ["x1 + 1", "y1", "y3 + 5*y2"]),
+    (3, 7, 1): ("trivial", ["x1 + 6", "y2 + 2*y1", "y3 + 5*y1"]),
+    (3, 7, 2): ("trivial", ["x1 + 5", "y2 + y1", "y3 + 3*y1"]),
+}
+
+
+@pytest.mark.parametrize("n, p, a", sorted(PARABOLA_ORBITS))
+def test_orbit_generators_on_the_parabola_family(n, p, a):
+    field = Field(p) if p else QQ
+    vs = VarSet(("x1", "x2"), tuple("y%d" % i for i in range(1, n + 1)), field)
+    x1, x2 = vs.gen("x1"), vs.gen("x2")
+    A = SuperAlgebra(vs, [x1 * x1 - x2 - vs.const(2)])
+    act = OddAction(A, {y: x1 + vs.const(i) for i, y in enumerate(vs.odd, 1)})
+    res, report = verify_orbit_theorems(act, PointIdeal({"x1": field.of(a), "x2": field.of(a * a - 2)}))
+    assert all(report.values()), report
+    assert (res.stabilizer, [g.render() for g in res.ideal.generators]) == PARABOLA_ORBITS[(n, p, a)]
