@@ -28,8 +28,6 @@ import sys
 from superalg import dsl, sdim
 from superalg.groebner import (
     Morphism,
-    SuperAlgebra,
-    SuperIdeal,
     annihilator,
     check_mono_necessary,
     localize_at_even,

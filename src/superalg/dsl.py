@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from superalg.groebner import SuperAlgebra
-from superalg.superpoly import StructureError, SuperPoly, VarSet
+from superalg.superpoly import StructureError, VarSet
 
 
 class ParseError(ValueError):
@@ -169,7 +169,6 @@ def resolve_name(vs, name, tok=None):
 class PolyParser:
     """Recursive-descent parser for `3*x^2*y1y2 - 1/2*y1 + (x - 1)^3`."""
 
-    STOPPERS = {";", ",", ")", "]", "end", "rel", "even", "odd", "rho", "bracket", ""}
     # Each parenthesis costs four Python frames and each unary sign two, so
     # this keeps any expression well inside the interpreter's recursion
     # limit; deeper input is a parse error, not a crash.
@@ -409,17 +408,22 @@ def _parse_superalgebra(stream, field):
     # names first.
     names = {"even": [], "odd": []}
     declaring = None
+    seen = set()
+    repeat = None  # the first token that repeats a name
     for t in _block_tokens(stream):
         if t.text in names:
             declaring = names[t.text]
         elif declaring is not None and t.kind == "ident" and t.text not in KEYWORDS:
             declaring.append(t.text)
+            if t.text in seen and repeat is None:
+                repeat = t
+            seen.add(t.text)
         else:
             declaring = None
     try:
         vs = VarSet(tuple(names["even"]), tuple(names["odd"]), field)
     except StructureError as e:
-        raise ParseError(str(e))
+        raise ParseError(str(e), repeat and repeat.line, repeat and repeat.col)
     rels = []
     while True:
         t = stream.next()
@@ -609,19 +613,19 @@ def parse_pair_document(text, field=None):
 
     field = field or QQ
     stream = TokenStream(tokenize(text))
-    stream.expect("hcpair")
+    head = stream.expect("hcpair")
     name = _parse_name(stream, "hcpair")
     # rel, rho and bracket may come before size, so read size first.
     block = _block_tokens(stream)
     sizes = [after for t, after in zip(block, block[1:]) if t.text == "size"]
     if not sizes:
-        raise ParseError("hcpair needs both size and odd-dim")
+        raise ParseError("hcpair needs both size and odd-dim", head.line, head.col)
     size = _parse_count(sizes[0], "size", MAX_PAIR_SIZE)
     vs = group_varset(size, field)
     odd_dim = None
     rels = []
     rho = None
-    brackets = []  # (i, j, token of i, rows)
+    brackets = []  # (i, j, bracket token, token of i, rows)
     given = set()  # the directives seen so far; only rel may repeat
 
     def once(directive, at):
@@ -647,31 +651,33 @@ def parse_pair_document(text, field=None):
             rels += _parse_relations(stream, vs)
         elif t.text == "rho":
             once("rho", t)
-            rho = _parse_matrix(stream, vs)
+            rho_at, rho = t, _parse_matrix(stream, vs)
         elif t.text == "bracket":
             at = stream.peek()
             i = _parse_count(stream.next(), "bracket index")
             j = _parse_count(stream.next(), "bracket index")
             once("bracket %d %d" % (min(i, j), max(i, j)), t)
             stream.expect(":")
-            brackets.append((i, j, at, _parse_matrix(stream, vs)))
+            brackets.append((i, j, t, at, _parse_matrix(stream, vs)))
         else:
             raise ParseError("expected size, odd-dim, rel, rho, bracket or end", t.line, t.col)
     if stream.peek().kind != "eof":
         stream.error("expected end of input after the hcpair block")
     if odd_dim is None:
-        raise ParseError("hcpair needs both size and odd-dim")
+        raise ParseError("hcpair needs both size and odd-dim", head.line, head.col)
     group = EvenGroupSpec(size, rels, field=field)
     if rho is None:
-        raise ParseError("hcpair needs a rho block")
+        raise ParseError("hcpair needs a rho block", head.line, head.col)
     if len(rho) != odd_dim or any(len(r) != odd_dim for r in rho):
-        raise ParseError("rho must be a %d x %d matrix" % (odd_dim, odd_dim))
+        message = "rho must be a %d x %d matrix" % (odd_dim, odd_dim)
+        raise ParseError(message, rho_at.line, rho_at.col)
     bracket = {}
-    for i, j, at, rows in brackets:
+    for i, j, directive, at, rows in brackets:
         if max(i, j) > odd_dim:
             raise ParseError("bracket index beyond odd-dim %d" % odd_dim, at.line, at.col)
         if len(rows) != size or any(len(r) != size for r in rows):
-            raise ParseError("bracket %d %d must be a %d x %d matrix" % (i, j, size, size))
+            message = "bracket %d %d must be a %d x %d matrix" % (i, j, size, size)
+            raise ParseError(message, directive.line, directive.col)
         scalar_rows = []
         for row in rows:
             srow = []

@@ -178,22 +178,21 @@ class EvenGroupSpec:
         self.det = mat_det(gen_matrix)
         self.unit_relation = self.vs.gen("d") * self.det - self.vs.one()
         self.algebra = SuperAlgebra(self.vs, self.defining + [self.unit_relation])
-        self._check_identity()
-        self._lie = None
-
-    def identity_point(self):
-        pt = {}
-        for i in range(self.N):
-            for j in range(self.N):
-                pt["g%d%d" % (i + 1, j + 1)] = 1 if i == j else 0
-        pt["d"] = 1
-        return pt
-
-    def _check_identity(self):
         pt = self.identity_point()
         for f in self.defining:
             if f.evaluate_at_point(pt):
                 raise HCError("identity matrix does not satisfy %s" % f)
+        self._lie = None
+
+    def identity_point(self):
+        pt = {"g%d%d" % (i + 1, j + 1): int(i == j) for i in range(self.N) for j in range(self.N)}
+        pt["d"] = 1
+        return pt
+
+    def generic_inverse(self):
+        """d * adj(G): the inverse of the generic point G in ``algebra``."""
+        d = self.vs.gen("d")
+        return [[e * d for e in row] for row in mat_adjugate(self.gen_matrix)]
 
     def lie_basis(self):
         """Kernel of the Jacobian of the defining equations at the
@@ -266,6 +265,8 @@ def lambda_algebra(odd_names, field=None):
 
 
 class HCPair:
+    closed = False  # proven that products of members are members
+
     def __init__(self, group, t, rho, bracket, name=""):
         """rho: t x t matrix of polynomials over the group coordinates;
         bracket: dict {(i, j): N x N scalar matrix} for i <= j."""
@@ -273,16 +274,10 @@ class HCPair:
         self.t = t
         self.rho = rho
         self.name = name
-        self.bracket = {}
-        for i in range(t):
-            for j in range(t):
-                key = (min(i, j), max(i, j))
-                if key in bracket:
-                    self.bracket[(i, j)] = bracket[key]
-                else:
-                    self.bracket[(i, j)] = [
-                        [group.field.zero] * group.N for _ in range(group.N)
-                    ]
+        zero = [[group.field.zero] * group.N for _ in range(group.N)]
+        self.bracket = {
+            (i, j): bracket.get((min(i, j), max(i, j)), zero) for i in range(t) for j in range(t)
+        }
         self._drho_cache = {}
         self._rho_at_cache = {}
         self._identity_action = None
@@ -344,14 +339,10 @@ class HCPair:
         key = (algebra.key, _matrix_key(M))
         if key in self._rho_at_cache:
             return self._rho_at_cache[key]
-        return _remember(self._rho_at_cache, key, self._rho_at(algebra, M))
-
-    def _rho_at(self, algebra, M):
         images = self.group.point_images(algebra, M, [p for row in self.rho for p in row])
-        return [
-            [algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
-            for row in self.rho
-        ]
+        out = [[algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
+               for row in self.rho]
+        return _remember(self._rho_at_cache, key, out)
 
     def bracket_matrix(self, i, j):
         return self.bracket[(min(i, j), max(i, j))]
@@ -366,82 +357,55 @@ def validate_hc_pair(pair):
     N = group.N
 
     # identity action
-    pt = group.identity_point()
-    ok = True
-    wit = None
-    for r in range(t):
-        for c in range(t):
-            want = 1 if r == c else 0
-            got = pair.rho[r][c].evaluate_at_point(pt)
-            if got != vs.field.of(want):
+    ok, wit = True, None
+    for r, row in enumerate(pair.identity_action()):
+        for c, got in enumerate(row):
+            if got != vs.field.of(int(r == c)):
                 ok, wit = False, "rho[%d][%d](identity) = %s" % (r, c, got)
     report["action_identity"] = (ok, wit)
 
     # action is multiplicative, symbolically over two generic group points
-    report["action_homomorphism"] = _check_rho_multiplicative(pair)
+    two = _two_point_algebra(group)
+    report["action_homomorphism"] = _check_rho_multiplicative(pair, two)
 
     # bracket symmetry (by construction of storage, verify the input shape)
-    ok = True
-    wit = None
+    ok, wit = True, None
     for i in range(t):
         for j in range(t):
             if pair.bracket_matrix(i, j) != pair.bracket_matrix(j, i):
                 ok, wit = False, "bracket[%d][%d] != bracket[%d][%d]" % (i, j, j, i)
     report["bracket_symmetric"] = (ok, wit)
 
-    # bracket values lie in the Lie algebra
-    lie = Echelon(int, group.field.char)
-    for x in group.lie_basis():
-        lie.insert(_entries(x))
-    ok = True
-    wit = None
-    for i in range(t):
-        for j in range(i, t):
-            if lie.reduce(_entries(pair.bracket_matrix(i, j))):
-                ok, wit = False, "bracket[%d][%d] outside the Lie algebra" % (i, j)
-    report["bracket_in_lie"] = (ok, wit)
+    report["group_closed"], report["bracket_in_lie"] = _closure_proof(pair, two)
+    pair.closed = report["group_closed"][0] and report["bracket_in_lie"][0]
 
     # equivariance: conjugation transport of the bracket equals the
     # action transport, modulo the defining ideal with generic entries
-    galg = group.algebra
-    G = group.gen_matrix
-    adjG = mat_adjugate(G)
-    dvar = vs.gen("d")
-    ok = True
-    wit = None
+    G, Ginv = group.gen_matrix, group.generic_inverse()
+    ok, wit = True, None
     for i in range(t):
         for j in range(i, t):
-            B = pair.bracket_matrix(i, j)
-            Bpoly = [[vs.const(c) for c in row] for row in B]
-            lhs = mat_mul(mat_mul(G, Bpoly), adjG)
-            lhs = [[e * dvar for e in row] for row in lhs]
-            rhs = [[vs.zero() for _ in range(N)] for _ in range(N)]
+            B = [[vs.const(c) for c in row] for row in pair.bracket_matrix(i, j)]
+            lhs = mat_mul(mat_mul(G, B), Ginv)
+            rhs = [[vs.zero()] * N for _ in range(N)]
             for k in range(t):
                 for l in range(t):
                     coeff = pair.rho[k][i] * pair.rho[l][j]
-                    Bkl = pair.bracket_matrix(k, l)
-                    for r in range(N):
-                        for c in range(N):
-                            if Bkl[r][c]:
-                                rhs[r][c] = rhs[r][c] + coeff.scale(Bkl[r][c])
+                    for r, row in enumerate(pair.bracket_matrix(k, l)):
+                        for c, x in enumerate(row):
+                            if x:
+                                rhs[r][c] = rhs[r][c] + coeff.scale(x)
             for r in range(N):
                 for c in range(N):
-                    diff = galg.nf(lhs[r][c] - rhs[r][c])
+                    diff = group.algebra.nf(lhs[r][c] - rhs[r][c])
                     if diff:
-                        ok, wit = False, "bracket[%d][%d] entry (%d,%d): %s" % (
-                            i,
-                            j,
-                            r,
-                            c,
-                            diff,
-                        )
+                        ok, wit = False, "bracket[%d][%d] entry (%d,%d): %s" % (i, j, r, c, diff)
     report["bracket_equivariant"] = (ok, wit)
 
     # cubic identity with indeterminate coefficients
     tvs = VarSet(tuple("t%d" % (i + 1) for i in range(t)), (), group.field)
     tgens = [tvs.gen("t%d" % (i + 1)) for i in range(t)]
-    ok = True
-    wit = None
+    ok, wit = True, None
     for l in range(t):
         acc = tvs.zero()
         for i in range(t):
@@ -463,34 +427,57 @@ def _entries(mat):
     return {i * n + j: c for i, row in enumerate(mat) for j, c in enumerate(row) if c}
 
 
-def _check_rho_multiplicative(pair):
-    group = pair.group
-    N = group.N
-    field = group.field
-    names1 = tuple("g%d%d" % (i + 1, j + 1) for i in range(N) for j in range(N)) + ("d",)
-    names2 = tuple("h%d%d" % (i + 1, j + 1) for i in range(N) for j in range(N)) + ("e",)
-    vs2 = VarSet(names1 + names2, (), field)
+def _two_point_algebra(group):
+    """k[g, d, h, e]/(I(g, d) + I(h, e)), the substitutions of its generic
+    points G and H for g, d, and the images of g, d at G*H."""
+    names1 = group.vs.even  # g11, ..., gNN, d
+    names2 = tuple("h" + n[1:] for n in names1[:-1]) + ("e",)
+    vs2 = VarSet(names1 + names2, (), group.field)
     sub1 = {n: vs2.gen(n) for n in names1}
-    sub2 = dict(zip(names1, (vs2.gen(n) for n in names2)))
-    rels = [f.substitute(sub1, vs2) for f in group.defining + [group.unit_relation]]
-    rels += [f.substitute(sub2, vs2) for f in group.defining + [group.unit_relation]]
-    alg2 = SuperAlgebra(vs2, rels)
-    G = [[vs2.gen("g%d%d" % (i + 1, j + 1)) for j in range(N)] for i in range(N)]
-    H = [[vs2.gen("h%d%d" % (i + 1, j + 1)) for j in range(N)] for i in range(N)]
-    GH = mat_mul(G, H)
-    prod_images = {}
-    for i in range(N):
-        for j in range(N):
-            prod_images["g%d%d" % (i + 1, j + 1)] = GH[i][j]
-    prod_images["d"] = vs2.gen("d") * vs2.gen("e")
+    sub2 = dict(zip(names1, map(vs2.gen, names2)))
+    rels = group.defining + [group.unit_relation]
+    rels = [f.substitute(sub1, vs2) for f in rels] + [f.substitute(sub2, vs2) for f in rels]
+    G = [[f.substitute(sub1, vs2) for f in row] for row in group.gen_matrix]
+    H = [[f.substitute(sub2, vs2) for f in row] for row in group.gen_matrix]
+    GH = [e for row in mat_mul(G, H) for e in row] + [sub1["d"] * sub2["d"]]
+    return SuperAlgebra(vs2, rels), sub1, sub2, dict(zip(names1, GH))
+
+
+def _closure_proof(pair, two):
+    """(ok, witness) for ``group_closed`` and ``bracket_in_lie``, which prove
+    over every coefficient algebra that a product of members is a member:
+    each defining f vanishes at G*H (d -> d*e) in the two-point algebra and
+    at d*adj(G) (d -> det G) in the group's, and each correction I + b*x of
+    ``hc_mul`` and ``hc_inv`` has b^2 = 0, so f(I + b*x) = b*Df_I(x)."""
+    group = pair.group
+    alg2, _, _, prod_images = two
+    inverse = [e for row in group.generic_inverse() for e in row] + [group.det]
+    inverse = dict(zip(group.vs.even, inverse))
+    laws = (("product", alg2, prod_images), ("inverse", group.algebra, inverse))
+    closed = (True, None)
+    for f in group.defining:
+        for law, alg, images in laws:
+            if closed[0] and alg.nf(f.substitute(images, alg.vs)):
+                closed = (False, "the %s breaks %s" % (law, f))
+    lie = Echelon(int, group.field.char)
+    for x in group.lie_basis():
+        lie.insert(_entries(x))
+    in_lie = (True, None)
+    for i in range(pair.t):
+        for j in range(i, pair.t):
+            if lie.reduce(_entries(pair.bracket_matrix(i, j))):
+                in_lie = (False, "bracket[%d][%d] outside the Lie algebra" % (i, j))
+    return closed, in_lie
+
+
+def _check_rho_multiplicative(pair, two):
+    alg2, sub1, sub2, prod_images = two
+    vs2 = alg2.vs
     for r in range(pair.t):
         for c in range(pair.t):
             lhs = pair.rho[r][c].substitute(prod_images, vs2)
-            rhs = vs2.zero()
-            for k in range(pair.t):
-                rhs = rhs + pair.rho[r][k].substitute(sub1, vs2) * pair.rho[k][c].substitute(
-                    sub2, vs2
-                )
+            rhs = sum((pair.rho[r][k].substitute(sub1, vs2) * pair.rho[k][c].substitute(sub2, vs2)
+                       for k in range(pair.t)), vs2.zero())
             if alg2.nf(lhs - rhs):
                 return (False, "rho entry (%d,%d) not multiplicative" % (r, c))
     return (True, None)
@@ -498,18 +485,14 @@ def _check_rho_multiplicative(pair):
 
 def is_graded_pair(pair):
     """The pair presents a graded group iff the bracket vanishes."""
-    zero = pair.group.field.zero
-    for (i, j), B in pair.bracket.items():
-        for row in B:
-            for c in row:
-                if c != zero:
-                    return False
-    return True
+    return not any(c for B in pair.bracket.values() for row in B for c in row)
 
 
 def gr_pair(pair):
     """Same group and action with the bracket replaced by zero."""
-    return HCPair(pair.group, pair.t, pair.rho, {}, name=pair.name + "_gr")
+    gr = HCPair(pair.group, pair.t, pair.rho, {}, name=pair.name + "_gr")
+    gr.closed = pair.closed  # a zero bracket lies in every Lie algebra
+    return gr
 
 
 def sdim_of_pair(pair):
@@ -523,9 +506,11 @@ def sdim_of_pair(pair):
 
 
 class HCElement:
-    """The normal form g * e(a_1, v_1) ... e(a_t, v_t)."""
+    """The normal form g * e(a_1, v_1) ... e(a_t, v_t); g must be a member,
+    so a product of elements is a product of members."""
 
     def __init__(self, pair, algebra, g, odd):
+        pair.group.contains_matrix(algebra, g)
         self.pair = pair
         self.algebra = algebra
         self.g = [[algebra.nf(e) for e in row] for row in g]
@@ -610,8 +595,25 @@ def _merge_group_factors(algebra, f, h):
 
 
 def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
-    """Rewrite a word of group factors ('g', matrix) and odd exponentials
-    ('e', coefficient, basis_index) into the unique normal form.
+    """The normal form of a word of group factors ('g', matrix) and odd
+    exponentials ('e', coefficient, basis_index), checked for membership."""
+    g, odd = _rewrite(pair, algebra, word, strategy, max_steps)
+    return HCElement(pair, algebra, g, odd)
+
+
+def _normal_product(pair, algebra, word, strategy="left"):
+    """``normalize_word`` for a product of members: its entries are reduced
+    and of the right parity already, and on a closed pair it is a member."""
+    g, odd = _rewrite(pair, algebra, word, strategy)
+    if not pair.closed:
+        pair.group.contains_matrix(algebra, g)
+    el = HCElement.__new__(HCElement)
+    el.pair, el.algebra, el.g, el.odd = pair, algebra, g, tuple(odd)
+    return el
+
+
+def _rewrite(pair, algebra, word, strategy="left", max_steps=100000):
+    """Rewrite a word into the unique normal form, as (g, odd coefficients).
 
     Rules: merge adjacent group factors; push group factors left past
     exponentials via conjugation of the module vector; expand
@@ -704,14 +706,13 @@ def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     for f in word:
         if f[0] == "e":
             odd[f[2]] = f[1]
-    pair.group.contains_matrix(algebra, g)
-    return HCElement(pair, algebra, g, odd)
+    return g, odd
 
 
 def hc_mul(E1, E2, strategy="left"):
     if E1.pair is not E2.pair or E1.algebra is not E2.algebra:
         raise StructureError("elements live over different pairs or coefficients")
-    return normalize_word(E1.pair, E1.algebra, E1.word() + E2.word(), strategy)
+    return _normal_product(E1.pair, E1.algebra, E1.word() + E2.word(), strategy)
 
 
 def hc_inv(E):
@@ -721,32 +722,26 @@ def hc_inv(E):
         if E.odd[i]:
             word.append(("e", -E.odd[i], i))
     word.append(("g", mat_inverse(E.algebra, E.g)))
-    return normalize_word(E.pair, E.algebra, word)
+    return _normal_product(E.pair, E.algebra, word)
 
 
 # ---------------------------------------------------------------------------
 # built-in pair library
 
 
-def _upper_unitriangular_2x2(field):
-    vs = group_varset(2, field)
-    defining = [
-        vs.gen("g11") - vs.one(),
-        vs.gen("g22") - vs.one(),
-        vs.gen("g21"),
-    ]
-    return EvenGroupSpec(2, defining)
-
-
 def unipotent_pair(field=None):
-    """1-dimensional odd space, trivial action, bracket 2*E12."""
+    """Upper unitriangular 2 x 2 matrices; 1-dimensional odd space, trivial
+    action, bracket 2*E12."""
     field = field or QQ
-    group = _upper_unitriangular_2x2(field)
+    vs = group_varset(2, field)
+    group = EvenGroupSpec(2, [vs.gen("g11") - vs.one(), vs.gen("g22") - vs.one(), vs.gen("g21")])
     rho = [[group.vs.one()]]
     two = field.of(2)
     z = field.zero
     bracket = {(0, 0): [[z, two], [z, z]]}
-    return HCPair(group, 1, rho, bracket, name="unipotent")
+    pair = HCPair(group, 1, rho, bracket, name="unipotent")
+    pair.closed = True
+    return pair
 
 
 def gl1_weight_pair(field=None):
@@ -755,7 +750,9 @@ def gl1_weight_pair(field=None):
     field = field or QQ
     group = EvenGroupSpec(1, [], field=field)
     rho = [[group.vs.gen("g11")]]
-    return HCPair(group, 1, rho, {}, name="gl1-weight")
+    pair = HCPair(group, 1, rho, {}, name="gl1-weight")
+    pair.closed = True
+    return pair
 
 
 def sl2_standard_pair(field=None):
@@ -780,7 +777,9 @@ def sl2_standard_pair(field=None):
         (0, 1): [[field.of(-1), z], [z, one]],
         (1, 1): [[z, z], [field.of(-2), z]],
     }
-    return HCPair(group, 2, rho, bracket, name="sl2-standard")
+    pair = HCPair(group, 2, rho, bracket, name="sl2-standard")
+    pair.closed = True
+    return pair
 
 
 # name -> constructor of each built-in pair

@@ -16,9 +16,9 @@ from superalg.groebner import (
     fresh_name,
     odd_square_free_monomials,
 )
-from superalg.sdim import PointIdeal, Record, SuperDim, ksdim
+from superalg.sdim import Record, SuperDim, ksdim
 from superalg.scalars import inv
-from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
+from superalg.superpoly import StructureError, VarSet
 
 
 class ActionError(StructureError):

@@ -24,7 +24,7 @@ from superalg.groebner import (
 )
 from superalg.linalg import Echelon
 from superalg.scalars import inv
-from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, mask_indices, term_key
+from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, term_key
 
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 

@@ -90,7 +90,7 @@ def test_mono_check():
 
 def test_hc_commands(tmp_path, capsys):
     code, out = run(["hc", "validate", "unipotent"])
-    assert code == 0 and "FAIL" not in out
+    assert code == 0 and "FAIL" not in out and "group_closed: ok" in out
     code, out = run(["hc", "validate", data("unipotent.shc")])
     assert code == 0
     code, out = run(["hc", "mul", "unipotent", "g[[1,2],[0,1]] e(s,1)", "e(t,1)"])
@@ -116,6 +116,34 @@ def test_hc_commands(tmp_path, capsys):
     code, out = run(["hc", "mul", "gl1-weight", "g[[s*t]]", "g[[1]]"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: matrix determinant st is not invertible\n"
+
+
+def test_hc_mul_on_a_pair_not_proven_closed_still_checks_membership(tmp_path, capsys):
+    """Neither pair is a built-in or validated, so their products keep the
+    membership check: one group is not closed, the other's bracket lies
+    outside its Lie algebra."""
+    notgroup = tmp_path / "notgroup.shc"
+    notgroup.write_text("hcpair notgroup\n  size 2\n  odd-dim 1\n  rel g11 + g22 - 2\n  rho 1\nend\n")
+    diagonal = tmp_path / "diagonal.shc"
+    diagonal.write_text(
+        "hcpair diagonal\n  size 2\n  odd-dim 1\n"
+        "  rel g11 - 1; g22 - 1; g21\n  rho 1\n  bracket 1 1: 1, 0; 0, 0\nend\n"
+    )
+    capsys.readouterr()
+    for argv, err in (
+        (["hc", "mul", str(notgroup), "g[[2,1],[1,0]]", "g[[2,1],[1,0]]"],
+         "error: matrix leaves the group: g11 + g22 - 2 evaluates to 4\n"),
+        (["hc", "mul", str(diagonal), "e(s,1)", "e(t,1)"],
+         "error: matrix leaves the group: g11 - 1 evaluates to -1/2*st\n"),
+    ):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == err
+    code, out = run(["hc", "validate", str(notgroup)])
+    assert code == 1
+    assert "group_closed: FAIL (the product breaks g11 + g22 - 2)" in out
+    assert out.count("FAIL") == 1
+    code, out = run(["hc", "validate", str(notgroup), "--json"])
+    assert code == 1 and json.loads(out)["result"]["group_closed"] is False
 
 
 def test_hc_command_builds_only_the_named_pair(monkeypatch, capsys):
@@ -370,10 +398,11 @@ def test_hc_error_exits_2_in_a_fresh_process():
     """``run_command`` maps HCError to exit 2 before anything has imported
     ``hcgroup``; here the rewriting cap is cut to two steps."""
     done = run_fresh(
-        "import functools, sys\n"
+        "import sys\n"
         "from superalg import cli\n"
         "from superalg import hcgroup\n"
-        "hcgroup.normalize_word = functools.partial(hcgroup.normalize_word, max_steps=2)\n"
+        "rewrite = hcgroup._rewrite\n"
+        "hcgroup._rewrite = lambda *args, **kwargs: rewrite(*args[:4], max_steps=2)\n"
         "sys.argv = ['superalg', 'hc', 'inv', 'sl2-standard', 'e(s,1) e(t,2)']\n"
         "cli.main()\n"
     )

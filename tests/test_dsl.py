@@ -145,6 +145,34 @@ def test_pair_document_odd_dim_spelling_and_repeated_directives():
     assert error_at(parse_pair_document, once + "  bracket 2 1: 0, 0; 0, 0\nend\n") == (8, 3)
 
 
+def test_structural_errors_name_the_token_that_decides_them():
+    def message(parse, text):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        return str(e.value)
+
+    shc = "# a pair\nhcpair p\n%s\nend\n"
+    for body, want in (
+        ("  odd-dim 1\n  rho 1", "line 2, column 1: hcpair needs both size and odd-dim"),
+        ("  size 2\n  rho 1", "line 2, column 1: hcpair needs both size and odd-dim"),
+        ("  size 2\n  odd-dim 1", "line 2, column 1: hcpair needs a rho block"),
+        ("  size 2\n  odd-dim 2\n  rho 1", "line 5, column 3: rho must be a 2 x 2 matrix"),
+        (
+            "  size 2\n  odd-dim 2\n  rho 1, 0; 0, 1\n  bracket 1 2: 0, 0; 0, 0\n"
+            "  bracket 2 2: 0, 0, 0; 0, 0, 0",
+            "line 7, column 3: bracket 2 2 must be a 2 x 2 matrix",
+        ),
+    ):
+        assert message(parse_pair_document, shc % body) == want, body
+    salg = "superalgebra A\n  even x y\n  odd z\n  %s\nend\n"
+    assert message(parse_document, salg % "odd x") == (
+        "line 4, column 7: generator names must be unique: ('x', 'y', 'z', 'x')"
+    )
+    assert message(parse_document, salg % "even z y") == (
+        "line 4, column 8: generator names must be unique: ('x', 'y', 'z', 'y', 'z')"
+    )
+
+
 def test_a_token_that_continues_no_expression_is_an_error():
     salg = "superalgebra A\n  even x\n  odd y\n  rel %s\nend\n"
     assert error_at(parse_document, salg % "x y") == (4, 9)

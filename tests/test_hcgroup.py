@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superalg import hcgroup
+from superalg.dsl import parse_pair_document
 from superalg.hcgroup import (
     EvenGroupSpec,
     HCElement,
@@ -229,6 +230,91 @@ def test_rewriting_confluence_f7(pairs_f7, coeff_f7):
             assert left == right, name
 
 
+# Products and inverses on a closed pair skip the membership check that
+# normalize_word makes on a raw word; on every built-in pair they must still
+# be the checked normal forms of the same words.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((QQ, F7)), st.sampled_from(sorted(hcgroup.BUILTIN_PAIRS)), st.randoms())
+def test_trusted_products_are_the_checked_normal_forms(field, name, rng):
+    coeff, pairs = hc_setting(field)
+    pair = pairs[name]
+    assert pair.closed
+    a, b = random_element(pair, coeff, rng), random_element(pair, coeff, rng)
+    reversed_word = [("e", -c, i) for i, c in reversed(list(enumerate(a.odd))) if c]
+    reversed_word.append(("g", mat_inverse(coeff, a.g)))
+    for trusted, word in ((hc_mul(a, b), a.word() + b.word()), (hc_inv(a), reversed_word)):
+        assert pair.group.contains_matrix(coeff, trusted.g)
+        assert trusted == normalize_word(pair, coeff, word)
+        # entries already reduced and of the right parity
+        assert HCElement(pair, coeff, trusted.g, trusted.odd) == trusted
+
+
+def closure_proof(pair):
+    """(group_closed, bracket_in_lie) as ``validate_hc_pair`` proves them."""
+    return hcgroup._closure_proof(pair, hcgroup._two_point_algebra(pair.group))
+
+
+NOT_A_GROUP = "hcpair notgroup\n  size 2\n  odd-dim 1\n  rel g11 + g22 - 2\n  rho 1\nend\n"
+# the unipotent group with the bracket E11, which lies outside its Lie algebra
+DIAGONAL = (
+    "hcpair diagonal\n  size 2\n  odd-dim 1\n"
+    "  rel g11 - 1; g22 - 1; g21\n  rho 1\n  bracket 1 1: 1, 0; 0, 0\nend\n"
+)
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("Q", "F7"))
+def test_builtin_pairs_are_closed_by_the_proof(field):
+    for name, pair in builtin_pairs(field).items():
+        assert pair.closed, name
+        assert closure_proof(pair) == ((True, None), (True, None)), name
+        assert gr_pair(pair).closed, name
+        validate_hc_pair(pair)
+        assert pair.closed, name
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("Q", "F7"))
+def test_closure_proof_rejects_a_non_group_and_a_bracket_outside_lie(field):
+    notgroup = parse_pair_document(NOT_A_GROUP, field)
+    (ok, witness), in_lie = closure_proof(notgroup)
+    assert not ok and witness.startswith("the product breaks g11 + g22")
+    assert in_lie == (True, None)
+    diagonal = parse_pair_document(DIAGONAL, field)
+    assert closure_proof(diagonal) == (
+        (True, None), (False, "bracket[0][0] outside the Lie algebra")
+    )
+    for pair in (notgroup, diagonal):
+        assert not pair.closed
+        validate_hc_pair(pair)
+        assert not pair.closed and not gr_pair(pair).closed
+
+
+def test_closure_proof_names_an_inverse_that_leaves_the_group():
+    # {1, 2} in GL_1: the first equation holds on all products {1, 2, 4} but
+    # not at the inverse 1/2
+    text = "hcpair p\n  size 1\n  odd-dim 1\n  rel %s\n  rho 1\nend\n" % (
+        "(g11 - 1)*(g11 - 2)*(g11 - 4); (g11 - 1)*(g11 - 2)"
+    )
+    (ok, witness), _ = closure_proof(parse_pair_document(text, QQ))
+    assert (ok, witness) == (False, "the inverse breaks g11^3 - 7*g11^2 + 14*g11 - 8")
+
+
+@pytest.mark.parametrize("validated", (False, True))
+def test_products_on_an_unproven_pair_are_still_checked(validated):
+    coeff = lambda_algebra(("s", "t", "u", "w"), QQ)
+    vs = coeff.vs
+    notgroup = parse_pair_document(NOT_A_GROUP)
+    diagonal = parse_pair_document(DIAGONAL)
+    if validated:
+        validate_hc_pair(notgroup)
+        validate_hc_pair(diagonal)
+    g = normalize_word(notgroup, coeff, [("g", [[vs.const(2), vs.one()], [vs.one(), vs.zero()]])])
+    with pytest.raises(HCError, match=r"^matrix leaves the group: g11 \+ g22 - 2 evaluates to 4$"):
+        hc_mul(g, g)
+    s, t = (normalize_word(diagonal, coeff, [("e", vs.gen(y), 0)]) for y in "st")
+    with pytest.raises(HCError, match=r"^matrix leaves the group: g11 - 1 evaluates to -1/2\*st$"):
+        hc_mul(s, t)
+
+
 def check_unipotent_matrix_model(field, rng):
     coeff, pairs = hc_setting(field)
     pair = pairs["unipotent"]
@@ -332,6 +418,9 @@ def test_word_membership_enforced(coeff):
     bad_g = [[vs.const(2), vs.zero()], [vs.zero(), vs.one()]]  # g11 != 1
     with pytest.raises(HCError):
         normalize_word(pair, coeff, [("g", bad_g)])
+    # products trust their factors, so no element starts outside the group
+    with pytest.raises(HCError, match="g11 - 1 evaluates to 1"):
+        HCElement(pair, coeff, bad_g, [vs.zero()])
 
 
 def map_coefficients(E, morphism):
