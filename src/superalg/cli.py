@@ -5,8 +5,19 @@ built-in pair name for the ``hc`` family), prints human-readable text by
 default and a stable JSON schema ``{command, inputs, result[, certificate]}``
 with ``--json``.
 
-Exit codes: 0 success, 1 a predicate evaluated to false, 2 input error,
-3 internal error (``main`` only; ``run_command`` lets the exception through).
+Each command is declared once, in ``COMMANDS``: its help line, its
+arguments, and the names of the arguments that its JSON echoes as
+``inputs``.  ``_build_parser`` builds every subparser from that table; a
+name ``hc <sub>`` goes under the ``hc`` subparser.  The handler
+``_cmd_<name>`` takes the parsed arguments and returns ``(ok, payload)``,
+where ``payload`` holds ``result`` and ``text`` (and ``certificate`` for
+``ksdim``).  ``run_command`` alone adds ``command`` and ``inputs`` and
+writes the JSON or the text.
+
+Exit codes: 0 success, 1 when the handler's ``ok`` is false (a checked
+predicate), 2 input error (bad arguments, or a library error that
+``run_command`` maps, reported on one line), 3 internal error (``main``
+only; ``run_command`` lets the exception through).
 
 ``run_command`` may be called repeatedly in one process: the argument parser
 is built on the first call and reused, and no state carries over between
@@ -40,8 +51,67 @@ class InputError(ValueError):
     pass
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+FILE = _arg("file")
+ELEMENT = _arg("--element", required=True)
+PAIR = _arg("pair", help="built-in pair name or .shc file")
+
+# name -> (help, arguments, the space-separated names of the arguments that
+# the JSON echoes as inputs), in the order of ``superalg --help``
+COMMANDS = {
+    "ksdim": ("Krull super-dimension", [FILE], "file"),
+    "bar": ("largest purely even quotient", [FILE], "file"),
+    "gr": ("associated graded presentation", [FILE], "file"),
+    "ann": ("annihilator superideal of an element", [FILE, ELEMENT], "file element"),
+    "odd-params": ("maximal system of odd parameters", [FILE], "file"),
+    "odd-regular": (
+        "odd regular sequence predicate",
+        [FILE, _arg("--seq", required=True, help="comma-separated odd elements")],
+        "file seq",
+    ),
+    "phi-dim": (
+        "odd minimal-generator count at a point",
+        [FILE, _arg("--point", default="", help="assignments like 'x = 0; z = 1'")],
+        "file point",
+    ),
+    "localize": ("localization at an even element", [FILE, ELEMENT], "file element"),
+    "mono-check": (
+        "monomorphism necessary condition",
+        [_arg("src"), _arg("dst"),
+         _arg("--images", required=True, help="generator images like 'x -> x; y -> y'")],
+        "src dst images",
+    ),
+    "hc validate": ("check the pair axioms", [PAIR], "pair"),
+    "hc sdim": ("super-dimension of the pair", [PAIR], "pair"),
+    "hc graded": ("zero-bracket (graded) predicate", [PAIR], "pair"),
+    "hc mul": (
+        "normal form of a product",
+        [_arg("pair"), _arg("left", help="element word, e.g. 'g[[1,s],[0,1]] e(t,1)'"),
+         _arg("right")],
+        "pair left right",
+    ),
+    "hc inv": ("normal form of an inverse", [_arg("pair"), _arg("element")], "pair element"),
+    "orbit": (
+        "orbit of an odd unipotent action",
+        [FILE, _arg("--derivation", required=True, help="name from the file or 'x -> 0; y -> 1'"),
+         _arg("--point", required=True, help="name from the file or 'x = 2'")],
+        "file derivation point",
+    ),
+    "verify-orbits": (
+        "orbit theorems at given points",
+        [FILE, _arg("--derivation", required=True),
+         _arg("--point", action="append", default=[], help="repeatable")],
+        "file derivation",
+    ),
+    "selftest": ("run the deterministic corpus", [], "seed"),
+}
+
+
 def _field_from_args(args):
-    spec = getattr(args, "field", None) or ["q"]
+    spec = args.field or ["q"]
     if spec[0] == "q":
         if len(spec) != 1:
             raise InputError("--field q takes no further argument")
@@ -65,26 +135,43 @@ def _load_manifest(path, field):
     return dsl.parse_document(text, field)
 
 
-def _load_pair(spec, field):
+def _algebra(args):
+    """The algebra of the one document a single-file command reads."""
+    return _load_manifest(args.file, _field_from_args(args)).algebra
+
+
+def _point(values, algebra):
+    """The point with the given values, which must name every even generator."""
+    missing = [x for x in algebra.vs.even if x not in values]
+    if missing:
+        raise InputError("point is missing values for: %s" % ", ".join(missing))
+    return sdim.PointIdeal(values)
+
+
+def _load_pair(args):
     from superalg import hcgroup
 
-    make = hcgroup.BUILTIN_PAIRS.get(spec)
+    field = _field_from_args(args)
+    make = hcgroup.BUILTIN_PAIRS.get(args.pair)
     if make is not None:
         return make(field)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise InputError("%r is not a built-in pair (%s) or a readable file: %s"
-                         % (spec, ", ".join(sorted(hcgroup.BUILTIN_PAIRS)), e))
+                         % (args.pair, ", ".join(sorted(hcgroup.BUILTIN_PAIRS)), e))
     return dsl.parse_pair_document(text, field)
 
 
-def _coeff_algebra(field):
-    """The default coefficient superalgebra for hc element words."""
+def _elements(args, *words):
+    """The pair's elements that the words name, over the default coefficient
+    superalgebra Lambda(s, t, u, w)."""
     from superalg import hcgroup
 
-    return hcgroup.lambda_algebra(("s", "t", "u", "w"), field)
+    pair = _load_pair(args)
+    algebra = hcgroup.lambda_algebra(("s", "t", "u", "w"), pair.group.field)
+    return [_parse_element_word(w, pair, algebra) for w in words]
 
 
 def _parse_element_word(text, pair, algebra):
@@ -138,105 +225,59 @@ def _parse_element_word(text, pair, algebra):
     return hcgroup.normalize_word(pair, algebra, word)
 
 
-def _render_element(el):
-    parts = ["g = " + _render_matrix(el.g)]
-    for i, a in enumerate(el.odd):
-        if a:
-            parts.append("e(%s, %d)" % (a.render(), i + 1))
-    return "; ".join(parts)
+def _element(el):
+    """The payload of an element: its entries and the text ``g = [...]; e(a, i)``."""
+    g = [[e.render() for e in row] for row in el.g]
+    parts = ["g = [" + ", ".join("[" + ", ".join(row) + "]" for row in g) + "]"]
+    parts += ["e(%s, %d)" % (a.render(), i + 1) for i, a in enumerate(el.odd) if a]
+    return {"result": {"g": g, "odd": [a.render() for a in el.odd]}, "text": "; ".join(parts)}
 
 
-def _render_matrix(M):
-    return "[" + ", ".join("[" + ", ".join(e.render() for e in row) + "]" for row in M) + "]"
-
-
-def _element_json(el):
-    return {
-        "g": [[e.render() for e in row] for row in el.g],
-        "odd": [a.render() for a in el.odd],
-    }
-
-
-def _emit(args, payload, out):
-    if args.json:
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        out.write(payload["text"] + "\n")
+def _verdict(ok):
+    return ok, {"result": bool(ok), "text": "true" if ok else "false"}
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns an exit code)
+# subcommand implementations: each returns (ok, payload)
 
 
-def _cmd_ksdim(args, out):
-    field = _field_from_args(args)
-    manifest = _load_manifest(args.file, field)
-    A = manifest.algebra
-    dim, cert = sdim.ksdim(A, seed=args.seed)
-    _emit(
-        args,
-        {
-            "command": "ksdim",
-            "inputs": {"file": args.file},
-            "result": dim.render(),
-            "certificate": {
-                "elements": [e.render() for e in cert.elements],
-                "reason": cert.reason,
-            },
-            "text": "Ksdim = %s" % dim.render(),
+def _cmd_ksdim(args):
+    dim, cert = sdim.ksdim(_algebra(args), seed=args.seed)
+    return True, {
+        "result": dim.render(),
+        "certificate": {
+            "elements": [e.render() for e in cert.elements],
+            "reason": cert.reason,
         },
-        out,
-    )
-    return 0
+        "text": "Ksdim = %s" % dim.render(),
+    }
 
 
-def _cmd_bar(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    B = sdim.bar(A)
+def _cmd_bar(args):
+    B = sdim.bar(_algebra(args))
     rels = [r.render() for r in B.relations]
     text = "bar: even %s" % (" ".join(B.vs.even) or "(none)")
     if rels:
         text += "; rel " + "; ".join(rels)
-    _emit(
-        args,
-        {
-            "command": "bar",
-            "inputs": {"file": args.file},
-            "result": {"even": list(B.vs.even), "relations": rels},
-            "text": text,
-        },
-        out,
-    )
-    return 0
+    return True, {"result": {"even": list(B.vs.even), "relations": rels}, "text": text}
 
 
-def _cmd_gr(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    G = sdim.gr_presentation(A)
+def _cmd_gr(args):
+    G = sdim.gr_presentation(_algebra(args))
     rels = [r.render() for r in G.relations]
     homogeneous = all(sdim.is_odd_weight_homogeneous(r) for r in G.relations)
     text = "gr relations: %s (odd-weight homogeneous: %s)" % (
         "; ".join(rels) or "(none)",
         homogeneous,
     )
-    _emit(
-        args,
-        {
-            "command": "gr",
-            "inputs": {"file": args.file},
-            "result": {"relations": rels, "odd_weight_homogeneous": homogeneous},
-            "text": text,
-        },
-        out,
-    )
-    return 0
+    return True, {
+        "result": {"relations": rels, "odd_weight_homogeneous": homogeneous},
+        "text": text,
+    }
 
 
-def _cmd_ann(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
+def _cmd_ann(args):
+    A = _algebra(args)
     p = dsl.parse_poly(args.element, A.vs)
     ideal = annihilator(p, A)
     gens = [g.render() for g in ideal.generators]
@@ -245,86 +286,33 @@ def _cmd_ann(args, out):
         ", ".join(gens) or "0",
         " [unit ideal]" if ideal.is_unit_ideal() else "",
     )
-    _emit(
-        args,
-        {
-            "command": "ann",
-            "inputs": {"file": args.file, "element": args.element},
-            "result": {"generators": gens, "unit_ideal": ideal.is_unit_ideal()},
-            "text": text,
-        },
-        out,
-    )
-    return 0
+    return True, {"result": {"generators": gens, "unit_ideal": ideal.is_unit_ideal()}, "text": text}
 
 
-def _cmd_odd_params(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    dim, cert = sdim.ksdim(A, seed=args.seed)
+def _cmd_odd_params(args):
+    dim, cert = sdim.ksdim(_algebra(args), seed=args.seed)
     elements = [e.render() for e in cert.elements]
     text = "maximal odd parameter system: {%s} (odd dimension %s)" % (
         ", ".join(elements),
-        dim.as_tuple()[1],
+        dim.odd,
     )
-    _emit(
-        args,
-        {
-            "command": "odd-params",
-            "inputs": {"file": args.file},
-            "result": {"elements": elements, "odd_dimension": dim.as_tuple()[1]},
-            "text": text,
-        },
-        out,
-    )
-    return 0
+    return True, {"result": {"elements": elements, "odd_dimension": dim.odd}, "text": text}
 
 
-def _cmd_odd_regular(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    seq = dsl.parse_poly_list(args.seq, A.vs)
-    ok = sdim.is_odd_regular_sequence(A, seq)
-    _emit(
-        args,
-        {
-            "command": "odd-regular",
-            "inputs": {"file": args.file, "seq": args.seq},
-            "result": bool(ok),
-            "text": "true" if ok else "false",
-        },
-        out,
-    )
-    return 0 if ok else 1
+def _cmd_odd_regular(args):
+    A = _algebra(args)
+    return _verdict(sdim.is_odd_regular_sequence(A, dsl.parse_poly_list(args.seq, A.vs)))
 
 
-def _cmd_phi_dim(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    values = dsl.parse_assignments(args.point or "", A.vs)
-    missing = [x for x in A.vs.even if x not in values]
-    if missing:
-        raise InputError("point is missing values for: %s" % ", ".join(missing))
-    pt = sdim.PointIdeal(values)
-    d = sdim.phi_dim_at_point(A, pt)
-    _emit(
-        args,
-        {
-            "command": "phi-dim",
-            "inputs": {"file": args.file, "point": args.point or ""},
-            "result": d,
-            "text": "dim Phi = %d" % d,
-        },
-        out,
-    )
-    return 0
+def _cmd_phi_dim(args):
+    A = _algebra(args)
+    d = sdim.phi_dim_at_point(A, _point(dsl.parse_assignments(args.point, A.vs), A))
+    return True, {"result": d, "text": "dim Phi = %d" % d}
 
 
-def _cmd_localize(args, out):
-    field = _field_from_args(args)
-    A = _load_manifest(args.file, field).algebra
-    a = dsl.parse_poly(args.element, A.vs)
-    loc, tname = localize_at_even(A, a)
+def _cmd_localize(args):
+    A = _algebra(args)
+    loc, tname = localize_at_even(A, dsl.parse_poly(args.element, A.vs))
     rels = [r.render() for r in loc.relations]
     text = "localization: even %s; odd %s; rel %s (inverse variable %s)" % (
         " ".join(loc.vs.even) or "(none)",
@@ -332,124 +320,59 @@ def _cmd_localize(args, out):
         "; ".join(rels) or "(none)",
         tname,
     )
-    _emit(
-        args,
-        {
-            "command": "localize",
-            "inputs": {"file": args.file, "element": args.element},
-            "result": {
-                "even": list(loc.vs.even),
-                "odd": list(loc.vs.odd),
-                "relations": rels,
-                "inverse_variable": tname,
-            },
-            "text": text,
+    return True, {
+        "result": {
+            "even": list(loc.vs.even),
+            "odd": list(loc.vs.odd),
+            "relations": rels,
+            "inverse_variable": tname,
         },
-        out,
-    )
-    return 0
+        "text": text,
+    }
 
 
-def _cmd_mono_check(args, out):
+def _cmd_mono_check(args):
     field = _field_from_args(args)
     src = _load_manifest(args.src, field).algebra
     dst = _load_manifest(args.dst, field).algebra
-    raw = dsl.parse_images(args.images, dst.vs)
-    phi = Morphism(src, dst, raw)
-    ok = check_mono_necessary(phi)
-    _emit(
-        args,
-        {
-            "command": "mono-check",
-            "inputs": {"src": args.src, "dst": args.dst, "images": args.images},
-            "result": bool(ok),
-            "text": "true" if ok else "false",
-        },
-        out,
-    )
-    return 0 if ok else 1
+    return _verdict(check_mono_necessary(Morphism(src, dst, dsl.parse_images(args.images, dst.vs))))
 
 
-def _cmd_hc(args, out):
+def _cmd_hc_validate(args):
     from superalg import hcgroup
 
-    field = _field_from_args(args)
-    pair = _load_pair(args.pair, field)
-    A = _coeff_algebra(field)
-    if args.hc_command == "validate":
-        report = hcgroup.validate_hc_pair(pair)
-        ok = all(good for good, _ in report.values())
-        lines = []
-        for check in sorted(report):
-            good, wit = report[check]
-            lines.append("%s: %s%s" % (check, "ok" if good else "FAIL", " (%s)" % wit if wit else ""))
-        _emit(
-            args,
-            {
-                "command": "hc validate",
-                "inputs": {"pair": args.pair},
-                "result": {check: good for check, (good, _) in report.items()},
-                "text": "\n".join(lines),
-            },
-            out,
-        )
-        return 0 if ok else 1
-    if args.hc_command == "mul":
-        e1 = _parse_element_word(args.left, pair, A)
-        e2 = _parse_element_word(args.right, pair, A)
-        prod = hcgroup.hc_mul(e1, e2)
-        _emit(
-            args,
-            {
-                "command": "hc mul",
-                "inputs": {"pair": args.pair, "left": args.left, "right": args.right},
-                "result": _element_json(prod),
-                "text": _render_element(prod),
-            },
-            out,
-        )
-        return 0
-    if args.hc_command == "inv":
-        el = _parse_element_word(args.element, pair, A)
-        inv = hcgroup.hc_inv(el)
-        _emit(
-            args,
-            {
-                "command": "hc inv",
-                "inputs": {"pair": args.pair, "element": args.element},
-                "result": _element_json(inv),
-                "text": _render_element(inv),
-            },
-            out,
-        )
-        return 0
-    if args.hc_command == "sdim":
-        d = hcgroup.sdim_of_pair(pair)
-        _emit(
-            args,
-            {
-                "command": "hc sdim",
-                "inputs": {"pair": args.pair},
-                "result": d.render(),
-                "text": "sdim = %s" % d.render(),
-            },
-            out,
-        )
-        return 0
-    if args.hc_command == "graded":
-        ok = hcgroup.is_graded_pair(pair)
-        _emit(
-            args,
-            {
-                "command": "hc graded",
-                "inputs": {"pair": args.pair},
-                "result": bool(ok),
-                "text": "true" if ok else "false",
-            },
-            out,
-        )
-        return 0 if ok else 1
-    raise InputError("unknown hc subcommand %r" % args.hc_command)
+    report = hcgroup.validate_hc_pair(_load_pair(args))
+    lines = []
+    for check in sorted(report):
+        good, wit = report[check]
+        lines.append("%s: %s%s" % (check, "ok" if good else "FAIL", " (%s)" % wit if wit else ""))
+    result = {check: good for check, (good, _) in report.items()}
+    return all(result.values()), {"result": result, "text": "\n".join(lines)}
+
+
+def _cmd_hc_sdim(args):
+    from superalg import hcgroup
+
+    d = hcgroup.sdim_of_pair(_load_pair(args))
+    return True, {"result": d.render(), "text": "sdim = %s" % d.render()}
+
+
+def _cmd_hc_graded(args):
+    from superalg import hcgroup
+
+    return _verdict(hcgroup.is_graded_pair(_load_pair(args)))
+
+
+def _cmd_hc_mul(args):
+    from superalg import hcgroup
+
+    return True, _element(hcgroup.hc_mul(*_elements(args, args.left, args.right)))
+
+
+def _cmd_hc_inv(args):
+    from superalg import hcgroup
+
+    return True, _element(hcgroup.hc_inv(*_elements(args, args.element)))
 
 
 def _resolve_action(args, manifest):
@@ -470,53 +393,38 @@ def _resolve_point(text, manifest):
     if text in manifest.points:
         values = manifest.points[text].values
     else:
-        values = dsl.parse_assignments(text or "", A.vs)
-    missing = [x for x in A.vs.even if x not in values]
-    if missing:
-        raise InputError("point is missing values for: %s" % ", ".join(missing))
-    return sdim.PointIdeal(values)
+        values = dsl.parse_assignments(text, A.vs)
+    return _point(values, A)
 
 
-def _cmd_orbit(args, out):
+def _cmd_orbit(args):
     from superalg import orbits
 
-    field = _field_from_args(args)
-    manifest = _load_manifest(args.file, field)
+    manifest = _load_manifest(args.file, _field_from_args(args))
     action = _resolve_action(args, manifest)
-    pt = _resolve_point(args.point, manifest)
-    result = orbits.orbit_ideal(action, pt)
+    result = orbits.orbit_ideal(action, _resolve_point(args.point, manifest))
     gens = [g.render() for g in result.ideal.generators]
     text = "I = (%s), sdim %s, stabilizer %s" % (
         ", ".join(gens) or "0",
         result.orbit_sdim.render(),
         result.stabilizer,
     )
-    _emit(
-        args,
-        {
-            "command": "orbit",
-            "inputs": {"file": args.file, "derivation": args.derivation, "point": args.point},
-            "result": {
-                "ideal": gens,
-                "sdim": result.orbit_sdim.render(),
-                "stabilizer": result.stabilizer,
-            },
-            "text": text,
+    return True, {
+        "result": {
+            "ideal": gens,
+            "sdim": result.orbit_sdim.render(),
+            "stabilizer": result.stabilizer,
         },
-        out,
-    )
-    return 0
+        "text": text,
+    }
 
 
-def _cmd_verify_orbits(args, out):
+def _cmd_verify_orbits(args):
     from superalg import orbits
 
-    field = _field_from_args(args)
-    manifest = _load_manifest(args.file, field)
+    manifest = _load_manifest(args.file, _field_from_args(args))
     action = _resolve_action(args, manifest)
-    points = [_resolve_point(p, manifest) for p in args.point]
-    if not points:
-        points = [_resolve_point(name, manifest) for name in sorted(manifest.points)]
+    points = [_resolve_point(p, manifest) for p in args.point or sorted(manifest.points)]
     if not points:
         raise InputError("no points given (use --point)")
     all_ok = True
@@ -541,42 +449,23 @@ def _cmd_verify_orbits(args, out):
             "point {%s}: stabilizer %s, sdim %s, checks %s"
             % (pt_desc, result.stabilizer, result.orbit_sdim.render(), "ok" if ok else "FAIL")
         )
-    _emit(
-        args,
-        {
-            "command": "verify-orbits",
-            "inputs": {"file": args.file, "derivation": args.derivation},
-            "result": entries,
-            "text": "\n".join(lines),
-        },
-        out,
-    )
-    return 0 if all_ok else 1
+    return all_ok, {"result": entries, "text": "\n".join(lines)}
 
 
-def _cmd_selftest(args, out):
+def _cmd_selftest(args):
     from superalg import selftest
 
     report = selftest.run(seed=args.seed)
     ok = all(entry["ok"] for entry in report["checks"])
     if args.json:
-        out.write(
-            json.dumps(
-                {"command": "selftest", "inputs": {"seed": args.seed}, "result": report},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    else:
-        for entry in report["checks"]:
-            out.write("%s: %s\n" % (entry["name"], "ok" if entry["ok"] else "FAIL"))
-        out.write("selftest: %s\n" % ("ok" if ok else "FAIL"))
-    return 0 if ok else 1
+        return ok, {"result": report}  # the selftest JSON schema has no text key
+    lines = ["%s: %s" % (e["name"], "ok" if e["ok"] else "FAIL") for e in report["checks"]]
+    lines.append("selftest: %s" % ("ok" if ok else "FAIL"))
+    return ok, {"result": report, "text": "\n".join(lines)}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the one place that writes output
 
 
 @functools.lru_cache(maxsize=None)
@@ -596,69 +485,18 @@ def _build_parser():
         description="Exact invariants of finitely generated supercommutative superalgebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ksdim", parents=[common], help="Krull super-dimension")
-    p.add_argument("file")
-
-    p = sub.add_parser("bar", parents=[common], help="largest purely even quotient")
-    p.add_argument("file")
-
-    p = sub.add_parser("gr", parents=[common], help="associated graded presentation")
-    p.add_argument("file")
-
-    p = sub.add_parser("ann", parents=[common], help="annihilator superideal of an element")
-    p.add_argument("file")
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("odd-params", parents=[common], help="maximal system of odd parameters")
-    p.add_argument("file")
-
-    p = sub.add_parser("odd-regular", parents=[common], help="odd regular sequence predicate")
-    p.add_argument("file")
-    p.add_argument("--seq", required=True, help="comma-separated odd elements")
-
-    p = sub.add_parser("phi-dim", parents=[common], help="odd minimal-generator count at a point")
-    p.add_argument("file")
-    p.add_argument("--point", default="", help="assignments like 'x = 0; z = 1'")
-
-    p = sub.add_parser("localize", parents=[common], help="localization at an even element")
-    p.add_argument("file")
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("mono-check", parents=[common], help="monomorphism necessary condition")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("--images", required=True, help="generator images like 'x -> x; y -> y'")
-
-    p = sub.add_parser("hc", parents=[common], help="Harish-Chandra pair commands")
-    hc_sub = p.add_subparsers(dest="hc_command", required=True)
-    for name, helptext in (
-        ("validate", "check the pair axioms"),
-        ("sdim", "super-dimension of the pair"),
-        ("graded", "zero-bracket (graded) predicate"),
-    ):
-        q = hc_sub.add_parser(name, parents=[common], help=helptext)
-        q.add_argument("pair", help="built-in pair name or .shc file")
-    q = hc_sub.add_parser("mul", parents=[common], help="normal form of a product")
-    q.add_argument("pair")
-    q.add_argument("left", help="element word, e.g. 'g[[1,s],[0,1]] e(t,1)'")
-    q.add_argument("right")
-    q = hc_sub.add_parser("inv", parents=[common], help="normal form of an inverse")
-    q.add_argument("pair")
-    q.add_argument("element")
-
-    p = sub.add_parser("orbit", parents=[common], help="orbit of an odd unipotent action")
-    p.add_argument("file")
-    p.add_argument("--derivation", required=True, help="name from the file or 'x -> 0; y -> 1'")
-    p.add_argument("--point", required=True, help="name from the file or 'x = 2'")
-
-    p = sub.add_parser("verify-orbits", parents=[common], help="orbit theorems at given points")
-    p.add_argument("file")
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--point", action="append", default=[], help="repeatable")
-
-    sub.add_parser("selftest", parents=[common], help="run the deterministic corpus")
-
+    hc_sub = None
+    for name, (helptext, arguments, _) in COMMANDS.items():
+        group, leaf = sub, name
+        if name.startswith("hc "):
+            if hc_sub is None:
+                hc = sub.add_parser("hc", parents=[common], help="Harish-Chandra pair commands")
+                hc_sub = hc.add_subparsers(dest="hc_command", required=True)
+            group, leaf = hc_sub, name[3:]
+        p = group.add_parser(leaf, parents=[common], help=helptext)
+        p.set_defaults(command=name)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -671,9 +509,9 @@ def run_command(argv, out=None):
         return 2 if e.code not in (0, None) else 0
     # Looked up per call, not bound into the shared parser, so a rebinding
     # of a module-level handler takes effect.
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    handler = globals()["_cmd_" + args.command.replace("-", "_").replace(" ", "_")]
     try:
-        return handler(args, out)
+        ok, payload = handler(args)
     except (
         InputError,
         dsl.ParseError,
@@ -684,6 +522,13 @@ def run_command(argv, out=None):
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    if args.json:
+        inputs = {name: getattr(args, name) for name in COMMANDS[args.command][2].split()}
+        payload = dict(payload, command=args.command, inputs=inputs)
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    else:
+        out.write(payload["text"] + "\n")
+    return 0 if ok else 1
 
 
 def main():

@@ -409,7 +409,7 @@ def _parse_superalgebra(stream, field):
     names = {"even": [], "odd": []}
     declaring = None
     seen = set()
-    repeat = None  # the first token that repeats a name
+    repeat = overflow = None  # the first token that repeats a name; the odd name past the limit
     for t in _block_tokens(stream):
         if t.text in names:
             declaring = names[t.text]
@@ -417,13 +417,17 @@ def _parse_superalgebra(stream, field):
             declaring.append(t.text)
             if t.text in seen and repeat is None:
                 repeat = t
+            if declaring is names["odd"] and len(declaring) == VarSet.MAX_ODD + 1:
+                overflow = t
             seen.add(t.text)
         else:
             declaring = None
     try:
         vs = VarSet(tuple(names["even"]), tuple(names["odd"]), field)
     except StructureError as e:
-        raise ParseError(str(e), repeat and repeat.line, repeat and repeat.col)
+        # VarSet tests uniqueness before the odd count
+        culprit = repeat or overflow
+        raise ParseError(str(e), culprit and culprit.line, culprit and culprit.col)
     rels = []
     while True:
         t = stream.next()

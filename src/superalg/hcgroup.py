@@ -194,26 +194,31 @@ class EvenGroupSpec:
         d = self.vs.gen("d")
         return [[e * d for e in row] for row in mat_adjugate(self.gen_matrix)]
 
+    def differential(self, f):
+        """D f_I, the differential at the identity of a function on the
+        group, as an N x N matrix of scalars: D f_I(x) is the sum of the
+        entry (i, j) times x_ij.  The first-order variation of d is minus
+        the trace, so the entry is df/dg_ij - delta_ij * df/dd at I."""
+        pt = self.identity_point()
+        dd = f.diff_even("d").evaluate_at_point(pt)
+        out = []
+        for i in range(self.N):
+            row = []
+            for j in range(self.N):
+                c = f.diff_even("g%d%d" % (i + 1, j + 1)).evaluate_at_point(pt)
+                row.append(self.field.of(c - dd if i == j else c))
+            out.append(row)
+        return out
+
     def lie_basis(self):
         """Kernel of the Jacobian of the defining equations at the
-        identity, as a list of N x N matrices of scalars.  The
-        first-order variation of d is minus the trace."""
+        identity, as a list of N x N matrices of scalars."""
         if self._lie is not None:
             return self._lie
         N = self.N
         field = self.field
-        pt = self.identity_point()
-        rows = []
-        for f in self.defining + [self.unit_relation]:
-            row = []
-            dd = f.diff_even("d").evaluate_at_point(pt)
-            for i in range(N):
-                for j in range(N):
-                    c = f.diff_even("g%d%d" % (i + 1, j + 1)).evaluate_at_point(pt)
-                    if i == j:
-                        c = field.of(c - dd)  # delta d = -trace contribution
-                    row.append(c)
-            rows.append(row)
+        equations = self.defining + [self.unit_relation]
+        rows = [[c for row in self.differential(f) for c in row] for f in equations]
         # a kernel vector is a linear relation among the Jacobian's columns
         columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(N * N)]
         self._lie = [
@@ -307,29 +312,17 @@ class HCPair:
 
     def drho(self, x):
         """Linearization of the module action at the identity applied to a
-        Lie element: a t x t scalar matrix."""
+        Lie element: a t x t scalar matrix of D rho_rc(x)."""
         key = tuple(tuple(row) for row in x)
-        if key in self._drho_cache:
-            return self._drho_cache[key]
-        group = self.group
-        pt = group.identity_point()
-        field = group.field
-        trace = sum(x[i][i] for i in range(group.N))
-        out = []
-        for r in range(self.t):
-            row = []
-            for c in range(self.t):
-                p = self.rho[r][c]
-                acc = field.zero
-                for i in range(group.N):
-                    for j in range(group.N):
-                        pd = p.diff_even("g%d%d" % (i + 1, j + 1)).evaluate_at_point(pt)
-                        acc = acc + pd * x[i][j]
-                dd = p.diff_even("d").evaluate_at_point(pt)
-                row.append(field.of(acc - dd * trace))
-            out.append(row)
-        self._drho_cache[key] = out
-        return out
+        if key not in self._drho_cache:
+            group = self.group
+            N = group.N
+            self._drho_cache[key] = [
+                [group.field.of(sum(D[i][j] * x[i][j] for i in range(N) for j in range(N)))
+                 for D in map(group.differential, row)]
+                for row in self.rho
+            ]
+        return self._drho_cache[key]
 
     def rho_at(self, algebra, M):
         """Evaluate the action matrix at a group point over the even part

@@ -193,6 +193,21 @@ def _even_dim_modulo_annihilator(kernel_pairs, bar_algebra):
     return leading_term_dim(SuperAlgebra(bvs, bar_algebra.relations + image))
 
 
+def _even_test(p, algebra, bar_algebra):
+    """The even half of the elimination for Ann(p), and the Krull dimension
+    of bar(A) modulo its image: p passes the parameter test iff that
+    dimension is bar(A)'s own."""
+    pairs = annihilator_elimination(p, algebra, 0)
+    return pairs, _even_dim_modulo_annihilator(pairs, bar_algebra)
+
+
+def _certificate(elements, p, algebra, even_pairs, even_dim, reason=""):
+    """The certificate of a tested set: the odd half of the elimination joins
+    the even half, and Ann(p) is reduced from both."""
+    ann = annihilator_from_elimination(algebra, even_pairs + annihilator_elimination(p, algebra, 1))
+    return OddParamCertificate(list(elements), ann, even_dim, reason)
+
+
 def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
     """Tests whether the product of the elements has an annihilator small
     enough to preserve the even Krull dimension.
@@ -209,12 +224,9 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
         return False, OddParamCertificate(list(elements), None, None, "product is zero")
     bar_a = bar(algebra) if bar_algebra is None else bar_algebra
     d = leading_term_dim(bar_a) if even_dim is None else even_dim
-    pairs = annihilator_elimination(prod, algebra, 0)
-    dq = _even_dim_modulo_annihilator(pairs, bar_a)
-    ok = dq == d
-    reason = "" if ok else "annihilator drops even dimension to %s" % dq
-    ann = annihilator_from_elimination(algebra, pairs + annihilator_elimination(prod, algebra, 1))
-    return ok, OddParamCertificate(list(elements), ann, d, reason)
+    pairs, dq = _even_test(prod, algebra, bar_a)
+    reason = "" if dq == d else "annihilator drops even dimension to %s" % dq
+    return dq == d, _certificate(elements, prod, algebra, pairs, d, reason)
 
 
 def is_odd_regular_sequence(algebra, elements):
@@ -299,8 +311,8 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     def passes(monic):
         nonlocal failures
         if monic not in verdicts:
-            pairs = annihilator_elimination(monic, algebra, 0)
-            if _even_dim_modulo_annihilator(pairs, bar_a) == even:
+            pairs, dq = _even_test(monic, algebra, bar_a)
+            if dq == even:
                 verdicts[monic] = pairs
             else:
                 verdicts[monic] = None
@@ -324,9 +336,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
                 if cert is not None:
                     return cert
             elif passes(monic):
-                pairs = verdicts[monic] + annihilator_elimination(monic, algebra, 1)
-                ann = annihilator_from_elimination(algebra, pairs)
-                return OddParamCertificate(combo, ann, even, "")
+                return _certificate(combo, monic, algebra, verdicts[monic], even)
         return None
 
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):

@@ -1,9 +1,11 @@
 """The command-line surface: outputs, exit codes, JSON stability."""
 
 import argparse
+import ast
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -325,7 +327,7 @@ def test_huge_prime_field_is_accepted_quickly():
 
 
 def test_unexpected_exception_exits_3_without_traceback(monkeypatch, capsys):
-    def broken(args, out):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "_cmd_bar", broken)
@@ -411,13 +413,49 @@ def test_hc_error_exits_2_in_a_fresh_process():
     assert done.stderr == "error: rewriting did not terminate within 2 steps\n"
 
 
+# One call per entry of cli.COMMANDS, with the exact inputs its JSON echoes.
+JSON_CALLS = {
+    "ksdim": (["xy.salg"], {"file"}),
+    "bar": (["xy.salg"], {"file"}),
+    "gr": (["x2-y1y2.salg"], {"file"}),
+    "ann": (["xy.salg", "--element", "y"], {"file", "element"}),
+    "odd-params": (["xy1y2.salg"], {"file"}),
+    "odd-regular": (["lambda2.salg", "--seq", "y1, y2"], {"file", "seq"}),
+    "phi-dim": (["xy.salg", "--point", "x = 1"], {"file", "point"}),
+    "localize": (["xy.salg", "--element", "x"], {"file", "element"}),
+    "mono-check": (["a11.salg", "xy.salg", "--images", "x -> x; y -> y"], {"src", "dst", "images"}),
+    "hc validate": (["unipotent"], {"pair"}),
+    "hc sdim": (["sl2-standard"], {"pair"}),
+    "hc graded": (["gl1-weight"], {"pair"}),
+    "hc mul": (["unipotent", "g[[1,2],[0,1]] e(s,1)", "e(t,1)"], {"pair", "left", "right"}),
+    "hc inv": (["unipotent", "g[[1,1],[0,1]] e(s,1)"], {"pair", "element"}),
+    "orbit": (["a11.salg", "--derivation", "translate", "--point", "x = 2"],
+              {"file", "derivation", "point"}),
+    "verify-orbits": (["a11.salg", "--derivation", "scale", "--point", "x = 0"], {"file", "derivation"}),
+    "selftest": ([], {"seed"}),
+}
+
+
 def test_json_outputs_are_stable():
-    for argv in (
-        ["ksdim", data("xy.salg"), "--json"],
-        ["gr", data("x2-y1y2.salg"), "--json"],
-        ["orbit", data("a11.salg"), "--derivation", "translate", "--point", "x = 2", "--json"],
-    ):
-        _, out1 = run(argv)
-        _, out2 = run(argv)
-        assert out1 == out2
-        json.loads(out1)  # valid JSON
+    assert list(JSON_CALLS) == list(cli.COMMANDS)
+    for command, (rest, inputs) in JSON_CALLS.items():
+        argv = command.split() + [data(a) if a.endswith(".salg") else a for a in rest] + ["--json"]
+        code1, out1 = run(argv)
+        code2, out2 = run(argv)
+        assert (code1, out1) == (code2, out2) == (0, out1), argv
+        payload = json.loads(out1)
+        assert payload["command"] == command
+        assert set(payload["inputs"]) == inputs, command
+        assert ("text" in payload) == (command != "selftest"), command
+    code, out = run(["selftest", "--json", "--seed", "3"])
+    assert code == 0 and json.loads(out)["inputs"] == {"seed": 3}
+
+
+def test_every_handler_is_a_command_in_the_table():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = {
+        node.name[len("_cmd_"):]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    }
+    assert handlers == {name.replace("-", "_").replace(" ", "_") for name in cli.COMMANDS}

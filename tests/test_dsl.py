@@ -171,6 +171,10 @@ def test_structural_errors_name_the_token_that_decides_them():
     assert message(parse_document, salg % "even z y") == (
         "line 4, column 8: generator names must be unique: ('x', 'y', 'z', 'y', 'z')"
     )
+    # z and w1..w69 are 70 odd names; w63 is the 64th, one past the limit
+    assert message(parse_document, salg % ("odd " + " ".join("w%d" % i for i in range(1, 70)))) == (
+        "line 4, column 246: at most 63 odd generators (bitmask representation)"
+    )
 
 
 def test_a_token_that_continues_no_expression_is_an_error():
