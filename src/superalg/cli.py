@@ -490,7 +490,8 @@ def _build_parser():
         group, leaf = sub, name
         if name.startswith("hc "):
             if hc_sub is None:
-                hc = sub.add_parser("hc", parents=[common], help="Harish-Chandra pair commands")
+                # the common options belong to each leaf, after the subcommand
+                hc = sub.add_parser("hc", help="Harish-Chandra pair commands")
                 hc_sub = hc.add_subparsers(dest="hc_command", required=True)
             group, leaf = hc_sub, name[3:]
         p = group.add_parser(leaf, parents=[common], help=helptext)

@@ -93,16 +93,13 @@ class GBasis:
     """A list of monic vectors over characteristic p (0 for Q) with
     normal-form reduction against them."""
 
-    def __init__(self, vectors, key, p):
+    def __init__(self, key, p):
         self.key = key
         self.p = p
         self.vectors = []
         self.leads = []
         self.tails = []  # each vector without its lead term
         self.by_comp = {}  # component -> [(index, lead exponents)], by index
-        for v in vectors:
-            if v:
-                self.append(vec_monic(v, key, p))
 
     def append(self, v, lead=None):
         """Add the monic vector v; ``lead`` is its lead term when the caller
@@ -184,7 +181,7 @@ def complete(vectors, key, p, gb=None):
     criterion dropped is never pending.
     """
     if gb is None:
-        gb = GBasis([], key, p)
+        gb = GBasis(key, p)
     lcm = _kernel.exp_lcm
     sub = _kernel.exp_sub
     divides = _kernel.exp_divides
@@ -252,7 +249,7 @@ def _autoreduce(key, p, leads_and_vectors):
     divides = _kernel.exp_divides
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
-    work = GBasis([], key, p)
+    work = GBasis(key, p)
     for lead, v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
         exps, comp = lead
         if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
@@ -262,7 +259,7 @@ def _autoreduce(key, p, leads_and_vectors):
     # no other lead divides a lead, so each keeps its lead and stays monic
     out = [(work.leads[i], work.nf(v, skip=i)) for i, v in enumerate(work.vectors)]
     out.sort(key=lambda lv: key(lv[0]), reverse=True)
-    final = GBasis([], key, p)
+    final = GBasis(key, p)
     for lead, v in out:
         final.append(v, lead)
     return final
@@ -272,14 +269,12 @@ def _autoreduce(key, p, leads_and_vectors):
 # closure and algebra presentations
 
 
-def odd_square_free_monomials(vs, min_degree=1, parity=None):
-    """All square-free odd monomials y_T as SuperPolys, ascending order."""
+def odd_square_free_monomials(vs, parity):
+    """All square-free odd monomials y_T of the given degree parity and
+    degree at least 1 as SuperPolys, ascending order."""
     out = []
     for mask in range(1, 1 << vs.n):
-        deg = mask.bit_count()
-        if deg < min_degree:
-            continue
-        if parity is not None and deg & 1 != parity:
+        if mask.bit_count() & 1 != parity:
             continue
         out.append(vs.monomial((0,) * vs.m, mask))
     out.sort(key=lambda p: term_key(next(iter(p.terms))))
@@ -302,16 +297,6 @@ def superideal_closure(gens):
     return list(closed)
 
 
-def module_groebner(gens, key=term_key):
-    """Reduced Gröbner basis (as SuperPolys) of the k[x]-span of gens.
-    Callers pass a superideal-closed generating set."""
-    if not gens:
-        return []
-    vs = gens[0].vs
-    gb = buchberger([g.terms for g in gens], key, vs.field.char)
-    return [SuperPoly(vs, v) for v in gb.vectors]
-
-
 class SuperAlgebra:
     """Finite presentation k[x's | y's] / J with cached Gröbner data.
 
@@ -319,6 +304,8 @@ class SuperAlgebra:
     construction, so the relation superideal is parity-graded.  ``key``
     identifies the presentation by content (generators, field and
     relations); caches of answers that depend on the algebra key on it.
+    ``gbasis``, built on first use, is the one stored reduced Gröbner
+    basis of J under term_key.
     """
 
     def __init__(self, vs, relations=()):
@@ -333,33 +320,30 @@ class SuperAlgebra:
                     rels.append(part)
         self.relations = rels
         self.key = (vs, tuple(rels))
-        self._gb = None
         self._gbasis = None
 
     @property
-    def module_gb(self):
+    def gbasis(self):
         """Reduced Gröbner basis of the superideal closure of the relations."""
-        if self._gb is None:
-            closed = superideal_closure(self.relations)
-            self._gb = module_groebner(closed)
-            self._gbasis = GBasis([g.terms for g in self._gb], term_key, self.vs.field.char)
-        return self._gb
+        if self._gbasis is None:
+            closed = [g.terms for g in superideal_closure(self.relations)]
+            self._gbasis = buchberger(closed, term_key, self.vs.field.char)
+        return self._gbasis
+
+    @property
+    def module_gb(self):
+        """The reduced basis as SuperPolys, a view for rendering."""
+        return [SuperPoly(self.vs, v) for v in self.gbasis.vectors]
 
     def nf(self, f):
-        if not self.module_gb:
-            return f
-        return SuperPoly(self.vs, self._gbasis.nf(f.terms))
+        gb = self.gbasis
+        return SuperPoly(self.vs, gb.nf(f.terms)) if gb.vectors else f
 
     def contains_in_ideal(self, f):
         return self.nf(f).is_zero()
 
     def is_zero_ring(self):
         return self.contains_in_ideal(self.vs.one())
-
-    def parse(self, text):
-        from superalg.dsl import parse_poly
-
-        return parse_poly(text, self.vs)
 
     def __repr__(self):
         return "SuperAlgebra(even=%r, odd=%r, relations=%r)" % (
@@ -372,32 +356,33 @@ class SuperAlgebra:
 class SuperIdeal:
     """A superideal of a SuperAlgebra, i.e. a k[x]-submodule of the free
     module containing the relation module and closed under odd
-    multiplication."""
+    multiplication.  ``gbasis`` is its reduced Gröbner basis under
+    term_key."""
 
-    def __init__(self, ambient, generators=(), ann_of_zero=False):
+    def __init__(self, ambient, generators=()):
         self.ambient = ambient
         gens = [g for g in map(ambient.nf, generators) if g]
         self._generators = gens
-        self.ann_of_zero = ann_of_zero
-        closed = superideal_closure(gens) + list(ambient.module_gb)
-        self.module_gb = module_groebner(closed)
-        self._gbasis = None  # built from module_gb by the first nf
+        closed = [g.terms for g in superideal_closure(gens)] + ambient.gbasis.vectors
+        self.gbasis = buchberger(closed, term_key, ambient.vs.field.char)
 
     @classmethod
-    def _from_reduced_basis(cls, ambient, basis):
+    def _from_reduced_basis(cls, ambient, gbasis):
         """A superideal whose reduced Gröbner basis under term_key is
-        already known: ``basis`` becomes ``module_gb`` as given, with no
-        closure and no Buchberger run.  The caller vouches that it is the
-        reduced basis of a superideal containing the relation module.  Its
-        generators, the nonzero normal forms of the basis, are found when
-        first read."""
+        already known: ``gbasis`` is kept as given, with no closure and no
+        Buchberger run.  The caller vouches that it is the reduced basis of
+        a superideal containing the relation module.  Its generators, the
+        nonzero normal forms of the basis, are found when first read."""
         self = cls.__new__(cls)
         self.ambient = ambient
         self._generators = None
-        self.ann_of_zero = False
-        self.module_gb = basis
-        self._gbasis = None
+        self.gbasis = gbasis
         return self
+
+    @property
+    def module_gb(self):
+        """The reduced basis as SuperPolys, a view for rendering."""
+        return [SuperPoly(self.ambient.vs, v) for v in self.gbasis.vectors]
 
     @property
     def generators(self):
@@ -406,9 +391,7 @@ class SuperIdeal:
         return self._generators
 
     def nf(self, f):
-        if self._gbasis is None:
-            self._gbasis = GBasis([g.terms for g in self.module_gb], term_key, self.ambient.vs.field.char)
-        return SuperPoly(self.ambient.vs, self._gbasis.nf(f.terms))
+        return SuperPoly(self.ambient.vs, self.gbasis.nf(f.terms))
 
     def contains(self, f):
         return self.nf(f).is_zero()
@@ -421,11 +404,11 @@ class SuperIdeal:
 
 
 def ideal_equal(I, J):
+    """Both are the modules their reduced bases span, and the reduced basis
+    of a module under a fixed order is unique."""
     if I.ambient is not J.ambient and I.ambient.vs != J.ambient.vs:
         raise StructureError("ideals live in different ambient algebras")
-    return all(J.contains(g) for g in I.generators + I.ambient.module_gb) and all(
-        I.contains(g) for g in J.generators + J.ambient.module_gb
-    )
+    return I.gbasis.vectors == J.gbasis.vectors
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +422,7 @@ def annihilator(p, algebra):
         raise ParityError("annihilator argument must be parity-homogeneous")
     p = algebra.nf(p)
     if p.is_zero():
-        return SuperIdeal(algebra, [vs.one()], ann_of_zero=True)
+        return SuperIdeal(algebra, [vs.one()])
     pairs = annihilator_elimination(p, algebra, 0) + annihilator_elimination(p, algebra, 1)
     return annihilator_from_elimination(algebra, pairs)
 
@@ -470,9 +453,8 @@ def annihilator_elimination(p, algebra, parity):
     # and each e_S with y_S * p = 0 is a kernel element in a component of
     # its own, so together they are a Gröbner basis that enters the
     # elimination as it is, with its leads.
-    gb = GBasis([], elim_term_key, char)
-    algebra.module_gb  # builds algebra._gbasis on first use
-    rel = algebra._gbasis
+    gb = GBasis(elim_term_key, char)
+    rel = algebra.gbasis
     for (exps, mask), v in zip(rel.leads, rel.vectors):
         if mask.bit_count() & 1 == main_parity:
             gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
@@ -513,12 +495,11 @@ def annihilator_from_elimination(algebra, kernel_pairs):
     adding the relation basis changes nothing; and the reduced basis of a
     parity-graded module is parity-homogeneous.
     """
-    vs = algebra.vs
-    tag = _autoreduce(elim_term_key, vs.field.char, kernel_pairs)
-    kernel = [
-        SuperPoly(vs, {(exps, comp[1]): c for (exps, comp), c in v.items()})
-        for v in tag.vectors
-    ]
+    char = algebra.vs.field.char
+    tag = _autoreduce(elim_term_key, char, kernel_pairs)
+    kernel = GBasis(term_key, char)
+    for (exps, (_, mask)), v in zip(tag.leads, tag.vectors):
+        kernel.append({(e, comp[1]): c for (e, comp), c in v.items()}, (exps, mask))
     return SuperIdeal._from_reduced_basis(algebra, kernel)
 
 
@@ -598,7 +579,7 @@ def check_mono_necessary(phi):
     dst = phi.dst
     vs = dst.vs
     src_odd_monomials = odd_square_free_monomials(phi.src.vs, parity=1)
-    vectors = [g.terms for g in dst.module_gb]
+    vectors = list(dst.gbasis.vectors)
     even_monomials = [vs.one()] + odd_square_free_monomials(vs, parity=0)
     for m in src_odd_monomials:
         img = phi.apply(m)
@@ -608,8 +589,7 @@ def check_mono_necessary(phi):
             prod = dst.nf(u * img)
             if prod:
                 vectors.append(prod.terms)
-    p = vs.field.char
-    gb = buchberger(vectors, term_key, p) if vectors else GBasis([], term_key, p)
+    gb = buchberger(vectors, term_key, vs.field.char)
     for w in odd_square_free_monomials(vs, parity=1):
         wn = dst.nf(w)
         if wn.is_zero():

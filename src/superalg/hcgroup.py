@@ -240,24 +240,21 @@ class EvenGroupSpec:
             images["d"] = invert_even(algebra, algebra.nf(mat_det(M)))
         return images
 
-    def contains_matrix(self, algebra, M, raising=True):
+    def contains_matrix(self, algebra, M):
         """Membership of a matrix over the even part of a coefficient
-        algebra, modulo the coefficient relations."""
+        algebra, modulo the coefficient relations: True, or HCError naming
+        what fails."""
         images = self.point_images(algebra, M, self.defining)
         if "d" not in images:
             # no defining equation mentions the inverse determinant, but
             # membership still requires the determinant to be invertible
             det = algebra.nf(mat_det(M))
             if not det.constant_coeff():
-                if raising:
-                    raise HCError("matrix determinant %s is not invertible" % det)
-                return False
+                raise HCError("matrix determinant %s is not invertible" % det)
         for f in self.defining:
             r = algebra.nf(f.substitute(images, algebra.vs, check_parity=False))
             if r:
-                if raising:
-                    raise HCError("matrix leaves the group: %s evaluates to %s" % (f, r))
-                return False
+                raise HCError("matrix leaves the group: %s evaluates to %s" % (f, r))
         return True
 
 

@@ -15,9 +15,9 @@ from superalg.groebner import (
     annihilator,
     annihilator_elimination,
     annihilator_from_elimination,
+    buchberger,
     ideal_equal,
     localize_at_even,
-    module_groebner,
     odd_square_free_monomials,
     superideal_closure,
     weight_term_key,
@@ -129,14 +129,11 @@ def bar(algebra):
 def leading_term_dim(comm_algebra):
     """Krull dimension of k[x]/I via the maximum size of a variable subset
     touching no leading monomial of the reduced basis."""
-    gb = comm_algebra.module_gb
-    if any(g.total_degree() == 0 for g in gb):
+    leads = comm_algebra.gbasis.leads
+    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps, _ in leads]
+    if frozenset() in supports:  # the lead 1: the unit ideal
         return ZERO_RING_DIM
     m = comm_algebra.vs.m
-    supports = []
-    for g in gb:
-        (exps, _), _ = g.lead_term()
-        supports.append(frozenset(i for i, e in enumerate(exps) if e))
     for size in range(m, -1, -1):
         for combo in itertools.combinations(range(m), size):
             u = set(combo)
@@ -154,10 +151,11 @@ def even_annihilator_image_in_bar(ideal, bar_algebra):
     (``_even_dim_modulo_annihilator``); this form, from a SuperIdeal, is
     its reference."""
     bvs = bar_algebra.vs
+    gb = ideal.gbasis
     images = (
-        SuperPoly(bvs, {t: c for t, c in g.terms.items() if not t[1]})
-        for g in ideal.module_gb
-        if g.parity() == 0
+        SuperPoly(bvs, {t: c for t, c in v.items() if not t[1]})
+        for (_, mask), v in zip(gb.leads, gb.vectors)
+        if not mask.bit_count() & 1
     )
     # dict.fromkeys drops repeats and keeps first-occurrence order
     return [gg for gg in dict.fromkeys(images) if gg]
@@ -236,21 +234,17 @@ def is_odd_regular_sequence(algebra, elements):
     prod = algebra.vs.one()
     for y in elements:
         prod = prod * y
-    ann = annihilator(prod, algebra)
-    if ann.ann_of_zero:
+    if algebra.nf(prod).is_zero():
         return False
-    return ideal_equal(ann, SuperIdeal(algebra, list(elements)))
+    return ideal_equal(annihilator(prod, algebra), SuperIdeal(algebra, list(elements)))
 
 
-def odd_parameter_candidates(algebra, extra=(), random_combos=4, seed=0):
+def odd_parameter_candidates(algebra, random_combos=4, seed=0):
     """Finite search pool: odd generators, square-free odd monomials of odd
-    degree, caller extras, and seeded random combinations."""
+    degree, and seeded random combinations."""
     vs = algebra.vs
-    for p in extra:
-        if p.parity() != 1:
-            raise ParityError("extra candidate %s is not odd" % p)
     monos = odd_square_free_monomials(vs, parity=1)
-    pool = [algebra.nf(p) for p in itertools.chain(monos, extra)]
+    pool = [algebra.nf(p) for p in monos]
     if random_combos and any(pool):
         rng = random.Random(seed)
         for _ in range(random_combos):
@@ -262,7 +256,7 @@ def odd_parameter_candidates(algebra, extra=(), random_combos=4, seed=0):
     return [q for q in dict.fromkeys(pool) if q]
 
 
-def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
+def ksdim(algebra, random_combos=4, seed=0):
     """Krull super-dimension with an explicit certificate.
 
     The odd component is the longest parameter system found in the finite
@@ -300,7 +294,7 @@ def ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
-    pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
+    pool = odd_parameter_candidates(algebra, random_combos, seed)
     char = algebra.vs.field.char
     verdicts = {}  # monic product -> even kernel pairs of a passing test, None for a failing one
     failures = 0
@@ -418,13 +412,13 @@ def gr_presentation(algebra):
     """Same generators; relations replaced by the lowest odd-weight slices
     of a basis computed with the odd-weight-first order."""
     vs = algebra.vs
-    closed = superideal_closure(algebra.relations)
-    gb = module_groebner(closed, key=weight_term_key)
+    closed = [g.terms for g in superideal_closure(algebra.relations)]
+    gb = buchberger(closed, weight_term_key, vs.field.char)
     rels = []
-    for g in gb:
-        wmin = min(mask.bit_count() for (_, mask) in g.terms)
-        slice_terms = {t: c for t, c in g.terms.items() if t[1].bit_count() == wmin}
-        p = SuperPoly(vs, slice_terms)
+    for (_, mask), v in zip(gb.leads, gb.vectors):
+        # the lead lies in the lowest odd-weight slice
+        wmin = mask.bit_count()
+        p = SuperPoly(vs, {t: c for t, c in v.items() if t[1].bit_count() == wmin})
         if p and p not in rels:
             rels.append(p)
     return SuperAlgebra(vs, rels)
@@ -440,8 +434,7 @@ def hilbert_slice_dims(algebra, max_degree):
     from superalg.oracle import all_monomials
     from superalg import _kernel
 
-    gb = algebra.module_gb
-    leads = [g.lead_term()[0] for g in gb]
+    leads = algebra.gbasis.leads
     dims = [0] * (max_degree + 1)
     for exps, mask in all_monomials(algebra.vs, max_degree):
         reducible = any(

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from superalg import hcgroup, orbits, sdim
+from superalg import dsl, hcgroup, orbits, sdim
 from superalg.cli import run_command
 from superalg.groebner import (
     Morphism,
@@ -166,7 +166,7 @@ def test_criterion_4_localization_covers():
     details = []
     for name, elts in cases:
         A = algebras[name]
-        elements = [A.parse(e) for e in elts]
+        elements = [dsl.parse_poly(e, A.vs) for e in elts]
         if not sdim.covers_unit(A, elements):
             ok = False
             details.append("%s: not a cover" % name)

@@ -118,6 +118,10 @@ def test_hc_commands(tmp_path, capsys):
     code, out = run(["hc", "mul", "gl1-weight", "g[[s*t]]", "g[[1]]"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: matrix determinant st is not invertible\n"
+    # the common options follow the subcommand
+    for argv in (["hc", "--json", "sdim", "unipotent"], ["hc", "--field", "fp", "5", "sdim", "unipotent"]):
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().out == ""
 
 
 def test_hc_mul_on_a_pair_not_proven_closed_still_checks_membership(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg import groebner
 from superalg.groebner import (
@@ -11,16 +13,16 @@ from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
     annihilator,
+    buchberger,
     check_mono_necessary,
     complete,
     ideal_equal,
     localize_at_even,
-    module_groebner,
     superideal_closure,
 )
 from superalg.hcgroup import mat_det
 from superalg.oracle import oracle_annihilator_basis, oracle_member
-from superalg.scalars import QQ
+from superalg.scalars import QQ, Field
 from superalg.superpoly import ParityError, StructureError, VarSet, term_key
 
 from conftest import make_algebra, random_poly
@@ -72,12 +74,12 @@ def test_gb_independent_of_generator_order(rng):
         vs.gen("x1") ** 2 * vs.gen("y2"),
         vs.gen("y1") * vs.gen("y2"),
     ]
-    closed = superideal_closure(gens)
-    gb1 = module_groebner(closed)
+    closed = [g.terms for g in superideal_closure(gens)]
+    gb1 = buchberger(closed, term_key, 0).vectors
     for _ in range(5):
         shuffled = closed[:]
         rng.shuffle(shuffled)
-        assert module_groebner(shuffled) == gb1
+        assert buchberger(shuffled, term_key, 0).vectors == gb1
 
 
 def test_superideal_closed_under_odd_multiplication(rng):
@@ -200,7 +202,6 @@ def test_product_criterion_drops_coprime_one_component_pairs(monkeypatch):
 def test_annihilator_of_zero_is_unit():
     A = make_algebra(("x",), ("y",), lambda vs: [vs.gen("x") * vs.gen("y")])
     ann = annihilator(A.vs.gen("x") * A.vs.gen("y"), A)
-    assert ann.ann_of_zero
     assert ann.is_unit_ideal()
 
 
@@ -208,6 +209,75 @@ def test_annihilator_requires_homogeneous():
     A = make_algebra(("x",), ("y",))
     with pytest.raises(ParityError):
         annihilator(A.vs.gen("x") + A.vs.gen("y"), A)
+
+
+def test_each_superideal_completes_once(monkeypatch):
+    A = make_algebra(("x",), ("y1", "y2"), lambda vs: [vs.gen("x") * vs.gen("y1")])
+    assert A.gbasis is A.gbasis
+    calls = []
+    complete_basis = groebner.buchberger
+
+    def counting(*args):
+        calls.append(1)
+        return complete_basis(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    ideal = SuperIdeal(A, [A.vs.gen("y2")])
+    assert calls == [1]
+    assert ideal.contains(A.vs.gen("x") * A.vs.gen("y2")) and not ideal.contains(A.vs.gen("x"))
+    assert ideal_equal(ideal, SuperIdeal(A, [A.vs.gen("y2")]))
+    assert calls == [1, 1]  # the comparison completes nothing itself
+    assert ideal.gbasis is ideal.gbasis
+
+
+def mutually_contained(I, J):
+    """The definition of ideal equality by membership: each ideal holds the
+    other's generators and its ambient's relation basis."""
+    return all(J.contains(g) for g in I.generators + I.ambient.module_gb) and all(
+        I.contains(g) for g in J.generators + J.ambient.module_gb
+    )
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two superideals of k[x | y1, y2] over Q or F_7 in two ambients with
+    the same generators; J's generators are often I's, or combinations of
+    them, so that equal pairs are common."""
+    field = draw(st.sampled_from((QQ, Field(7))))
+    vs = VarSet(("x",), ("y1", "y2"), field)
+    terms = st.tuples(st.integers(0, 2), st.integers(0, 3))
+    coeffs = st.integers(-2, 2).filter(bool)
+
+    def polys(max_size):
+        poly = st.dictionaries(terms, coeffs, max_size=3).map(
+            lambda d: sum((vs.monomial((e,), m, c) for (e, m), c in d.items()), vs.zero())
+        )
+        return st.lists(poly, max_size=max_size)
+
+    rels = draw(polys(2))
+    other_rels = draw(st.sampled_from((rels, draw(polys(2)))))
+    gens = draw(polys(3))
+    how = draw(st.sampled_from(("same", "combined", "drawn")))
+    if how == "same":
+        other_gens = list(reversed(gens))
+    elif how == "combined":
+        factors = draw(st.lists(polys(1), min_size=len(gens), max_size=len(gens)))
+        other_gens = list(gens)
+        for g, f in zip(gens, factors):
+            other_gens.append(g * f[0] if f else g + gens[0])
+    else:
+        other_gens = draw(polys(3))
+    return (
+        SuperIdeal(SuperAlgebra(vs, rels), gens),
+        SuperIdeal(SuperAlgebra(vs, other_rels), other_gens),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ideal_pairs())
+def test_ideal_equal_is_mutual_containment(pair):
+    I, J = pair
+    assert ideal_equal(I, J) == mutually_contained(I, J) == ideal_equal(J, I)
 
 
 def test_ideal_equal():

@@ -46,14 +46,14 @@ FIELDS = (QQ, Field(7))
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def exhaustive_ksdim(algebra, extra_candidates=(), random_combos=4, seed=0):
+def exhaustive_ksdim(algebra, random_combos=4, seed=0):
     """The search as it was: every combination of the pool, largest size
     first, each through ``is_odd_parameter_system``."""
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
-    pool = odd_parameter_candidates(algebra, extra_candidates, random_combos, seed)
+    pool = odd_parameter_candidates(algebra, random_combos, seed)
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):
         for combo in itertools.combinations(pool, k):
             ok, cert = is_odd_parameter_system(algebra, list(combo), bar_a, even)
@@ -69,7 +69,7 @@ def screenless_walk(algebra, random_combos=4):
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return []
-    pool = odd_parameter_candidates(algebra, (), random_combos)
+    pool = odd_parameter_candidates(algebra, random_combos)
     char = algebra.vs.field.char
     tested, failed = [], set()
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superalg.groebner import SuperAlgebra, SuperIdeal, ideal_equal
+from superalg.groebner import SuperAlgebra, SuperIdeal, fresh_name, ideal_equal
 from superalg.oracle import all_monomials
 from superalg.orbits import (
     ActionError,
@@ -64,9 +64,43 @@ def test_validate_rejects_unstable_ideal():
         validate_action(act)
 
 
+def extended_algebra_group_law(action):
+    """The group-law check computed over A (x) /\\(z1, z2) itself: acting by
+    z1 and then z2, f + (z1 + z2) phi(f) + z1 z2 phi^2(f), against acting
+    by z1 + z2, f + (z1 + z2) phi(f), for every generator f."""
+    A = action.algebra
+    vs = A.vs
+    taken = set(vs.even + vs.odd)
+    z1name = fresh_name("z1", taken)
+    taken.add(z1name)
+    z2name = fresh_name("z2", taken)
+    ext = VarSet(vs.even, vs.odd + (z1name, z2name), vs.field)
+    lift = {n: ext.gen(n) for n in vs.even + vs.odd}
+    z1 = ext.gen(z1name)
+    z2 = ext.gen(z2name)
+    Aext = SuperAlgebra(ext, [r.substitute(lift, ext) for r in A.relations])
+    for name in vs.even + vs.odd:
+        f = vs.gen(name)
+        pf = action.apply(f)
+        ppf = action.apply(pf)
+        femb = f.substitute(lift, ext)
+        pfemb = pf.substitute(lift, ext)
+        ppfemb = ppf.substitute(lift, ext)
+        one_step = femb + (z1 + z2) * pfemb
+        two_step = femb + (z1 + z2) * pfemb + z1 * z2 * ppfemb
+        if Aext.nf(two_step - one_step):
+            return False
+    return True
+
+
 def test_coaction_group_law(free_line):
     act = OddAction(free_line, {"y": free_line.vs.gen("x")})
     assert check_coaction_multiplicative(act)
+    assert extended_algebra_group_law(act)
+    # not validated: phi(x) = y, phi(y) = 1 has phi^2(x) = 1
+    act = OddAction(free_line, {"x": free_line.vs.gen("y"), "y": free_line.vs.one()})
+    assert check_coaction_multiplicative(act) is False
+    assert extended_algebra_group_law(act) is False
 
 
 def test_translation_orbits(free_line):
@@ -233,6 +267,7 @@ def test_orbit_theorems_hold_on_drawn_actions(case):
     assert all(ok for ok, _ in validate_action(act).values())
     res, report = verify_orbit_theorems(act, pt)
     assert all(report.values()), report
+    assert check_coaction_multiplicative(act) == extended_algebra_group_law(act)
     moved = any(act.images[y].evaluate_at_point(pt.point) for y in vs.odd)
     assert res.stabilizer == ("trivial" if moved else "full")
     # the even part of the orbit ideal is the maximal ideal of the point

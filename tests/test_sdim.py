@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from superalg.dsl import parse_poly
 from superalg.groebner import SuperAlgebra, SuperIdeal, localize_at_even
 from superalg.scalars import QQ
 from superalg.sdim import (
@@ -151,6 +152,10 @@ def test_odd_regular_sequences():
     assert not is_odd_regular_sequence(A, [A.vs.gen("y")])
     free = make_algebra(("x",), ("y",))
     assert is_odd_regular_sequence(free, [free.vs.gen("y")])
+    # in the zero ring the annihilator of the zero product is everything,
+    # as is the ideal of the elements, and still no sequence is regular
+    zero = make_algebra(("x",), ("y",), lambda vs: [vs.one()])
+    assert not is_odd_regular_sequence(zero, [zero.vs.gen("y")])
 
 
 def test_gr_odd_weight_homogeneous_and_slices():
@@ -204,7 +209,7 @@ def test_covers_and_localization():
     algebras = corpus()
     for name, elts in cases:
         A = algebras[name]
-        elements = [A.parse(e) for e in elts]
+        elements = [parse_poly(e, A.vs) for e in elts]
         assert covers_unit(A, elements), name
         report = verify_cover(A, elements)
         assert report["agrees"], (name, report)
