@@ -171,58 +171,7 @@ def _elements(args, *words):
 
     pair = _load_pair(args)
     algebra = hcgroup.lambda_algebra(("s", "t", "u", "w"), pair.group.field)
-    return [_parse_element_word(w, pair, algebra) for w in words]
-
-
-def _parse_element_word(text, pair, algebra):
-    """``g[[1,s],[0,1]] e(s*t, 1) e(u, 2)`` -> normalized HCElement."""
-    from superalg import hcgroup
-
-    stream = dsl.TokenStream(dsl.tokenize(text))
-    word = []
-    vs = algebra.vs
-    while stream.peek().kind != "eof":
-        t = stream.peek()
-        if t.kind == "ident" and t.text == "g":
-            stream.next()
-            stream.expect("[")
-            rows = []
-            while True:
-                stream.expect("[")
-                row = [dsl.PolyParser(stream, vs).parse()]
-                while stream.peek().text == ",":
-                    stream.next()
-                    row.append(dsl.PolyParser(stream, vs).parse())
-                stream.expect("]")
-                rows.append(row)
-                if stream.peek().text == ",":
-                    stream.next()
-                    continue
-                break
-            stream.expect("]")
-            N = pair.group.N
-            if len(rows) != N or any(len(r) != N for r in rows):
-                raise dsl.ParseError("group factor must be a %d x %d matrix" % (N, N))
-            word.append(("g", rows))
-        elif t.kind == "ident" and t.text == "e":
-            stream.next()
-            stream.expect("(")
-            a = dsl.PolyParser(stream, vs).parse()
-            stream.expect(",")
-            it = stream.peek()
-            if it.kind != "int":
-                stream.error("expected a basis index")
-            stream.next()
-            idx = int(it.text)
-            stream.expect(")")
-            if not 1 <= idx <= pair.t:
-                raise dsl.ParseError("basis index %d out of range 1..%d" % (idx, pair.t))
-            word.append(("e", a, idx - 1))
-        else:
-            stream.error("expected a g[...] or e(...) factor")
-    if not word:
-        raise dsl.ParseError("empty element word")
-    return hcgroup.normalize_word(pair, algebra, word)
+    return [hcgroup.normalize_word(pair, algebra, dsl.parse_element_word(w, pair, algebra.vs)) for w in words]
 
 
 def _element(el):
@@ -380,7 +329,7 @@ def _resolve_action(args, manifest):
 
     A = manifest.algebra
     if args.derivation in manifest.derivations:
-        images = manifest.derivations[args.derivation].images
+        images = manifest.derivations[args.derivation]
     else:
         images = dsl.parse_images(args.derivation, A.vs)
     action = orbits.OddAction(A, images)
@@ -391,7 +340,7 @@ def _resolve_action(args, manifest):
 def _resolve_point(text, manifest):
     A = manifest.algebra
     if text in manifest.points:
-        values = manifest.points[text].values
+        values = manifest.points[text]
     else:
         values = dsl.parse_assignments(text, A.vs)
     return _point(values, A)

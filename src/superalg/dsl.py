@@ -12,10 +12,17 @@ Example document::
 
 Identifiers made of concatenated odd names (the canonical rendering,
 e.g. ``y1y2``) are resolved greedily into products of odd generators.
+
+Each construct has one reader.  A ``derivation`` or ``point`` block and
+the same entries given inline on the command line (``--derivation`` or
+``--images``, ``--point``) go through one entry-list reader: the entries
+may be separated by ``;`` or ``,``, and the list stops at ``end`` in a
+block and at the end of the input inline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -54,9 +61,7 @@ KEYWORDS = {
     "odd",
     "rel",
     "end",
-    "on",
     "size",
-    "odddim",
     "rho",
     "bracket",
 }
@@ -141,7 +146,7 @@ class TokenStream:
 # polynomial expressions
 
 
-def resolve_name(vs, name, tok=None):
+def resolve_name(vs, name, tok):
     """A generator name, or a greedy concatenation of odd names."""
     if name in vs.even or name in vs.odd:
         return vs.gen(name)
@@ -155,11 +160,7 @@ def resolve_name(vs, name, tok=None):
                 rest = rest[len(cand) :]
                 break
         else:
-            raise ParseError(
-                "unknown generator %r" % name,
-                tok.line if tok else None,
-                tok.col if tok else None,
-            )
+            raise ParseError("unknown generator %r" % name, tok.line, tok.col)
     out = vs.one()
     for p in parts:
         out = out * vs.gen(p)
@@ -293,75 +294,101 @@ def parse_poly(text, vs):
 
 
 # ---------------------------------------------------------------------------
+# shared readers
+
+
+def _name(stream, message):
+    """The next token, which must be an identifier that is not a keyword;
+    otherwise a ParseError with the message at that token."""
+    t = stream.peek()
+    if t.kind != "ident" or t.text in KEYWORDS:
+        stream.error(message)
+    return stream.next()
+
+
+def _sequence(stream, read, sep):
+    """``read (sep read)*``: what ``read`` returns for each item."""
+    out = [read()]
+    while stream.peek().text == sep:
+        stream.next()
+        out.append(read())
+    return out
+
+
+def _entries(stream, read, stop):
+    """What ``read`` returns for each entry up to the token ``stop``, which
+    is consumed: ``end`` closes a block and ``""`` is the end of input.  Any
+    number of ';' or ',' may separate the entries."""
+    out = []
+    while True:
+        t = stream.peek()
+        if t.text == stop:
+            stream.next()
+            return out
+        if t.text in (";", ","):
+            stream.next()
+        else:
+            out.append(read())
+
+
+def _image(stream, vs, message):
+    """A derivation entry ``name -> poly`` as (name, poly)."""
+    t = _name(stream, message)
+    if t.text not in vs.even and t.text not in vs.odd:
+        raise ParseError("unknown generator %r" % t.text, t.line, t.col)
+    stream.expect("->")
+    return t.text, PolyParser(stream, vs).parse()
+
+
+def _value(stream, vs, message):
+    """A point entry ``name = scalar`` as (name, scalar)."""
+    t = _name(stream, message)
+    if t.text not in vs.even:
+        raise ParseError("%r is not an even generator" % t.text, t.line, t.col)
+    stream.expect("=")
+    return t.text, _parse_scalar(stream, vs.field)
+
+
+def _parse_scalar(stream, field):
+    sign = 1
+    if stream.peek().text == "-":
+        stream.next()
+        sign = -1
+    t = stream.peek()
+    if t.kind != "int":
+        stream.error("expected a rational scalar")
+    stream.next()
+    num = int(t.text)
+    den = 1
+    if stream.peek().text == "/":
+        stream.next()
+        den = _parse_denominator(stream)
+    return field.of(Fraction(sign * num, den))
+
+
+def _parse_denominator(stream):
+    """The nonzero integer after a '/'."""
+    d = stream.peek()
+    if d.kind != "int":
+        stream.error("expected an integer denominator")
+    stream.next()
+    if int(d.text) == 0:
+        raise ParseError("zero denominator", d.line, d.col)
+    return int(d.text)
+
+
+# ---------------------------------------------------------------------------
 # documents
 
 
-class SuperAlgebraDecl:
-    def __init__(self, name, algebra):
-        self.name = name
-        self.algebra = algebra
-
-    def render(self):
-        vs = self.algebra.vs
-        lines = ["superalgebra %s" % self.name]
-        if vs.even:
-            lines.append("  even " + " ".join(vs.even))
-        if vs.odd:
-            lines.append("  odd " + " ".join(vs.odd))
-        for r in self.algebra.relations:
-            lines.append("  rel " + r.render())
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-
-class DerivationDecl:
-    def __init__(self, name, images):
-        self.name = name
-        self.images = images  # generator name -> source text / SuperPoly
-
-    def render(self):
-        lines = ["derivation %s" % self.name]
-        for gen_name, img in self.images.items():
-            lines.append("  %s -> %s" % (gen_name, img.render()))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-
-class PointDecl:
-    def __init__(self, name, values):
-        self.name = name
-        self.values = values  # even generator name -> scalar
-
-    def render(self, field):
-        lines = ["point %s" % self.name]
-        for gen_name, v in self.values.items():
-            lines.append("  %s = %s" % (gen_name, field.render(v)))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-
 class Manifest:
-    def __init__(self, algebra_decl=None, derivations=None, points=None):
-        self.algebra_decl = algebra_decl
-        self.derivations = derivations or {}
-        self.points = points or {}
+    """A parsed ``.salg`` document: its algebra, its derivations (name ->
+    {generator: image}) and its points (name -> {even generator: value})."""
 
-    @property
-    def algebra(self):
-        if self.algebra_decl is None:
-            raise ParseError("document declares no superalgebra")
-        return self.algebra_decl.algebra
-
-    def render(self):
-        out = []
-        if self.algebra_decl:
-            out.append(self.algebra_decl.render())
-        for d in self.derivations.values():
-            out.append(d.render())
-        field = self.algebra_decl.algebra.vs.field if self.algebra_decl else None
-        for p in self.points.values():
-            out.append(p.render(field))
-        return "\n".join(out)
+    def __init__(self, algebra, derivations, points):
+        self.algebra = algebra
+        self.derivations = derivations
+        self.points = points
 
 
 def parse_document(text, field=None):
@@ -369,41 +396,33 @@ def parse_document(text, field=None):
     number of derivation and point blocks."""
     from superalg.scalars import QQ
 
-    field = field or QQ
     stream = TokenStream(tokenize(text))
-    manifest = Manifest()
+    algebra = None
+    blocks = {"derivation": ({}, _image), "point": ({}, _value)}
     while stream.peek().kind != "eof":
-        t = stream.peek()
+        t = stream.next()
         if t.text == "superalgebra":
-            if manifest.algebra_decl is not None:
-                stream.error("only one superalgebra block per document")
-            manifest.algebra_decl = _parse_superalgebra(stream, field)
-        elif t.text == "derivation":
-            if manifest.algebra_decl is None:
-                stream.error("derivation block before the superalgebra block")
-            d = _parse_derivation(stream, manifest.algebra.vs)
-            manifest.derivations[d.name] = d
-        elif t.text == "point":
-            if manifest.algebra_decl is None:
-                stream.error("point block before the superalgebra block")
-            p = _parse_point(stream, manifest.algebra.vs)
-            manifest.points[p.name] = p
+            if algebra is not None:
+                raise ParseError("only one superalgebra block per document", t.line, t.col)
+            algebra = _parse_superalgebra(stream, field or QQ)
+        elif t.text in blocks:
+            if algebra is None:
+                raise ParseError("%s block before the superalgebra block" % t.text, t.line, t.col)
+            name = _name(stream, "expected a %s name" % t.text).text
+            if stream.peek().text == ":":
+                stream.next()
+            found, entry = blocks[t.text]
+            read = functools.partial(entry, stream, algebra.vs, "expected a generator name or end")
+            found[name] = dict(_entries(stream, read, "end"))
         else:
-            stream.error("expected a superalgebra, derivation or point block")
-    return manifest
-
-
-def _parse_name(stream, what):
-    t = stream.peek()
-    if t.kind != "ident" or t.text in KEYWORDS:
-        stream.error("expected a %s name" % what)
-    stream.next()
-    return t.text
+            raise ParseError("expected a superalgebra, derivation or point block", t.line, t.col)
+    if algebra is None:
+        stream.error("document declares no superalgebra")
+    return Manifest(algebra, blocks["derivation"][0], blocks["point"][0])
 
 
 def _parse_superalgebra(stream, field):
-    stream.expect("superalgebra")
-    name = _parse_name(stream, "superalgebra")
+    _name(stream, "expected a superalgebra name")
     # Relations may use names declared after them, so read the even and odd
     # names first.
     names = {"even": [], "odd": []}
@@ -437,10 +456,10 @@ def _parse_superalgebra(stream, field):
             while stream.peek().kind == "ident" and not stream.at_keyword():
                 stream.next()
         elif t.text == "rel":
-            rels += _parse_relations(stream, vs)
+            rels += _sequence(stream, PolyParser(stream, vs).parse, ";")
         else:
             raise ParseError("expected even, odd, rel or end", t.line, t.col)
-    return SuperAlgebraDecl(name, SuperAlgebra(vs, rels))
+    return SuperAlgebra(vs, rels)
 
 
 def _block_tokens(stream):
@@ -454,91 +473,6 @@ def _block_tokens(stream):
     return tokens[stream.i : stop + 1]
 
 
-def _parse_relations(stream, vs):
-    """The ';'-separated polynomials after a ``rel``."""
-    rels = [PolyParser(stream, vs).parse()]
-    while stream.peek().text == ";":
-        stream.next()
-        rels.append(PolyParser(stream, vs).parse())
-    return rels
-
-
-def _parse_derivation(stream, vs):
-    stream.expect("derivation")
-    name = _parse_name(stream, "derivation")
-    if stream.peek().text == ":":
-        stream.next()
-    images = {}
-    while True:
-        t = stream.peek()
-        if t.text == "end":
-            stream.next()
-            break
-        if t.text == ";":
-            stream.next()
-            continue
-        if t.kind != "ident" or t.text in KEYWORDS:
-            stream.error("expected a generator name or end")
-        gen_name = stream.next().text
-        if gen_name not in vs.even and gen_name not in vs.odd:
-            raise ParseError("unknown generator %r" % gen_name, t.line, t.col)
-        stream.expect("->")
-        images[gen_name] = PolyParser(stream, vs).parse()
-    return DerivationDecl(name, images)
-
-
-def _parse_point(stream, vs):
-    stream.expect("point")
-    name = _parse_name(stream, "point")
-    if stream.peek().text == ":":
-        stream.next()
-    values = {}
-    while True:
-        t = stream.peek()
-        if t.text == "end":
-            stream.next()
-            break
-        if t.text == ";":
-            stream.next()
-            continue
-        if t.kind != "ident" or t.text in KEYWORDS:
-            stream.error("expected a generator name or end")
-        gen_name = stream.next().text
-        if gen_name not in vs.even:
-            raise ParseError("%r is not an even generator" % gen_name, t.line, t.col)
-        stream.expect("=")
-        values[gen_name] = _parse_scalar(stream, vs.field)
-    return PointDecl(name, values)
-
-
-def _parse_scalar(stream, field):
-    sign = 1
-    if stream.peek().text == "-":
-        stream.next()
-        sign = -1
-    t = stream.peek()
-    if t.kind != "int":
-        stream.error("expected a rational scalar")
-    stream.next()
-    num = int(t.text)
-    den = 1
-    if stream.peek().text == "/":
-        stream.next()
-        den = _parse_denominator(stream)
-    return field.of(Fraction(sign * num, den))
-
-
-def _parse_denominator(stream):
-    """The nonzero integer after a '/'."""
-    d = stream.peek()
-    if d.kind != "int":
-        stream.error("expected an integer denominator")
-    stream.next()
-    if int(d.text) == 0:
-        raise ParseError("zero denominator", d.line, d.col)
-    return int(d.text)
-
-
 # ---------------------------------------------------------------------------
 # inline fragments used by CLI flags
 
@@ -546,51 +480,66 @@ def _parse_denominator(stream):
 def parse_assignments(text, vs):
     """``x = 2; y = -1/3`` -> {name: scalar}; used by --point."""
     stream = TokenStream(tokenize(text))
-    values = {}
-    while stream.peek().kind != "eof":
-        if stream.peek().text in (";", ","):
-            stream.next()
-            continue
-        t = stream.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            stream.error("expected an even generator name")
-        gen_name = stream.next().text
-        if gen_name not in vs.even:
-            raise ParseError("%r is not an even generator" % gen_name, t.line, t.col)
-        stream.expect("=")
-        values[gen_name] = _parse_scalar(stream, vs.field)
-    return values
+    read = functools.partial(_value, stream, vs, "expected an even generator name")
+    return dict(_entries(stream, read, ""))
 
 
 def parse_images(text, vs):
-    """``x -> 0; y -> x`` -> {name: SuperPoly}; used by --derivation."""
+    """``x -> 0; y -> x`` -> {name: SuperPoly}; used by --derivation and
+    --images."""
     stream = TokenStream(tokenize(text))
-    images = {}
-    while stream.peek().kind != "eof":
-        if stream.peek().text in (";", ","):
-            stream.next()
-            continue
-        t = stream.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            stream.error("expected a generator name")
-        gen_name = stream.next().text
-        if gen_name not in vs.even and gen_name not in vs.odd:
-            raise ParseError("unknown generator %r" % gen_name, t.line, t.col)
-        stream.expect("->")
-        images[gen_name] = PolyParser(stream, vs).parse()
-    return images
+    read = functools.partial(_image, stream, vs, "expected a generator name")
+    return dict(_entries(stream, read, ""))
 
 
 def parse_poly_list(text, vs):
     """``y1, y2`` or ``y1; y2`` -> [SuperPoly]; used by --seq."""
     stream = TokenStream(tokenize(text))
-    out = []
+    return _entries(stream, PolyParser(stream, vs).parse, "")
+
+
+def parse_element_word(text, pair, vs):
+    """``g[[1,s],[0,1]] e(s*t, 1) e(u, 2)`` -> the raw word of ``pair`` over
+    the coefficient generators ``vs``: group factors ("g", rows) and odd
+    exponentials ("e", coefficient, basis index from 0)."""
+    stream = TokenStream(tokenize(text))
+    poly = PolyParser(stream, vs).parse
+
+    def row():
+        stream.expect("[")
+        entries = _sequence(stream, poly, ",")
+        stream.expect("]")
+        return entries
+
+    word = []
     while stream.peek().kind != "eof":
-        if stream.peek().text in (";", ","):
+        t = stream.next()
+        if t.text == "g":
+            stream.expect("[")
+            rows = _sequence(stream, row, ",")
+            stream.expect("]")
+            N = pair.group.N
+            if len(rows) != N or any(len(r) != N for r in rows):
+                raise ParseError("group factor must be a %d x %d matrix" % (N, N), t.line, t.col)
+            word.append(("g", rows))
+        elif t.text == "e":
+            stream.expect("(")
+            a = poly()
+            stream.expect(",")
+            index = stream.peek()
+            if index.kind != "int":
+                stream.error("expected a basis index")
             stream.next()
-            continue
-        out.append(PolyParser(stream, vs).parse())
-    return out
+            stream.expect(")")
+            i = int(index.text)
+            if not 1 <= i <= pair.t:
+                raise ParseError("basis index %d out of range 1..%d" % (i, pair.t), index.line, index.col)
+            word.append(("e", a, i - 1))
+        else:
+            raise ParseError("expected a g[...] or e(...) factor", t.line, t.col)
+    if not word:
+        stream.error("empty element word")
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +567,7 @@ def parse_pair_document(text, field=None):
     field = field or QQ
     stream = TokenStream(tokenize(text))
     head = stream.expect("hcpair")
-    name = _parse_name(stream, "hcpair")
+    name = _name(stream, "expected a hcpair name").text
     # rel, rho and bracket may come before size, so read size first.
     block = _block_tokens(stream)
     sizes = [after for t, after in zip(block, block[1:]) if t.text == "size"]
@@ -626,16 +575,20 @@ def parse_pair_document(text, field=None):
         raise ParseError("hcpair needs both size and odd-dim", head.line, head.col)
     size = _parse_count(sizes[0], "size", MAX_PAIR_SIZE)
     vs = group_varset(size, field)
+    poly = PolyParser(stream, vs).parse
     odd_dim = None
     rels = []
     rho = None
-    brackets = []  # (i, j, bracket token, token of i, rows)
+    brackets = []  # (i, j, bracket token, token of i, rows of (token, entry))
     given = set()  # the directives seen so far; only rel may repeat
 
     def once(directive, at):
         if directive in given:
             raise ParseError("repeated %s" % directive, at.line, at.col)
         given.add(directive)
+
+    def matrix(entry):
+        return _sequence(stream, lambda: _sequence(stream, entry, ","), ";")
 
     while True:
         t = stream.next()
@@ -644,25 +597,24 @@ def parse_pair_document(text, field=None):
         if t.text == "size":
             once("size", t)
             stream.next()
-        elif t.text in ("odd", "odddim"):
+        elif t.text == "odd":
             once("odd-dim", t)
             # "odd-dim" tokenizes as odd, -, dim
-            if t.text == "odd":
-                stream.expect("-")
-                stream.expect("dim")
+            stream.expect("-")
+            stream.expect("dim")
             odd_dim = _parse_count(stream.next(), "odd-dim")
         elif t.text == "rel":
-            rels += _parse_relations(stream, vs)
+            rels += _sequence(stream, poly, ";")
         elif t.text == "rho":
             once("rho", t)
-            rho_at, rho = t, _parse_matrix(stream, vs)
+            rho_at, rho = t, matrix(poly)
         elif t.text == "bracket":
             at = stream.peek()
             i = _parse_count(stream.next(), "bracket index")
             j = _parse_count(stream.next(), "bracket index")
             once("bracket %d %d" % (min(i, j), max(i, j)), t)
             stream.expect(":")
-            brackets.append((i, j, t, at, _parse_matrix(stream, vs)))
+            brackets.append((i, j, t, at, matrix(lambda: (stream.peek(), poly()))))
         else:
             raise ParseError("expected size, odd-dim, rel, rho, bracket or end", t.line, t.col)
     if stream.peek().kind != "eof":
@@ -682,15 +634,11 @@ def parse_pair_document(text, field=None):
         if len(rows) != size or any(len(r) != size for r in rows):
             message = "bracket %d %d must be a %d x %d matrix" % (i, j, size, size)
             raise ParseError(message, directive.line, directive.col)
-        scalar_rows = []
-        for row in rows:
-            srow = []
-            for e in row:
+        for r in rows:
+            for at, e in r:
                 if e.total_degree() > 0:
-                    raise ParseError("bracket entries must be scalars, got %s" % e)
-                srow.append(e.constant_coeff())
-            scalar_rows.append(srow)
-        bracket[(min(i, j) - 1, max(i, j) - 1)] = scalar_rows
+                    raise ParseError("bracket entries must be scalars, got %s" % e, at.line, at.col)
+        bracket[(min(i, j) - 1, max(i, j) - 1)] = [[e.constant_coeff() for _, e in r] for r in rows]
     return HCPair(group, odd_dim, rho, bracket, name=name)
 
 
@@ -709,17 +657,3 @@ def _parse_count(t, what, most=None):
         message = "%s must be a positive integer%s, found %r" % (what, limit, t.text or "end of input")
         raise ParseError(message, t.line, t.col)
     return n
-
-
-def _parse_matrix(stream, vs):
-    rows = [[]]
-    while True:
-        rows[-1].append(PolyParser(stream, vs).parse())
-        t = stream.peek()
-        if t.text == ",":
-            stream.next()
-        elif t.text == ";":
-            stream.next()
-            rows.append([])
-        else:
-            return rows

@@ -82,16 +82,8 @@ class Field:
             if not _is_prime(char):
                 raise FieldError("%d is not prime" % char)
         self.char = char
-        self._zero = self.of(0)
-        self._one = self.of(1)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     def of(self, v):
         """Coerce an int or Fraction into this field: over F_p the residue
@@ -110,14 +102,6 @@ class Field:
 
     def is_one(self, v):
         return v == 1
-
-    def parse(self, text):
-        """Parse 'p' or 'p/q' with integer p, q."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.of(Fraction(int(num), int(den)))
-        return self.of(int(text))
 
     def render(self, v):
         try:

@@ -108,9 +108,6 @@ class VarSet:
             return SuperPoly(self, {((0,) * self.m, 1 << self._odd_index[name]): self.field.one})
         raise StructureError("unknown generator %r" % name)
 
-    def gens(self):
-        return [self.gen(n) for n in self.even + self.odd]
-
     def monomial(self, exps, mask, coeff=1):
         c = self.field.of(coeff)
         if not c:

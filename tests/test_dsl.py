@@ -1,4 +1,4 @@
-"""Text-format parsing, rendering and error spans."""
+"""Text-format parsing and error spans."""
 
 from fractions import Fraction
 
@@ -8,12 +8,14 @@ from superalg.dsl import (
     ParseError,
     parse_assignments,
     parse_document,
+    parse_element_word,
     parse_images,
     parse_pair_document,
     parse_poly,
     parse_poly_list,
 )
-from superalg.scalars import QQ
+from superalg.hcgroup import lambda_algebra, unipotent_pair
+from superalg.scalars import QQ, Field
 from superalg.superpoly import VarSet
 
 from conftest import random_poly
@@ -81,23 +83,56 @@ def test_parse_document():
     assert A.vs.even == ("x",)
     assert A.vs.odd == ("y1", "y2")
     assert len(A.relations) == 2
-    assert set(m.derivations) == {"phi"}
-    assert m.points["p"].values == {"x": QQ.of(Fraction(1, 2))}
+    assert m.derivations == {"phi": {"y1": A.vs.one(), "y2": A.vs.gen("x")}}
+    assert m.points == {"p": {"x": QQ.of(Fraction(1, 2))}}
+
+
+def document_data(m):
+    return m.algebra.vs, m.algebra.relations, m.derivations, m.points
 
 
 def test_document_roundtrip():
-    text = "superalgebra A even x odd y rel x*y end"
-    m = parse_document(text)
-    rendered = m.render()
-    m2 = parse_document(rendered)
-    assert m2.render() == rendered
-    assert m2.algebra.relations == m.algebra.relations
+    m = parse_document("superalgebra A even x odd y1 y2 rel x*y1y2 - y2*y1; x^2 end "
+                       "derivation d y1 -> x*y2 end point p x = -1/3 end")
+    vs, relations = m.algebra.vs, m.algebra.relations
+    # the same data, written out from what was parsed, parses back to it
+    text = "superalgebra A\n  even %s\n  odd %s\n  rel %s\nend\n" % (
+        " ".join(vs.even), " ".join(vs.odd), "; ".join(r.render() for r in relations))
+    text += "derivation d\n%send\n" % "".join("  %s -> %s\n" % (n, f.render()) for n, f in m.derivations["d"].items())
+    text += "point p\n%send\n" % "".join("  %s = %s\n" % (n, vs.field.render(v)) for n, v in m.points["p"].items())
+    assert document_data(parse_document(text)) == document_data(m)
+    assert relations == [parse_poly("x*y1y2 + y1y2", vs), parse_poly("x^2", vs)]
+
+
+ENTRY_LISTS = (
+    # (derivation entries, point entries)
+    ("y1 -> 1; y2 -> x", "x = 1/2; z = -3"),
+    ("y1 -> 1, y2 -> x", "x = 1/2, z = -3"),
+    ("y1 -> 1;, y2 -> x;", "x = 1/2; z = -3,"),
+    ("y1 -> 1\n  y2 -> x", "x = 1/2\n  z = -3"),
+)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("header", ["", ":"])
+@pytest.mark.parametrize("images, values", ENTRY_LISTS)
+def test_blocks_and_inline_fragments_read_the_same_entries(field, header, images, values):
+    m = parse_document(
+        "superalgebra A\n  even x z\n  odd y1 y2\nend\n"
+        "derivation d%s\n  %s\nend\npoint p%s\n  %s\nend\n" % (header, images, header, values),
+        field,
+    )
+    vs = m.algebra.vs
+    assert m.derivations["d"] == parse_images(images, vs) == {"y1": vs.one(), "y2": vs.gen("x")}
+    assert m.points["p"] == parse_assignments(values, vs) == {"x": field.of(Fraction(1, 2)), "z": field.of(-3)}
 
 
 def test_single_line_form():
     m = parse_document("superalgebra B odd y1 y2 end")
     assert m.algebra.vs.odd == ("y1", "y2")
     assert m.algebra.relations == []
+    # "on" is no keyword, so it may name a generator
+    assert parse_document("superalgebra C even on end").algebra.vs.even == ("on",)
 
 
 def test_document_errors():
@@ -133,6 +168,7 @@ def test_pair_document_odd_dim_spelling_and_repeated_directives():
     assert parse_pair_document("hcpair p\n  size 2\n  odd-dim 1\n  rho 1\nend\n").name == "p"
     assert error_at(parse_pair_document, "hcpair p\n  size 2\n  odd 1\n  rho 1\nend\n") == (3, 7)
     assert error_at(parse_pair_document, "hcpair p\n  size 2\n  odd - 1\n  rho 1\nend\n") == (3, 9)
+    assert error_at(parse_pair_document, "hcpair p\n  size 2\n  odddim 1\n  rho 1\nend\n") == (3, 3)
     # size, odd-dim, rho and each bracket may be given once
     body = "  size 2\n  odd-dim 1\n  rho 1\n  bracket 1 1: 0, 2; 0, 0\n"
     assert parse_pair_document("hcpair p\n%send\n" % body).name == "p"
@@ -164,6 +200,18 @@ def test_structural_errors_name_the_token_that_decides_them():
         ),
     ):
         assert message(parse_pair_document, shc % body) == want, body
+    assert message(parse_pair_document, shc % "  size 2\n  odd-dim 1\n  rho 1\n  bracket 1 1: 0, g12; 0, 0") == (
+        "line 6, column 19: bracket entries must be scalars, got g12"
+    )
+    pair = unipotent_pair(QQ)
+    vs = lambda_algebra(("s", "t", "u", "w"), QQ).vs
+
+    def word(text):
+        return parse_element_word(text, pair, vs)
+
+    assert message(word, "e(u, 1) g[[1,s]] e(t,1)") == "line 1, column 9: group factor must be a 2 x 2 matrix"
+    assert message(word, "e(t, 2)") == "line 1, column 6: basis index 2 out of range 1..1"
+    assert message(word, "  ") == "line 1, column 3: empty element word"
     salg = "superalgebra A\n  even x y\n  odd z\n  %s\nend\n"
     assert message(parse_document, salg % "odd x") == (
         "line 4, column 7: generator names must be unique: ('x', 'y', 'z', 'x')"
@@ -192,7 +240,7 @@ def test_a_token_that_continues_no_expression_is_an_error():
 def test_declarations_may_follow_their_use():
     canonical = parse_document("superalgebra A\n  even x\n  odd y1 y2\n  rel x*y1y2; x^2 - y1*y2\nend\n")
     late = parse_document("superalgebra A\n  rel x*y1y2\n  odd y1\n  even x\n  rel x^2 - y1*y2\n  odd y2\nend\n")
-    assert late.render() == canonical.render()
+    assert document_data(late) == document_data(canonical)
     body = ("  size 2", "  odd-dim 1", "  rel g11 - 1; g22 - 1; g21", "  rho g11", "  bracket 1 1: 0, 2; 0, 0")
 
     def pair(order):

@@ -136,7 +136,7 @@ def check_closure_randomized(group, seed, trials):
     A = lambda_algebra(("s", "t", "u", "w"), group.field)
     rng = random.Random(seed)
     lie = group.lie_basis()
-    s, t, u, w = A.vs.gens()
+    s, t, u, w = (A.vs.gen(n) for n in "stuw")
     nilp = [s * t, u * w, s * w]
     N = group.N
 
@@ -686,7 +686,7 @@ def fewest_steps(normalize, pair, coeff, word, strategy):
 def nilpotent_coefficient(vs, rng):
     """An exponential's coefficient: odd mostly, sometimes zero, even or of
     mixed parity; never with a constant term, so rewriting terminates."""
-    s, t, u, w = vs.gens()
+    s, t, u, w = (vs.gen(n) for n in "stuw")
     kind = rng.randrange(16)
     if kind == 0:
         return vs.zero()

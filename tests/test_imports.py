@@ -86,3 +86,67 @@ def test_no_module_imports_a_later_layer():
         for path in modules
     }
     assert {name: names for name, names in later.items() if names} == {}
+
+
+# Kept on purpose though no library module calls them: the dense oracles
+# that tests and the benchmark's cross-checks compare against, and the
+# entry points that the benchmark harness calls or traces.
+UNCALLED = {
+    "oracle.oracle_annihilator_basis",
+    "sdim.even_annihilator_image_in_bar",
+    "sdim.verify_cover",
+    "hcgroup.builtin_pairs",
+    "sdim.is_odd_parameter_system",
+}
+
+
+def unreferenced(sources):
+    """``module.function`` and ``module.Class.method`` for each function and
+    method defined at the top of a module, or of a class there, that no
+    module refers to: a method counts as referenced when some module uses
+    its name as an attribute, a function when some module uses its name as
+    a name or an attribute.  Dunder methods, ``main`` and the ``_cmd_*``
+    handlers, which are dispatched by name, are exempt."""
+    defined = []
+    names = set()
+    attributes = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(("%s.%s" % (module, node.name), node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    ("%s.%s.%s" % (module, node.name, f.name), f.name, True)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return sorted(
+        qualified
+        for qualified, name, method in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and not name.startswith("_cmd_")
+        and name != "main"
+        and name not in attributes
+        and (method or name not in names)
+    )
+
+
+def test_the_reference_scan_sees_unused_definitions():
+    source = (
+        "def used(): pass\ndef unused(): pass\ndef _cmd_x(): pass\n"
+        "class C:\n    def __init__(self): pass\n    def m(self): pass\n    def used(self): pass\n"
+        "    def dead(self): pass\n    def m2(self): pass\nm2 = 1\nused()\nC().m()\n"
+    )
+    # a method called only as a bare name, or a name bound to something else, is unreferenced
+    assert unreferenced({"a": source}) == ["a.C.dead", "a.C.m2", "a.C.used", "a.unused"]
+
+
+def test_every_library_function_has_a_library_caller():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(unreferenced(sources)) == UNCALLED

@@ -77,7 +77,7 @@ def test_superpoly_products_go_through_kernel(monkeypatch):
         return wrapper
 
     vs = VarSet(("x",), ("y1", "y2"))
-    x, y1, y2 = vs.gens()
+    x, y1, y2 = (vs.gen(n) for n in ("x", "y1", "y2"))
     a, b = x + y1, x - y2
     expected = a * b
     for name in calls:

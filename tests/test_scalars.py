@@ -37,7 +37,6 @@ def test_integral_rationals_are_ints():
     assert type(QQ.zero) is int and QQ.zero == 0
     assert type(QQ.one) is int and QQ.one == 1
     assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
-    assert type(QQ.parse("4/2")) is int
     assert QQ.is_one(1) and QQ.is_one(Fraction(1)) and not QQ.is_one(Fraction(1, 2))
 
 
