@@ -19,9 +19,11 @@ predicate), 2 input error (bad arguments, or a library error that
 ``run_command`` maps, reported on one line), 3 internal error (``main``
 only; ``run_command`` lets the exception through).
 
-``run_command`` may be called repeatedly in one process: the argument parser
-is built on the first call and reused, and no state carries over between
-calls.
+``run_command`` may be called repeatedly in one process: the parsers are
+built on the first call and reused, and no state carries over between
+calls.  A known command's arguments go straight to its leaf parser; the
+top-level parser reads only an empty, unknown or bare ``hc`` command line
+and top-level ``--help``.
 
 A command imports only the layers it uses: ``dsl``, ``groebner``, ``sdim``,
 ``scalars`` and ``superpoly`` are shared by all of them, while ``hcgroup``
@@ -419,6 +421,8 @@ def _cmd_selftest(args):
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The top-level parser and its leaf parsers, keyed by the command's
+    words: ("ksdim",), ("hc", "mul")."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit stable JSON")
     common.add_argument(
@@ -435,6 +439,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     hc_sub = None
+    leaves = {}
     for name, (helptext, arguments, _) in COMMANDS.items():
         group, leaf = sub, name
         if name.startswith("hc "):
@@ -447,14 +452,24 @@ def _build_parser():
         p.set_defaults(command=name)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-    return parser
+        leaves[tuple(name.split())] = p
+    return parser, leaves
 
 
 def run_command(argv, out=None):
     """Entry point used by tests: returns the exit code, writes to out."""
     out = out or sys.stdout
+    parser, leaves = _build_parser()
+    words = 2 if argv[:1] == ["hc"] else 1
+    leaf = leaves.get(tuple(argv[:words]))
     try:
-        args = _build_parser().parse_args(argv)
+        if leaf is None:
+            args = parser.parse_args(argv)
+        else:
+            # arguments the leaf leaves are reported as parse_args would
+            args, rest = leaf.parse_known_args(argv[words:])
+            if rest:
+                parser.error("unrecognized arguments: %s" % " ".join(rest))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     # Looked up per call, not bound into the shared parser, so a rebinding

@@ -10,25 +10,29 @@ Example document::
       rel x*y1y2
     end
 
-Identifiers made of concatenated odd names (the canonical rendering,
-e.g. ``y1y2``) are resolved greedily into products of odd generators.
+Tokens are ``(kind, text, offset)`` tuples; a ParseError works out its
+line and column from the offset.  A product of numbers, generator names
+and their powers is built directly as one term.  An identifier that names
+no generator is split into odd names (``y1y2``) over every reading: no
+reading or two is an error, and so is a declared name that also reads as
+such a concatenation.
 
-Each construct has one reader.  A ``derivation`` or ``point`` block and
-the same entries given inline on the command line (``--derivation`` or
-``--images``, ``--point``) go through one entry-list reader: the entries
-may be separated by ``;`` or ``,``, and the list stops at ``end`` in a
-block and at the end of the input inline.
+Each construct has one reader.  ``derivation`` and ``point`` blocks and
+the same entries inline (``--derivation``, ``--images``, ``--point``)
+share one: entries separated by ``;`` or ``,`` up to ``end`` or the end
+of the input, one per generator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
+from operator import add
 
+from superalg._kernel import odd_merge
 from superalg.groebner import SuperAlgebra
-from superalg.superpoly import StructureError, VarSet
+from superalg.superpoly import StructureError, SuperPoly, VarSet
 
 
 class ParseError(ValueError):
@@ -40,16 +44,10 @@ class ParseError(ValueError):
         self.col = col
 
 
+# Layout, then one token; the empty match at the end of the text is eof.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[-+*^/();=:,\[\]])
-    """,
-    re.VERBOSE,
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<arrow>->)|(?P<punct>[-+*^/();=:,\[\]])"
+    r"|(?P<comment>#[^\n]*)|(?P<eof>\Z))"
 )
 
 KEYWORDS = {
@@ -66,109 +64,98 @@ KEYWORDS = {
     "bracket",
 }
 
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "Token(%s, %r)" % (self.kind, self.text)
-
-
 # CPython refuses to convert longer digit strings to int (the default of
 # sys.get_int_max_str_digits), so a longer literal is a parse error.
 MAX_INT_DIGITS = 4300
 
 
+def _error(text, offset, message):
+    """A ParseError at the line and column of text[offset]."""
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
 def tokenize(text):
+    """The tokens of text as (kind, text, offset), the last of kind eof."""
     tokens = []
-    line = 1
-    linestart = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], line, pos - linestart + 1
-            )
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != end:
+            break  # finditer skipped a character that starts no token
+        end = m.end()
         kind = m.lastgroup
-        value = m.group()
-        col = pos - linestart + 1
-        if kind in ("ws", "comment"):
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    linestart = pos + i + 1
-        else:
-            if kind == "int" and len(value) > MAX_INT_DIGITS:
-                raise ParseError("integer literal too long", line, col)
-            tokens.append(Token(kind, value, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - linestart + 1))
-    return tokens
+        if kind == "comment":
+            continue
+        value = m[kind]
+        if kind == "int" and len(value) > MAX_INT_DIGITS:
+            raise _error(text, end - len(value), "integer literal too long")
+        tokens.append((kind, value, end - len(value)))
+        if kind == "eof":
+            return tokens
+    end = len(text) - len(text[end:].lstrip())
+    raise _error(text, end, "unexpected character %r" % text[end])
 
 
 class TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = tokenize(text)
         self.i = 0
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
-        t = self.peek()
-        if t.kind != "eof":
+        t = self.tokens[self.i]
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def expect(self, text):
         t = self.peek()
-        if t.text != text:
-            raise ParseError("expected %r, found %r" % (text, t.text or "end of input"), t.line, t.col)
+        if t[1] != text:
+            self.error("expected %r, found %r" % (text, t[1] or "end of input"))
         return self.next()
 
-    def at_keyword(self):
-        t = self.peek()
-        return t.kind == "ident" and t.text in KEYWORDS
-
-    def error(self, message):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def error(self, message, at=None):
+        """Raise a ParseError at the token ``at``, by default the next one."""
+        raise _error(self.text, (at or self.peek())[2], message)
 
 
 # ---------------------------------------------------------------------------
 # polynomial expressions
 
 
-def resolve_name(vs, name, tok):
-    """A generator name, or a greedy concatenation of odd names."""
-    if name in vs.even or name in vs.odd:
-        return vs.gen(name)
-    # greedy longest-match split into odd generator names
-    parts = []
-    rest = name
-    while rest:
-        for cand in sorted(vs.odd, key=len, reverse=True):
-            if rest.startswith(cand):
-                parts.append(cand)
-                rest = rest[len(cand) :]
-                break
-        else:
-            raise ParseError("unknown generator %r" % name, tok.line, tok.col)
-    out = vs.one()
-    for p in parts:
-        out = out * vs.gen(p)
-    return out
+def _readings(name, vs):
+    """At most two readings of an identifier, each a tuple of generator
+    names: the even generator itself, or a concatenation of odd names."""
+    if not name[:-1].startswith(vs.odd) and (name in vs.even or name in vs.odd):
+        return [(name,)]  # no odd name is a proper prefix of this generator
+    # readings of name[:i], each a chain (reading of a prefix, last name), so
+    # that extending one costs the same however long the identifier is
+    ways = [[] for _ in range(len(name) + 1)]
+    ways[0].append(())
+    for i in range(len(name)):
+        if ways[i]:
+            for o in vs.odd:
+                if name.startswith(o, i):
+                    ways[i + len(o)] += [(w, o) for w in ways[i][:2]]
+    readings = [(name,)] if name in vs.even else []
+    for w in ways[-1][:2]:
+        parts = []
+        while w:
+            w, o = w
+            parts.append(o)
+        readings.append(tuple(reversed(parts)))
+    return readings[:2]
 
 
 class PolyParser:
-    """Recursive-descent parser for `3*x^2*y1y2 - 1/2*y1 + (x - 1)^3`."""
+    """Recursive-descent parser for `3*x^2*y1y2 - 1/2*y1 + (x - 1)^3`.
+
+    A number, a generator name, and a power or product of these is a term
+    ``(coefficient, even exponents, odd mask)``, built without SuperPoly
+    arithmetic; a signed or parenthesised factor makes the power or product
+    it is in a SuperPoly, and every sum is one."""
 
     # Each parenthesis costs four Python frames and each unary sign two, so
     # this keeps any expression well inside the interpreter's recursion
@@ -191,7 +178,10 @@ class PolyParser:
     def __init__(self, stream, vs):
         self.s = stream
         self.vs = vs
+        self.p = vs.field.char
+        self.one = (vs.field.one, (0,) * vs.m, 0)
         self.depth = 0
+        self.terms = {}  # identifier -> its term, read once
 
     def _enter(self):
         self.depth += 1
@@ -200,95 +190,128 @@ class PolyParser:
 
     def _bound_terms(self, count, tok):
         if count > self.MAX_TERMS:
-            raise ParseError(
-                "expression could build %d terms, more than %d" % (count, self.MAX_TERMS),
-                tok.line,
-                tok.col,
-            )
+            self.s.error("expression could build %d terms, more than %d" % (count, self.MAX_TERMS), tok)
+
+    def term(self, t):
+        """The term of an identifier token, read the one way it can be."""
+        term = self.terms.get(t[1])
+        if term is None:
+            readings = _readings(t[1], self.vs)
+            if not readings:
+                self.s.error("unknown generator %r" % t[1], t)
+            if len(readings) > 1:
+                self.s.error("%r reads as both %s and %s" % (t[1], *map("*".join, readings)), t)
+            term = self.one
+            for name in readings[0]:
+                ((exps, mask), c), = self.vs.gen(name).terms.items()
+                term = self._times(term, (c, exps, mask))
+            self.terms[t[1]] = term
+        return term
+
+    def _times(self, a, b):
+        """The product of two terms; a shared odd generator makes it 0."""
+        c, e, m = a
+        d, f, n = b
+        if m & n:
+            return (0, e, m)
+        if m and n and odd_merge(m, n)[0] < 0:
+            d = -d
+        p = self.p
+        return (c * d % p if p else c * d, tuple(map(add, e, f)) if e else e, m | n)
+
+    def _poly(self, f):
+        """f as a SuperPoly."""
+        if type(f) is SuperPoly:
+            return f
+        c, exps, mask = f
+        return SuperPoly(self.vs, {(exps, mask): c} if c else {})
 
     def parse(self):
-        return self._sum()
-
-    def _sum(self):
-        t = self.s.peek()
-        negate = False
-        if t.text in ("+", "-"):
-            self.s.next()
-            negate = t.text == "-"
-        acc = self._product()
-        if negate:
-            acc = -acc
+        """A sum of products, with an optional leading sign."""
+        s = self.s
+        acc = self.vs.zero()
+        sign = s.tokens[s.i][1]
         while True:
-            t = self.s.peek()
-            if t.text == "+":
-                self.s.next()
-                acc = acc + self._product()
-            elif t.text == "-":
-                self.s.next()
-                acc = acc - self._product()
-            else:
+            if sign == "+" or sign == "-":
+                s.i += 1
+            term = self._poly(self._product())
+            acc = acc - term if sign == "-" else acc + term
+            sign = s.tokens[s.i][1]
+            if sign != "+" and sign != "-":
                 return acc
 
     def _product(self):
+        s = self.s
+        tokens = s.tokens
         acc = self._power()
-        while True:
-            t = self.s.peek()
-            if t.text == "*":
-                self.s.next()
-                rhs = self._power()
-                self._bound_terms(len(acc.terms) * len(rhs.terms), t)
-                acc = acc * rhs
+        while tokens[s.i][1] == "*":
+            star = tokens[s.i]
+            s.i += 1
+            rhs = self._power()
+            if type(acc) is tuple and type(rhs) is tuple:
+                acc = self._times(acc, rhs)
             else:
-                return acc
+                acc, rhs = self._poly(acc), self._poly(rhs)
+                self._bound_terms(len(acc.terms) * len(rhs.terms), star)
+                acc = acc * rhs
+        return acc
 
     def _power(self):
         base = self._atom()
-        t = self.s.peek()
-        if t.text == "^":
-            self.s.next()
-            e = self.s.peek()
-            if e.kind != "int":
-                self.s.error("expected an integer exponent")
-            k = int(e.text)
-            if k * max(base.total_degree(), 1) > self.MAX_EXPONENT:
-                self.s.error("exponent too large")
-            self._bound_terms(math.comb(max(len(base.terms), 1) + k - 1, k), e)
-            self.s.next()
-            return base ** k
-        return base
+        s = self.s
+        if s.tokens[s.i][1] != "^":
+            return base
+        s.i += 1
+        e = s.peek()
+        if e[0] != "int":
+            s.error("expected an integer exponent")
+        k = int(e[1])
+        poly = self._poly(base)
+        if k * max(poly.total_degree(), 1) > self.MAX_EXPONENT:
+            s.error("exponent too large")
+        self._bound_terms(math.comb(max(len(poly.terms), 1) + k - 1, k), e)
+        s.i += 1
+        if type(base) is not tuple:
+            return poly**k
+        power = self.one
+        for _ in range(k):
+            power = self._times(power, base)
+        return power
 
     def _atom(self):
-        t = self.s.peek()
-        if t.text in ("+", "-"):
-            self.s.next()
+        s = self.s
+        t = s.tokens[s.i]
+        kind, text, _ = t
+        if kind == "ident" and text not in KEYWORDS:
+            s.i += 1
+            return self.term(t)
+        if kind == "int":
+            s.i += 1
+            num = int(text)
+            if s.tokens[s.i][1] == "/":
+                s.i += 1
+                num = Fraction(num, _parse_denominator(s))
+            return (self.vs.field.of(num), self.one[1], 0)
+        if text == "+" or text == "-":
+            s.i += 1
             self._enter()
-            inner = self._power()
+            inner = self._poly(self._power())
             self.depth -= 1
-            return -inner if t.text == "-" else inner
-        if t.kind == "int":
-            self.s.next()
-            num = int(t.text)
-            if self.s.peek().text == "/":
-                self.s.next()
-                return self.vs.const(Fraction(num, _parse_denominator(self.s)))
-            return self.vs.const(num)
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.s.next()
-            return resolve_name(self.vs, t.text, t)
-        if t.text == "(":
-            self.s.next()
+            return -inner if text == "-" else inner
+        if text == "(":
+            s.i += 1
             self._enter()
-            inner = self._sum()
-            self.s.expect(")")
+            inner = self.parse()
+            s.expect(")")
             self.depth -= 1
             return inner
-        self.s.error("expected a polynomial, found %r" % (t.text or "end of input"))
+        s.error("expected a polynomial, found %r" % (text or "end of input"))
 
 
 def parse_poly(text, vs):
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     p = PolyParser(stream, vs).parse()
-    if stream.peek().kind != "eof":
+    if stream.peek()[0] != "eof":
         stream.error("trailing input after polynomial")
     return p
 
@@ -300,8 +323,8 @@ def parse_poly(text, vs):
 def _name(stream, message):
     """The next token, which must be an identifier that is not a keyword;
     otherwise a ParseError with the message at that token."""
-    t = stream.peek()
-    if t.kind != "ident" or t.text in KEYWORDS:
+    kind, text, _ = stream.peek()
+    if kind != "ident" or text in KEYWORDS:
         stream.error(message)
     return stream.next()
 
@@ -309,7 +332,7 @@ def _name(stream, message):
 def _sequence(stream, read, sep):
     """``read (sep read)*``: what ``read`` returns for each item."""
     out = [read()]
-    while stream.peek().text == sep:
+    while stream.peek()[1] == sep:
         stream.next()
         out.append(read())
     return out
@@ -321,46 +344,50 @@ def _entries(stream, read, stop):
     number of ';' or ',' may separate the entries."""
     out = []
     while True:
-        t = stream.peek()
-        if t.text == stop:
+        text = stream.peek()[1]
+        if text == stop:
             stream.next()
             return out
-        if t.text in (";", ","):
+        if text in (";", ","):
             stream.next()
         else:
             out.append(read())
 
 
-def _image(stream, vs, message):
-    """A derivation entry ``name -> poly`` as (name, poly)."""
-    t = _name(stream, message)
-    if t.text not in vs.even and t.text not in vs.odd:
-        raise ParseError("unknown generator %r" % t.text, t.line, t.col)
-    stream.expect("->")
-    return t.text, PolyParser(stream, vs).parse()
+def _named(parser, stop, message, sign):
+    """{name: value} of the entries ``name -> poly`` (sign "->") or ``name =
+    scalar`` (sign "=") up to ``stop``; a repeated name is an error."""
+    stream, vs = parser.s, parser.vs
+    found = {}
 
+    def entry():
+        t = _name(stream, message)
+        name = t[1]
+        if sign == "=" and name not in vs.even:
+            stream.error("%r is not an even generator" % name, t)
+        if name not in vs.even and name not in vs.odd:
+            stream.error("unknown generator %r" % name, t)
+        if name in found:
+            stream.error("repeated entry for %r" % name, t)
+        stream.expect(sign)
+        found[name] = parser.parse() if sign == "->" else _parse_scalar(stream, vs.field)
 
-def _value(stream, vs, message):
-    """A point entry ``name = scalar`` as (name, scalar)."""
-    t = _name(stream, message)
-    if t.text not in vs.even:
-        raise ParseError("%r is not an even generator" % t.text, t.line, t.col)
-    stream.expect("=")
-    return t.text, _parse_scalar(stream, vs.field)
+    _entries(stream, entry, stop)
+    return found
 
 
 def _parse_scalar(stream, field):
     sign = 1
-    if stream.peek().text == "-":
+    if stream.peek()[1] == "-":
         stream.next()
         sign = -1
     t = stream.peek()
-    if t.kind != "int":
+    if t[0] != "int":
         stream.error("expected a rational scalar")
     stream.next()
-    num = int(t.text)
+    num = int(t[1])
     den = 1
-    if stream.peek().text == "/":
+    if stream.peek()[1] == "/":
         stream.next()
         den = _parse_denominator(stream)
     return field.of(Fraction(sign * num, den))
@@ -369,12 +396,12 @@ def _parse_scalar(stream, field):
 def _parse_denominator(stream):
     """The nonzero integer after a '/'."""
     d = stream.peek()
-    if d.kind != "int":
+    if d[0] != "int":
         stream.error("expected an integer denominator")
     stream.next()
-    if int(d.text) == 0:
-        raise ParseError("zero denominator", d.line, d.col)
-    return int(d.text)
+    if int(d[1]) == 0:
+        stream.error("zero denominator", d)
+    return int(d[1])
 
 
 # ---------------------------------------------------------------------------
@@ -393,73 +420,80 @@ class Manifest:
 
 def parse_document(text, field=None):
     """Parse a .salg document: one superalgebra block followed by any
-    number of derivation and point blocks."""
+    number of derivation and point blocks, each name used once per kind."""
     from superalg.scalars import QQ
 
-    stream = TokenStream(tokenize(text))
-    algebra = None
-    blocks = {"derivation": ({}, _image), "point": ({}, _value)}
-    while stream.peek().kind != "eof":
+    stream = TokenStream(text)
+    parser = None  # the superalgebra block's
+    blocks = {"derivation": ({}, "->"), "point": ({}, "=")}
+    while stream.peek()[0] != "eof":
         t = stream.next()
-        if t.text == "superalgebra":
-            if algebra is not None:
-                raise ParseError("only one superalgebra block per document", t.line, t.col)
-            algebra = _parse_superalgebra(stream, field or QQ)
-        elif t.text in blocks:
-            if algebra is None:
-                raise ParseError("%s block before the superalgebra block" % t.text, t.line, t.col)
-            name = _name(stream, "expected a %s name" % t.text).text
-            if stream.peek().text == ":":
+        if t[1] == "superalgebra":
+            if parser is not None:
+                stream.error("only one superalgebra block per document", t)
+            parser, algebra = _parse_superalgebra(stream, field or QQ)
+        elif t[1] in blocks:
+            if parser is None:
+                stream.error("%s block before the superalgebra block" % t[1], t)
+            found, sign = blocks[t[1]]
+            name = _name(stream, "expected a %s name" % t[1])
+            if name[1] in found:
+                stream.error("repeated %s %r" % (t[1], name[1]), name)
+            if stream.peek()[1] == ":":
                 stream.next()
-            found, entry = blocks[t.text]
-            read = functools.partial(entry, stream, algebra.vs, "expected a generator name or end")
-            found[name] = dict(_entries(stream, read, "end"))
+            found[name[1]] = _named(parser, "end", "expected a generator name or end", sign)
         else:
-            raise ParseError("expected a superalgebra, derivation or point block", t.line, t.col)
-    if algebra is None:
+            stream.error("expected a superalgebra, derivation or point block", t)
+    if parser is None:
         stream.error("document declares no superalgebra")
     return Manifest(algebra, blocks["derivation"][0], blocks["point"][0])
 
 
 def _parse_superalgebra(stream, field):
+    """The block's PolyParser and its SuperAlgebra."""
     _name(stream, "expected a superalgebra name")
     # Relations may use names declared after them, so read the even and odd
     # names first.
     names = {"even": [], "odd": []}
     declaring = None
+    declared = []  # the tokens of the names
     seen = set()
     repeat = overflow = None  # the first token that repeats a name; the odd name past the limit
     for t in _block_tokens(stream):
-        if t.text in names:
-            declaring = names[t.text]
-        elif declaring is not None and t.kind == "ident" and t.text not in KEYWORDS:
-            declaring.append(t.text)
-            if t.text in seen and repeat is None:
+        kind, text, _ = t
+        if text in names:
+            declaring = names[text]
+        elif declaring is not None and kind == "ident" and text not in KEYWORDS:
+            declaring.append(text)
+            if text in seen and repeat is None:
                 repeat = t
             if declaring is names["odd"] and len(declaring) == VarSet.MAX_ODD + 1:
                 overflow = t
-            seen.add(t.text)
+            declared.append(t)
+            seen.add(text)
         else:
             declaring = None
     try:
         vs = VarSet(tuple(names["even"]), tuple(names["odd"]), field)
     except StructureError as e:
         # VarSet tests uniqueness before the odd count
-        culprit = repeat or overflow
-        raise ParseError(str(e), culprit and culprit.line, culprit and culprit.col)
+        stream.error(str(e), repeat or overflow)
+    parser = PolyParser(stream, vs)
+    for t in declared:
+        parser.term(t)  # a declared name reads only as itself
     rels = []
     while True:
         t = stream.next()
-        if t.text == "end":
+        if t[1] == "end":
             break
-        if t.text in names:
-            while stream.peek().kind == "ident" and not stream.at_keyword():
+        if t[1] in names:
+            while stream.peek()[0] == "ident" and stream.peek()[1] not in KEYWORDS:
                 stream.next()
-        elif t.text == "rel":
-            rels += _sequence(stream, PolyParser(stream, vs).parse, ";")
+        elif t[1] == "rel":
+            rels += _sequence(stream, parser.parse, ";")
         else:
-            raise ParseError("expected even, odd, rel or end", t.line, t.col)
-    return SuperAlgebra(vs, rels)
+            stream.error("expected even, odd, rel or end", t)
+    return parser, SuperAlgebra(vs, rels)
 
 
 def _block_tokens(stream):
@@ -468,7 +502,7 @@ def _block_tokens(stream):
     closes the block."""
     tokens = stream.tokens
     stop = stream.i
-    while tokens[stop].kind != "eof" and tokens[stop].text != "end":
+    while tokens[stop][0] != "eof" and tokens[stop][1] != "end":
         stop += 1
     return tokens[stream.i : stop + 1]
 
@@ -479,22 +513,18 @@ def _block_tokens(stream):
 
 def parse_assignments(text, vs):
     """``x = 2; y = -1/3`` -> {name: scalar}; used by --point."""
-    stream = TokenStream(tokenize(text))
-    read = functools.partial(_value, stream, vs, "expected an even generator name")
-    return dict(_entries(stream, read, ""))
+    return _named(PolyParser(TokenStream(text), vs), "", "expected an even generator name", "=")
 
 
 def parse_images(text, vs):
     """``x -> 0; y -> x`` -> {name: SuperPoly}; used by --derivation and
     --images."""
-    stream = TokenStream(tokenize(text))
-    read = functools.partial(_image, stream, vs, "expected a generator name")
-    return dict(_entries(stream, read, ""))
+    return _named(PolyParser(TokenStream(text), vs), "", "expected a generator name", "->")
 
 
 def parse_poly_list(text, vs):
     """``y1, y2`` or ``y1; y2`` -> [SuperPoly]; used by --seq."""
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     return _entries(stream, PolyParser(stream, vs).parse, "")
 
 
@@ -502,7 +532,7 @@ def parse_element_word(text, pair, vs):
     """``g[[1,s],[0,1]] e(s*t, 1) e(u, 2)`` -> the raw word of ``pair`` over
     the coefficient generators ``vs``: group factors ("g", rows) and odd
     exponentials ("e", coefficient, basis index from 0)."""
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     poly = PolyParser(stream, vs).parse
 
     def row():
@@ -512,31 +542,31 @@ def parse_element_word(text, pair, vs):
         return entries
 
     word = []
-    while stream.peek().kind != "eof":
+    while stream.peek()[0] != "eof":
         t = stream.next()
-        if t.text == "g":
+        if t[1] == "g":
             stream.expect("[")
             rows = _sequence(stream, row, ",")
             stream.expect("]")
             N = pair.group.N
             if len(rows) != N or any(len(r) != N for r in rows):
-                raise ParseError("group factor must be a %d x %d matrix" % (N, N), t.line, t.col)
+                stream.error("group factor must be a %d x %d matrix" % (N, N), t)
             word.append(("g", rows))
-        elif t.text == "e":
+        elif t[1] == "e":
             stream.expect("(")
             a = poly()
             stream.expect(",")
             index = stream.peek()
-            if index.kind != "int":
+            if index[0] != "int":
                 stream.error("expected a basis index")
             stream.next()
             stream.expect(")")
-            i = int(index.text)
+            i = int(index[1])
             if not 1 <= i <= pair.t:
-                raise ParseError("basis index %d out of range 1..%d" % (i, pair.t), index.line, index.col)
+                stream.error("basis index %d out of range 1..%d" % (i, pair.t), index)
             word.append(("e", a, i - 1))
         else:
-            raise ParseError("expected a g[...] or e(...) factor", t.line, t.col)
+            stream.error("expected a g[...] or e(...) factor", t)
     if not word:
         stream.error("empty element word")
     return word
@@ -565,15 +595,15 @@ def parse_pair_document(text, field=None):
     from superalg.scalars import QQ
 
     field = field or QQ
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text)
     head = stream.expect("hcpair")
-    name = _name(stream, "expected a hcpair name").text
+    name = _name(stream, "expected a hcpair name")[1]
     # rel, rho and bracket may come before size, so read size first.
     block = _block_tokens(stream)
-    sizes = [after for t, after in zip(block, block[1:]) if t.text == "size"]
+    sizes = [after for t, after in zip(block, block[1:]) if t[1] == "size"]
     if not sizes:
-        raise ParseError("hcpair needs both size and odd-dim", head.line, head.col)
-    size = _parse_count(sizes[0], "size", MAX_PAIR_SIZE)
+        stream.error("hcpair needs both size and odd-dim", head)
+    size = _parse_count(stream, sizes[0], "size", MAX_PAIR_SIZE)
     vs = group_varset(size, field)
     poly = PolyParser(stream, vs).parse
     odd_dim = None
@@ -584,7 +614,7 @@ def parse_pair_document(text, field=None):
 
     def once(directive, at):
         if directive in given:
-            raise ParseError("repeated %s" % directive, at.line, at.col)
+            stream.error("repeated %s" % directive, at)
         given.add(directive)
 
     def matrix(entry):
@@ -592,52 +622,50 @@ def parse_pair_document(text, field=None):
 
     while True:
         t = stream.next()
-        if t.text == "end":
+        if t[1] == "end":
             break
-        if t.text == "size":
+        if t[1] == "size":
             once("size", t)
             stream.next()
-        elif t.text == "odd":
+        elif t[1] == "odd":
             once("odd-dim", t)
             # "odd-dim" tokenizes as odd, -, dim
             stream.expect("-")
             stream.expect("dim")
-            odd_dim = _parse_count(stream.next(), "odd-dim")
-        elif t.text == "rel":
+            odd_dim = _parse_count(stream, stream.next(), "odd-dim")
+        elif t[1] == "rel":
             rels += _sequence(stream, poly, ";")
-        elif t.text == "rho":
+        elif t[1] == "rho":
             once("rho", t)
             rho_at, rho = t, matrix(poly)
-        elif t.text == "bracket":
+        elif t[1] == "bracket":
             at = stream.peek()
-            i = _parse_count(stream.next(), "bracket index")
-            j = _parse_count(stream.next(), "bracket index")
+            i = _parse_count(stream, stream.next(), "bracket index")
+            j = _parse_count(stream, stream.next(), "bracket index")
             once("bracket %d %d" % (min(i, j), max(i, j)), t)
             stream.expect(":")
             brackets.append((i, j, t, at, matrix(lambda: (stream.peek(), poly()))))
         else:
-            raise ParseError("expected size, odd-dim, rel, rho, bracket or end", t.line, t.col)
-    if stream.peek().kind != "eof":
+            stream.error("expected size, odd-dim, rel, rho, bracket or end", t)
+    if stream.peek()[0] != "eof":
         stream.error("expected end of input after the hcpair block")
     if odd_dim is None:
-        raise ParseError("hcpair needs both size and odd-dim", head.line, head.col)
+        stream.error("hcpair needs both size and odd-dim", head)
     group = EvenGroupSpec(size, rels, field=field)
     if rho is None:
-        raise ParseError("hcpair needs a rho block", head.line, head.col)
+        stream.error("hcpair needs a rho block", head)
     if len(rho) != odd_dim or any(len(r) != odd_dim for r in rho):
-        message = "rho must be a %d x %d matrix" % (odd_dim, odd_dim)
-        raise ParseError(message, rho_at.line, rho_at.col)
+        stream.error("rho must be a %d x %d matrix" % (odd_dim, odd_dim), rho_at)
     bracket = {}
     for i, j, directive, at, rows in brackets:
         if max(i, j) > odd_dim:
-            raise ParseError("bracket index beyond odd-dim %d" % odd_dim, at.line, at.col)
+            stream.error("bracket index beyond odd-dim %d" % odd_dim, at)
         if len(rows) != size or any(len(r) != size for r in rows):
-            message = "bracket %d %d must be a %d x %d matrix" % (i, j, size, size)
-            raise ParseError(message, directive.line, directive.col)
+            stream.error("bracket %d %d must be a %d x %d matrix" % (i, j, size, size), directive)
         for r in rows:
             for at, e in r:
                 if e.total_degree() > 0:
-                    raise ParseError("bracket entries must be scalars, got %s" % e, at.line, at.col)
+                    stream.error("bracket entries must be scalars, got %s" % e, at)
         bracket[(min(i, j) - 1, max(i, j) - 1)] = [[e.constant_coeff() for _, e in r] for r in rows]
     return HCPair(group, odd_dim, rho, bracket, name=name)
 
@@ -648,12 +676,11 @@ def parse_pair_document(text, field=None):
 MAX_PAIR_SIZE = 4
 
 
-def _parse_count(t, what, most=None):
+def _parse_count(stream, t, what, most=None):
     """The token as a positive integer, at most ``most`` when given;
     anything else is a ParseError."""
-    n = int(t.text) if t.kind == "int" else 0
+    n = int(t[1]) if t[0] == "int" else 0
     if n < 1 or (most is not None and n > most):
         limit = "" if most is None else " up to %d" % most
-        message = "%s must be a positive integer%s, found %r" % (what, limit, t.text or "end of input")
-        raise ParseError(message, t.line, t.col)
+        stream.error("%s must be a positive integer%s, found %r" % (what, limit, t[1] or "end of input"), t)
     return n

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import io
 import json
 import os
@@ -398,6 +399,16 @@ def test_cli_imports_only_the_shared_layers():
     assert "dataclasses" not in after - before
     for name in ("superalg.dsl", "superalg.groebner", "superalg.sdim"):
         assert name in after
+    # each new standard-library import is paid by every process at start-up
+    new = {name for name in after - before if not name.startswith("superalg")}
+    assert "bisect" not in new and new <= STARTUP_MODULES, new - STARTUP_MODULES
+
+
+# What ``import superalg.cli`` loads from the standard library on Python
+# 3.11; a new name here costs every process its import.
+STARTUP_MODULES = {
+    "__future__", "_decimal", "_heapq", "argparse", "decimal", "fractions", "gettext", "heapq", "numbers",
+}  # fmt: skip
 
 
 def test_hc_error_exits_2_in_a_fresh_process():
@@ -463,3 +474,44 @@ def test_every_handler_is_a_command_in_the_table():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
     }
     assert handlers == {name.replace("-", "_").replace(" ", "_") for name in cli.COMMANDS}
+
+
+def outputs(argv):
+    """(exit code, stdout, stderr) of one run_command call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_leaf_dispatch_matches_the_top_level_parser(monkeypatch):
+    """A known command goes straight to its leaf parser; every output must
+    be what parsing with the whole parser gives."""
+    calls = []
+    for command, (rest, _) in JSON_CALLS.items():
+        words = command.split()
+        good = words + [data(a) if a.endswith(".salg") else a for a in rest]
+        if command == "selftest":
+            good = words + ["--seed", "x"]  # its good call runs the whole corpus
+        calls += [
+            good,
+            good + ["--json"],
+            words,  # a missing required argument, for all but selftest
+            good + ["--bogus"],
+            good + ["--field", "fp"],
+            good + ["extra"],
+            words + ["--help"],
+            words + ["-h", "--bogus"],
+        ]
+    calls += [["hc"], ["hc", "--json", "sdim", "unipotent"], ["hc", "nonsense"], ["hc validate", "unipotent"],
+              ["nonsense"], ["--help"], ["--json"], []]  # fmt: skip
+    leaf = [outputs(argv) for argv in calls]
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert [outputs(argv) for argv in calls] == leaf
+    assert {code for code, _, _ in leaf} == {0, 2}
+
+
+def test_repeated_point_entry_exits_2(capsys):
+    assert run(["phi-dim", data("xy1y2.salg"), "--point", "x = 1; x = 0"]) == (2, "")
+    assert capsys.readouterr().err == "error: line 1, column 8: repeated entry for 'x'\n"

@@ -9,7 +9,8 @@ and runs it over Q or F_7.  Pair examples edit a shipped ``data/*.shc``
 document the same way (or move a line) and run ``hc validate``, ``sdim``
 or ``graded`` on it.  ``run_command`` must return 0,
 1 or 2, raise nothing, and explain every exit 2 on stderr.  All examples
-go through the one argument parser that ``run_command`` builds per process.
+go through the parsers that ``run_command`` builds once per process, each
+command's arguments through that command's own parser.
 """
 
 import contextlib

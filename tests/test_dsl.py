@@ -1,11 +1,18 @@
 """Text-format parsing and error spans."""
 
+import functools
+import operator
+import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg.dsl import (
     ParseError,
+    TokenStream,
     parse_assignments,
     parse_document,
     parse_element_word,
@@ -15,7 +22,7 @@ from superalg.dsl import (
     parse_poly_list,
 )
 from superalg.hcgroup import lambda_algebra, unipotent_pair
-from superalg.scalars import QQ, Field
+from superalg.scalars import QQ, Field, FieldError
 from superalg.superpoly import VarSet
 
 from conftest import random_poly
@@ -249,3 +256,250 @@ def test_declarations_may_follow_their_use():
         return g.N, g.defining, p.t, p.rho, p.bracket
 
     assert pair((2, 3, 4, 1, 0)) == pair((0, 1, 2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# tokens and terms against oracles
+
+# The tokenizer as it was before tokens became (kind, text, offset) tuples,
+# kept verbatim as the reference for kinds, texts, lines, columns and errors.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[-+*^/();=:,\[\]])
+    """,
+    re.VERBOSE,
+)
+
+
+class Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return "Token(%s, %r)" % (self.kind, self.text)
+
+
+# CPython refuses to convert longer digit strings to int (the default of
+# sys.get_int_max_str_digits), so a longer literal is a parse error.
+MAX_INT_DIGITS = 4300
+
+
+def tokenize(text):
+    tokens = []
+    line = 1
+    linestart = 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                "unexpected character %r" % text[pos], line, pos - linestart + 1
+            )
+        kind = m.lastgroup
+        value = m.group()
+        col = pos - linestart + 1
+        if kind in ("ws", "comment"):
+            for i, ch in enumerate(value):
+                if ch == "\n":
+                    line += 1
+                    linestart = pos + i + 1
+        else:
+            if kind == "int" and len(value) > MAX_INT_DIGITS:
+                raise ParseError("integer literal too long", line, col)
+            tokens.append(Token(kind, value, line, col))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, len(text) - linestart + 1))
+    return tokens
+
+
+def outcome(read):
+    """What read() returns, or the message and position of its ParseError."""
+    try:
+        return read()
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+def positioned(text):
+    """(kind, text, line, column) of each token; the position is read off
+    the ParseError that the stream raises at the token."""
+    stream = TokenStream(text)
+    out = []
+    for t in stream.tokens:
+        _, line, col = outcome(functools.partial(stream.error, "", t))
+        out.append((t[0], t[1], line, col))
+    return out
+
+
+FRAGMENTS = (
+    "x", "y1", "y2", "y1y2", "x1", "z", "*", "+", "-", "^", "(", ")", ";", ",", "/", "0", "2", "7",
+    "1/2", "5/7", "->", "=", ":", "[", "]", "rel", "end", "odd", "# a comment", "#", "\n", "\n\n",
+    " ", "\t", "\r\n", "\x0b", "\xa0", "@", "!", "é", "$", "٣", "9" * 4301,
+)  # fmt: skip
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+def test_tokens_and_their_positions_match_the_reference_tokenizer(text):
+    want = outcome(lambda: [(t.kind, t.text, t.line, t.col) for t in tokenize(text)])
+    assert outcome(lambda: positioned(text)) == want
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
+NAMES = ("x1", "x2", "y1", "y2", "y3")
+CONCATENATIONS = ("y1y3", "y3y1", "y2y1y3", "y1y1", "y3y2y1")
+
+
+def factors(vs):
+    """(text, oracle) of a factor: a number, a fraction, a generator, a
+    concatenation of odd names, or a power of one of these; the oracle
+    builds the same value with SuperPoly arithmetic, or is the FieldError
+    that building it raises."""
+
+    def const(c):
+        try:
+            return vs.const(c)
+        except FieldError as e:
+            return e
+
+    def concatenation(text):
+        return functools.reduce(operator.mul, (vs.gen(n) for n in re.findall(r"y\d", text)))
+
+    base = st.one_of(
+        st.integers(0, 9).map(lambda n: (str(n), const(n))),
+        st.tuples(st.integers(0, 9), st.sampled_from((1, 2, 3, 7))).map(
+            lambda nd: ("%d/%d" % nd, const(Fraction(*nd)))
+        ),
+        st.sampled_from(NAMES).map(lambda n: (n, vs.gen(n))),
+        st.sampled_from(CONCATENATIONS).map(lambda n: (n, concatenation(n))),
+    )
+
+    def power(drawn):
+        (text, value), k = drawn
+        if isinstance(value, FieldError):
+            return text + "^%d" % k, value
+        return "%s^%d" % (text, k), value**k
+
+    return st.one_of(base, st.tuples(base, st.integers(0, 3)).map(power))
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_product_term_equals_the_superpoly_product_of_its_factors(field, data):
+    vs = VarSet(("x1", "x2"), ("y1", "y2", "y3"), field)
+    drawn = data.draw(st.lists(factors(vs), min_size=1, max_size=5))
+    text = "*".join(t for t, _ in drawn)
+    errors = [v for _, v in drawn if isinstance(v, FieldError)]
+    if errors:
+        with pytest.raises(FieldError) as e:
+            parse_poly(text, vs)
+        assert str(e.value) == str(errors[0])
+    else:
+        assert parse_poly(text, vs) == functools.reduce(operator.mul, (v for _, v in drawn))
+
+
+@FIELDS
+def test_named_product_cases(field):
+    vs = VarSet(("x",), ("y1", "y2"), field)
+    x, y1, y2 = vs.gen("x"), vs.gen("y1"), vs.gen("y2")
+    assert parse_poly("y2*y1", vs) == y2 * y1 == -(y1 * y2)
+    assert parse_poly("y2y1", vs) == parse_poly("y2*y1", vs)
+    assert parse_poly("y1*y1", vs).is_zero() and parse_poly("y1y1", vs).is_zero()
+    assert parse_poly("x^0", vs) == parse_poly("y1^0", vs) == parse_poly("0^0", vs) == vs.one()
+    assert parse_poly("2*x^2*y1y2*1/2", vs) == x**2 * y1 * y2
+    assert parse_poly("3*(x + y1)*y2", vs) == (x + y1).scale(3) * y2
+    assert parse_poly("-y2*-y1", vs) == y2 * y1
+    if field.char == 7:
+        with pytest.raises(FieldError):
+            parse_poly("5/7", vs)
+        assert parse_poly("7*x", vs).is_zero()
+    else:
+        assert parse_poly("5/7", vs) == vs.const(Fraction(5, 7))
+
+
+def test_bounds_keep_their_messages_and_positions(vs):
+    for text, want in (
+        ("x1^65", ("line 1, column 4: exponent too large", 1, 4)),
+        ("y1y2^33", ("line 1, column 6: exponent too large", 1, 6)),
+        ("2*x1^", ("line 1, column 6: expected an integer exponent", 1, 6)),
+        ("(" * 101 + "x1" + ")" * 101, ("line 1, column 102: expression nested too deeply", 1, 102)),
+        ("-" * 102 + "x1", ("line 1, column 103: expression nested too deeply", 1, 103)),
+        ("1/0*x1", ("line 1, column 3: zero denominator", 1, 3)),
+        ("x1*\n  " + "9" * 4301, ("line 2, column 3: integer literal too long", 2, 3)),
+        ("x1 # c\n @", ("line 2, column 2: unexpected character '@'", 2, 2)),
+    ):
+        assert outcome(lambda: parse_poly(text, vs)) == want, text
+    vs = VarSet(("a", "b", "c"), (), QQ)
+    cube = [(i, j, k) for i in range(18) for j in range(18) for k in range(18)]
+    sums = "(%s)" % " + ".join("a^%d*b^%d*c^%d" % e for e in cube)
+    assert outcome(lambda: parse_poly("2*" + sums, vs)) == (
+        "line 1, column 2: expression could build 5832 terms, more than 5000", 1, 2
+    )
+    assert parse_poly("0*" + sums, vs).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# odd names split exactly; a repeated name is an error at the repeat
+
+
+def test_odd_identifiers_split_over_every_reading():
+    algebra = parse_document("superalgebra A\n  even x\n  odd a ab bc\n  rel x*a*bc\nend\n").algebra
+    vs = algebra.vs
+    (rel,) = algebra.relations
+    assert rel.render() == "x*abc"
+    assert parse_poly(rel.render(), vs) == rel == vs.gen("x") * vs.gen("a") * vs.gen("bc")
+    salg = "superalgebra A\n  even x\n  odd %s\n  rel %s\nend\n"
+    assert error_at(parse_document, salg % ("a ab ba", "x*aba")) == (4, 9)
+    assert outcome(lambda: parse_document(salg % ("a ab ba", "x*aba")))[0] == (
+        "line 4, column 9: 'aba' reads as both a*ba and ab*a"
+    )
+    # a declared name that is also a concatenation of odd names
+    assert outcome(lambda: parse_document(salg % ("a b ab", "x*a*b")))[0] == (
+        "line 3, column 11: 'ab' reads as both ab and a*b"
+    )
+    assert error_at(parse_document, salg % ("ab a b", "x")) == (3, 7)
+    assert error_at(parse_document, "superalgebra A\n  even ab\n  odd a b\nend\n") == (2, 8)
+    assert error_at(parse_document, salg % ("a aa", "x")) == (3, 9)
+    # numbered names keep their one reading
+    ys = " ".join("y%d" % i for i in range(1, 13))
+    vs = parse_document(salg % (ys, "x*y1y12*y11")).algebra.vs
+    assert parse_poly("y1y12y11", vs) == vs.gen("y1") * vs.gen("y12") * vs.gen("y11")
+
+
+def test_a_long_identifier_is_split_in_bounded_time():
+    start = time.perf_counter()
+    vs = VarSet(("x",), ("a", "b"), QQ)
+    assert parse_poly("ab" * 50000, vs).is_zero()
+    vs = VarSet(("x",), ("a", "aa"), QQ)
+    assert outcome(lambda: parse_poly("a" * 100000, vs))[1:] == (1, 1)
+    assert time.perf_counter() - start < 2
+
+
+def test_a_repeated_entry_or_block_name_is_an_error_at_the_repeat(vs):
+    assert error_at(lambda t: parse_assignments(t, vs), "x1 = 1; x1 = 0") == (1, 9)
+    assert error_at(lambda t: parse_images(t, vs), "y1 -> 1;\n y2 -> x1, y1 -> 0") == (2, 12)
+    assert outcome(lambda: parse_images("y1 -> 1; y1 -> 1/0", vs))[0] == (
+        "line 1, column 10: repeated entry for 'y1'"
+    )
+    salg = "superalgebra A\n  even x\n  odd y\nend\n"
+    assert error_at(parse_document, salg + "derivation d\n  y -> 1\n  y -> x\nend\n") == (7, 3)
+    assert error_at(parse_document, salg + "point p\n  x = 1; x = 0\nend\n") == (6, 10)
+    for kind, entry in (("derivation", "y -> 1"), ("point", "x = 0")):
+        text = salg + "%s d\n  %s\nend\n%s d\n  %s\nend\n" % (kind, entry, kind, entry)
+        assert outcome(lambda: parse_document(text))[0] == "line 8, column %d: repeated %s 'd'" % (
+            len(kind) + 2, kind,
+        )
+    # the same name may name a derivation and a point
+    m = parse_document(salg + "derivation d y -> 1 end point d x = 0 end")
+    assert list(m.derivations) == list(m.points) == ["d"]
