@@ -13,9 +13,9 @@ Example document::
 Tokens are ``(kind, text, offset)`` tuples; a ParseError works out its
 line and column from the offset.  A product of numbers, generator names
 and their powers is built directly as one term.  An identifier that names
-no generator is split into odd names (``y1y2``) over every reading: no
-reading or two is an error, and so is a declared name that also reads as
-such a concatenation.
+no generator is split into odd names (``y1y2``); a block's odd names must
+be uniquely decodable, so that split is the only one, and an even name
+must not read as such a concatenation.
 
 Each construct has one reader.  ``derivation`` and ``point`` blocks and
 the same entries inline (``--derivation``, ``--images``, ``--point``)
@@ -125,28 +125,42 @@ class TokenStream:
 # polynomial expressions
 
 
-def _readings(name, vs):
-    """At most two readings of an identifier, each a tuple of generator
-    names: the even generator itself, or a concatenation of odd names."""
-    if not name[:-1].startswith(vs.odd) and (name in vs.even or name in vs.odd):
-        return [(name,)]  # no odd name is a proper prefix of this generator
-    # readings of name[:i], each a chain (reading of a prefix, last name), so
+def _odd_reading(name, odd):
+    """A list of odd names whose concatenation is name, or None; over
+    uniquely decodable odd names it is the only one."""
+    # a reading of name[:i] as a chain (reading of a prefix, last name), so
     # that extending one costs the same however long the identifier is
-    ways = [[] for _ in range(len(name) + 1)]
-    ways[0].append(())
+    ways = [()] + [None] * len(name)
     for i in range(len(name)):
-        if ways[i]:
-            for o in vs.odd:
-                if name.startswith(o, i):
-                    ways[i + len(o)] += [(w, o) for w in ways[i][:2]]
-    readings = [(name,)] if name in vs.even else []
-    for w in ways[-1][:2]:
-        parts = []
-        while w:
-            w, o = w
-            parts.append(o)
-        readings.append(tuple(reversed(parts)))
-    return readings[:2]
+        if ways[i] is not None:
+            for o in odd:
+                if name.startswith(o, i) and ways[i + len(o)] is None:
+                    ways[i + len(o)] = (ways[i], o)
+    w = ways[-1]
+    if w is None:
+        return None
+    parts = []
+    while w:
+        w, o = w
+        parts.append(o)
+    return parts[::-1]
+
+
+def _uniquely_decodable(names):
+    """The Sardinas-Patterson test.  S_1 holds the rest of each name after
+    another name that is a proper prefix of it, and S_(i+1) the rest of a
+    name after a prefix in S_i or of a suffix in S_i after a name that is a
+    prefix of it; no concatenation of the names reads two ways iff no S_i
+    holds a name.  Every S_i is a set of suffixes of names, so the search
+    stops once it finds no new one."""
+    level, seen = set(names), set()
+    while level:
+        seen |= level
+        level = {y[len(x) :] for s in level for c in names for x, y in ((s, c), (c, s)) if x != y and y.startswith(x)}
+        if not level.isdisjoint(names):
+            return False
+        level -= seen
+    return True
 
 
 class PolyParser:
@@ -157,7 +171,7 @@ class PolyParser:
     arithmetic; a signed or parenthesised factor makes the power or product
     it is in a SuperPoly, and every sum is one."""
 
-    # Each parenthesis costs four Python frames and each unary sign two, so
+    # Each parenthesis costs four Python frames and each unary sign one, so
     # this keeps any expression well inside the interpreter's recursion
     # limit; deeper input is a parse error, not a crash.
     MAX_DEPTH = 100
@@ -193,19 +207,20 @@ class PolyParser:
             self.s.error("expression could build %d terms, more than %d" % (count, self.MAX_TERMS), tok)
 
     def term(self, t):
-        """The term of an identifier token, read the one way it can be."""
-        term = self.terms.get(t[1])
+        """The term of an identifier token: the generator it names, or its
+        one reading as a concatenation of odd names."""
+        name = t[1]
+        term = self.terms.get(name)
         if term is None:
-            readings = _readings(t[1], self.vs)
-            if not readings:
-                self.s.error("unknown generator %r" % t[1], t)
-            if len(readings) > 1:
-                self.s.error("%r reads as both %s and %s" % (t[1], *map("*".join, readings)), t)
+            vs = self.vs
+            reading = [name] if name in vs.even or name in vs.odd else _odd_reading(name, vs.odd)
+            if reading is None:
+                self.s.error("unknown generator %r" % name, t)
             term = self.one
-            for name in readings[0]:
-                ((exps, mask), c), = self.vs.gen(name).terms.items()
+            for g in reading:
+                ((exps, mask), c), = vs.gen(g).terms.items()
                 term = self._times(term, (c, exps, mask))
-            self.terms[t[1]] = term
+            self.terms[name] = term
         return term
 
     def _times(self, a, b):
@@ -257,8 +272,17 @@ class PolyParser:
         return acc
 
     def _power(self):
-        base = self._atom()
+        """A signed power, or an atom with at most one exponent: the sign
+        applies to the power after it, and nothing raises the result."""
         s = self.s
+        sign = s.tokens[s.i][1]
+        if sign == "+" or sign == "-":
+            s.i += 1
+            self._enter()
+            inner = self._poly(self._power())
+            self.depth -= 1
+            return -inner if sign == "-" else inner
+        base = self._atom()
         if s.tokens[s.i][1] != "^":
             return base
         s.i += 1
@@ -292,12 +316,6 @@ class PolyParser:
                 s.i += 1
                 num = Fraction(num, _parse_denominator(s))
             return (self.vs.field.of(num), self.one[1], 0)
-        if text == "+" or text == "-":
-            s.i += 1
-            self._enter()
-            inner = self._poly(self._power())
-            self.depth -= 1
-            return -inner if text == "-" else inner
         if text == "(":
             s.i += 1
             self._enter()
@@ -456,8 +474,7 @@ def _parse_superalgebra(stream, field):
     # names first.
     names = {"even": [], "odd": []}
     declaring = None
-    declared = []  # the tokens of the names
-    seen = set()
+    declared = {}  # name -> the token that first declares it
     repeat = overflow = None  # the first token that repeats a name; the odd name past the limit
     for t in _block_tokens(stream):
         kind, text, _ = t
@@ -465,12 +482,11 @@ def _parse_superalgebra(stream, field):
             declaring = names[text]
         elif declaring is not None and kind == "ident" and text not in KEYWORDS:
             declaring.append(text)
-            if text in seen and repeat is None:
+            if text in declared and repeat is None:
                 repeat = t
             if declaring is names["odd"] and len(declaring) == VarSet.MAX_ODD + 1:
                 overflow = t
-            declared.append(t)
-            seen.add(text)
+            declared.setdefault(text, t)
         else:
             declaring = None
     try:
@@ -478,9 +494,15 @@ def _parse_superalgebra(stream, field):
     except StructureError as e:
         # VarSet tests uniqueness before the odd count
         stream.error(str(e), repeat or overflow)
+    if not _uniquely_decodable(vs.odd):
+        for i, name in enumerate(vs.odd):
+            if not _uniquely_decodable(vs.odd[: i + 1]):
+                stream.error("odd name %r lets a concatenation of odd names read two ways" % name, declared[name])
+    for name in vs.even:
+        reading = _odd_reading(name, vs.odd)
+        if reading:
+            stream.error("%r reads as both %s and %s" % (name, name, "*".join(reading)), declared[name])
     parser = PolyParser(stream, vs)
-    for t in declared:
-        parser.term(t)  # a declared name reads only as itself
     rels = []
     while True:
         t = stream.next()

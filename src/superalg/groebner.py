@@ -416,7 +416,18 @@ def ideal_equal(I, J):
 
 
 def annihilator(p, algebra):
-    """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal."""
+    """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal.
+
+    The kernel pairs of both parities from ``annihilator_elimination`` are
+    autoreduced on their own: a main-block lead divides no tag-block term,
+    so the main-block elements take no part in their reduction, and the
+    result is the tag-block part of the reduced elimination basis.  That is
+    already the reduced basis of the kernel K under term_key:
+    elim_term_key restricted to the tag block is term_key; K contains J
+    and is closed under odd multiplication, so closing it and adding the
+    relation basis changes nothing; and the reduced basis of a
+    parity-graded module is parity-homogeneous.
+    """
     vs = algebra.vs
     if p.parity() is None:
         raise ParityError("annihilator argument must be parity-homogeneous")
@@ -424,7 +435,12 @@ def annihilator(p, algebra):
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()])
     pairs = annihilator_elimination(p, algebra, 0) + annihilator_elimination(p, algebra, 1)
-    return annihilator_from_elimination(algebra, pairs)
+    char = vs.field.char
+    tag = _autoreduce(elim_term_key, char, pairs)
+    kernel = GBasis(term_key, char)
+    for (exps, (_, mask)), v in zip(tag.leads, tag.vectors):
+        kernel.append({(e, comp[1]): c for (e, comp), c in v.items()}, (exps, mask))
+    return SuperIdeal._from_reduced_basis(algebra, kernel)
 
 
 def annihilator_elimination(p, algebra, parity):
@@ -480,27 +496,6 @@ def annihilator_elimination(p, algebra, parity):
             gb.append({e_s: one}, e_s)
     gb = complete(graph, elim_term_key, char, gb)
     return [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
-
-
-def annihilator_from_elimination(algebra, kernel_pairs):
-    """The annihilator as a SuperIdeal from the pairs that
-    ``annihilator_elimination`` returned.
-
-    They are autoreduced on their own: a main-block lead divides no
-    tag-block term, so the main-block elements take no part in their
-    reduction, and the result is the tag-block part of the reduced
-    elimination basis.  That is already the reduced basis of the kernel K
-    under term_key: elim_term_key restricted to the tag block is term_key;
-    K contains J and is closed under odd multiplication, so closing it and
-    adding the relation basis changes nothing; and the reduced basis of a
-    parity-graded module is parity-homogeneous.
-    """
-    char = algebra.vs.field.char
-    tag = _autoreduce(elim_term_key, char, kernel_pairs)
-    kernel = GBasis(term_key, char)
-    for (exps, (_, mask)), v in zip(tag.leads, tag.vectors):
-        kernel.append({(e, comp[1]): c for (e, comp), c in v.items()}, (exps, mask))
-    return SuperIdeal._from_reduced_basis(algebra, kernel)
 
 
 # ---------------------------------------------------------------------------

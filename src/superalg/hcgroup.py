@@ -280,7 +280,6 @@ class HCPair:
         self.bracket = {
             (i, j): bracket.get((min(i, j), max(i, j)), zero) for i in range(t) for j in range(t)
         }
-        self._drho_cache = {}
         self._rho_at_cache = {}
         self._identity_action = None
         self._corrections = {}
@@ -310,16 +309,13 @@ class HCPair:
     def drho(self, x):
         """Linearization of the module action at the identity applied to a
         Lie element: a t x t scalar matrix of D rho_rc(x)."""
-        key = tuple(tuple(row) for row in x)
-        if key not in self._drho_cache:
-            group = self.group
-            N = group.N
-            self._drho_cache[key] = [
-                [group.field.of(sum(D[i][j] * x[i][j] for i in range(N) for j in range(N)))
-                 for D in map(group.differential, row)]
-                for row in self.rho
-            ]
-        return self._drho_cache[key]
+        group = self.group
+        N = group.N
+        return [
+            [group.field.of(sum(D[i][j] * x[i][j] for i in range(N) for j in range(N)))
+             for D in map(group.differential, row)]
+            for row in self.rho
+        ]
 
     def rho_at(self, algebra, M):
         """Evaluate the action matrix at a group point over the even part
@@ -395,12 +391,13 @@ def validate_hc_pair(pair):
     # cubic identity with indeterminate coefficients
     tvs = VarSet(tuple("t%d" % (i + 1) for i in range(t)), (), group.field)
     tgens = [tvs.gen("t%d" % (i + 1)) for i in range(t)]
+    drhos = {(i, j): pair.drho(pair.bracket_matrix(i, j)) for i in range(t) for j in range(t)}
     ok, wit = True, None
     for l in range(t):
         acc = tvs.zero()
         for i in range(t):
             for j in range(t):
-                dr = pair.drho(pair.bracket_matrix(i, j))
+                dr = drhos[i, j]
                 for k in range(t):
                     if dr[l][k]:
                         acc = acc + (tgens[i] * tgens[j] * tgens[k]).scale(dr[l][k])

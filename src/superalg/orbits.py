@@ -24,9 +24,8 @@ class OddAction:
     """An odd superderivation of a presented superalgebra, given by its
     values on the generators."""
 
-    def __init__(self, algebra, images, name=""):
+    def __init__(self, algebra, images):
         self.algebra = algebra
-        self.name = name
         vs = algebra.vs
         self.images = {}
         for gen_name, img in images.items():
@@ -143,27 +142,17 @@ def orbit_slopes(action, pt):
     return gens, slopes
 
 
-def orbit_ideal(action, pt, pivot=None):
+def orbit_ideal(action, pt):
     """The ideal of the orbit through a rational point, with the
-    stabilizer dichotomy and the dimension bookkeeping.
-
-    ``pivot`` overrides the default choice (the first nonzero slope); any
-    admissible pivot yields the same ideal.
+    stabilizer dichotomy and the dimension bookkeeping.  The pivot is the
+    first nonzero slope; any other nonzero one yields the same ideal.
     """
     A = action.algebra
     vs = A.vs
     pt.validate(A)
     gens, slopes = orbit_slopes(action, pt)
     zero = vs.field.zero
-    if pivot is not None:
-        if not (0 <= pivot < len(slopes)) or slopes[pivot] == zero:
-            raise ActionError("pivot %r has zero slope" % pivot)
-    else:
-        pivot = -1
-        for i, lam in enumerate(slopes):
-            if lam != zero:
-                pivot = i
-                break
+    pivot = next((i for i, lam in enumerate(slopes) if lam != zero), -1)
     if pivot < 0:
         ideal = SuperIdeal(A, pt.max_superideal_gens(A))
         result = OrbitResult(

@@ -14,7 +14,6 @@ from superalg.groebner import (
     SuperIdeal,
     annihilator,
     annihilator_elimination,
-    annihilator_from_elimination,
     buchberger,
     ideal_equal,
     localize_at_even,
@@ -92,11 +91,10 @@ class SuperDim(Record):
 
 
 class OddParamCertificate(Record):
-    __slots__ = ("elements", "annihilator", "even_dim_witness", "reason")
+    __slots__ = ("elements", "even_dim_witness", "reason")
 
-    def __init__(self, elements, annihilator, even_dim_witness, reason=""):
+    def __init__(self, elements, even_dim_witness, reason=""):
         self.elements = elements
-        self.annihilator = annihilator  # SuperIdeal or None
         self.even_dim_witness = even_dim_witness
         self.reason = reason
 
@@ -148,8 +146,8 @@ def even_annihilator_image_in_bar(ideal, bar_algebra):
     exactly the terms of an even element that have no odd factor.
 
     The parameter test reads the same image off the unreduced kernel basis
-    (``_even_dim_modulo_annihilator``); this form, from a SuperIdeal, is
-    its reference."""
+    (``_even_dim_modulo_annihilator``); this form, from a SuperIdeal such
+    as ``annihilator(p, algebra)``, is its reference."""
     bvs = bar_algebra.vs
     gb = ideal.gbasis
     images = (
@@ -171,10 +169,11 @@ def _check_all_odd(elements):
             raise ParityError("%s is not odd" % y)
 
 
-def _even_dim_modulo_annihilator(kernel_pairs, bar_algebra):
+def _even_dim_modulo_annihilator(p, algebra, bar_algebra):
     """Krull dimension of bar(A) modulo the image of Ann(p)_0, read from the
     even kernel basis that ``annihilator_elimination(p, algebra, 0)``
-    returned.
+    returns: p passes the parameter test iff that dimension is bar(A)'s
+    own.
 
     That basis is not reduced, but it generates Ann(p)_0 over k[x].  An f
     in Ann(p)_0 is a sum of a_i*g_i with a_i in k[x], so the terms of f
@@ -184,26 +183,11 @@ def _even_dim_modulo_annihilator(kernel_pairs, bar_algebra):
     half of the elimination is not needed."""
     bvs = bar_algebra.vs
     image = []
-    for _, v in kernel_pairs:
+    for _, v in annihilator_elimination(p, algebra, 0):
         terms = {(exps, 0): c for (exps, (_, mask)), c in v.items() if not mask}
         if terms:
             image.append(SuperPoly(bvs, terms))
     return leading_term_dim(SuperAlgebra(bvs, bar_algebra.relations + image))
-
-
-def _even_test(p, algebra, bar_algebra):
-    """The even half of the elimination for Ann(p), and the Krull dimension
-    of bar(A) modulo its image: p passes the parameter test iff that
-    dimension is bar(A)'s own."""
-    pairs = annihilator_elimination(p, algebra, 0)
-    return pairs, _even_dim_modulo_annihilator(pairs, bar_algebra)
-
-
-def _certificate(elements, p, algebra, even_pairs, even_dim, reason=""):
-    """The certificate of a tested set: the odd half of the elimination joins
-    the even half, and Ann(p) is reduced from both."""
-    ann = annihilator_from_elimination(algebra, even_pairs + annihilator_elimination(p, algebra, 1))
-    return OddParamCertificate(list(elements), ann, even_dim, reason)
 
 
 def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
@@ -219,12 +203,12 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
         prod = prod * y
     prod = algebra.nf(prod)
     if prod.is_zero():
-        return False, OddParamCertificate(list(elements), None, None, "product is zero")
+        return False, OddParamCertificate(list(elements), None, "product is zero")
     bar_a = bar(algebra) if bar_algebra is None else bar_algebra
     d = leading_term_dim(bar_a) if even_dim is None else even_dim
-    pairs, dq = _even_test(prod, algebra, bar_a)
+    dq = _even_dim_modulo_annihilator(prod, algebra, bar_a)
     reason = "" if dq == d else "annihilator drops even dimension to %s" % dq
-    return dq == d, _certificate(elements, prod, algebra, pairs, d, reason)
+    return dq == d, OddParamCertificate(list(elements), d, reason)
 
 
 def is_odd_regular_sequence(algebra, elements):
@@ -287,16 +271,18 @@ def ksdim(algebra, random_combos=4, seed=0):
     elimination, Ann(p)_0, with its basis as the elimination leaves it:
     that basis generates Ann(p)_0 over k[x] as the reduced one does, so
     the image of Ann(p)_0 in bar(A), and the Krull dimension it leaves, are
-    the same (``_even_dim_modulo_annihilator``).  Only the accepted set
-    runs the odd half and reduces both, for its certificate.
+    the same (``_even_dim_modulo_annihilator``).  The odd half never runs:
+    the certificate is the accepted elements and the dimension witness,
+    and ``annihilator`` gives Ann of their product to a caller that wants
+    it.
     """
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
-        return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
+        return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], even, "zero ring")
     pool = odd_parameter_candidates(algebra, random_combos, seed)
     char = algebra.vs.field.char
-    verdicts = {}  # monic product -> even kernel pairs of a passing test, None for a failing one
+    verdicts = {}  # monic product -> whether it passes the parameter test
     failures = 0
 
     def monic_of(p):
@@ -305,13 +291,9 @@ def ksdim(algebra, random_combos=4, seed=0):
     def passes(monic):
         nonlocal failures
         if monic not in verdicts:
-            pairs, dq = _even_test(monic, algebra, bar_a)
-            if dq == even:
-                verdicts[monic] = pairs
-            else:
-                verdicts[monic] = None
-                failures += 1
-        return verdicts[monic] is not None
+            verdicts[monic] = _even_dim_modulo_annihilator(monic, algebra, bar_a) == even
+            failures += not verdicts[monic]
+        return verdicts[monic]
 
     def first_system(k, chosen, prod, start):
         for i in range(start, len(pool) - k + len(chosen) + 1):
@@ -319,7 +301,7 @@ def ksdim(algebra, random_combos=4, seed=0):
             if p.is_zero():
                 continue
             monic = monic_of(p)
-            if monic in verdicts and verdicts[monic] is None:
+            if verdicts.get(monic) is False:
                 continue
             if k >= 2 and failures >= len(pool) and len(pool[i].terms) == 1:
                 if not passes(monic_of(pool[i])):
@@ -330,7 +312,7 @@ def ksdim(algebra, random_combos=4, seed=0):
                 if cert is not None:
                     return cert
             elif passes(monic):
-                return _certificate(combo, monic, algebra, verdicts[monic], even)
+                return OddParamCertificate(combo, even)
         return None
 
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):
@@ -338,9 +320,10 @@ def ksdim(algebra, random_combos=4, seed=0):
         if cert is not None:
             break
     else:
-        k, cert = 0, OddParamCertificate([], None, even, "no odd parameters")
+        k, cert = 0, OddParamCertificate([], even, "no odd parameters")
     # first_system refers to itself through its closure; breaking that cycle
-    # frees the walk's verdicts now rather than at a later full collection
+    # frees the verdict memo, keyed by every tested product, and the
+    # candidate pool now rather than at a later full collection
     del first_system
     return SuperDim(even, k), cert
 

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -515,3 +517,37 @@ def test_leaf_dispatch_matches_the_top_level_parser(monkeypatch):
 def test_repeated_point_entry_exits_2(capsys):
     assert run(["phi-dim", data("xy1y2.salg"), "--point", "x = 1; x = 0"]) == (2, "")
     assert capsys.readouterr().err == "error: line 1, column 8: repeated entry for 'x'\n"
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(command line, stdout lines) for each ``$ superalg ...`` line in the
+    README's ``sh`` blocks: the lines after it, up to a blank line, are what
+    it prints, with ``...`` standing for any text."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M):
+        for chunk in block.split("\n\n"):
+            lines = chunk.strip("\n").splitlines()
+            if lines and lines[0].startswith("$ superalg "):
+                examples.append((lines[0][2:], lines[1:]))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_the_readme_shows_its_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("line, shown", README_EXAMPLES, ids=[line for line, _ in README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(line, shown, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    code, out = run(shlex.split(line)[1:])
+    assert code == 0
+    got = out.splitlines()
+    assert len(got) == len(shown)
+    for text, pattern in zip(got, shown):
+        assert re.fullmatch(".*".join(map(re.escape, pattern.split("..."))), text), (text, pattern)

@@ -20,6 +20,7 @@ from superalg.dsl import (
     parse_pair_document,
     parse_poly,
     parse_poly_list,
+    _uniquely_decodable,
 )
 from superalg.hcgroup import lambda_algebra, unipotent_pair
 from superalg.scalars import QQ, Field, FieldError
@@ -420,6 +421,7 @@ def test_named_product_cases(field):
     assert parse_poly("2*x^2*y1y2*1/2", vs) == x**2 * y1 * y2
     assert parse_poly("3*(x + y1)*y2", vs) == (x + y1).scale(3) * y2
     assert parse_poly("-y2*-y1", vs) == y2 * y1
+    assert parse_poly("2*-x^2", vs) == (x**2).scale(-2)
     if field.char == 7:
         with pytest.raises(FieldError):
             parse_poly("5/7", vs)
@@ -433,6 +435,9 @@ def test_bounds_keep_their_messages_and_positions(vs):
         ("x1^65", ("line 1, column 4: exponent too large", 1, 4)),
         ("y1y2^33", ("line 1, column 6: exponent too large", 1, 6)),
         ("2*x1^", ("line 1, column 6: expected an integer exponent", 1, 6)),
+        # one exponent per power, signed or not
+        ("2*x1^2^3", ("line 1, column 7: trailing input after polynomial", 1, 7)),
+        ("2*-x1^2^3", ("line 1, column 8: trailing input after polynomial", 1, 8)),
         ("(" * 101 + "x1" + ")" * 101, ("line 1, column 102: expression nested too deeply", 1, 102)),
         ("-" * 102 + "x1", ("line 1, column 103: expression nested too deeply", 1, 103)),
         ("1/0*x1", ("line 1, column 3: zero denominator", 1, 3)),
@@ -450,7 +455,8 @@ def test_bounds_keep_their_messages_and_positions(vs):
 
 
 # ---------------------------------------------------------------------------
-# odd names split exactly; a repeated name is an error at the repeat
+# odd names split exactly, and only one way; a repeated name is an error at
+# the repeat
 
 
 def test_odd_identifiers_split_over_every_reading():
@@ -460,29 +466,58 @@ def test_odd_identifiers_split_over_every_reading():
     assert rel.render() == "x*abc"
     assert parse_poly(rel.render(), vs) == rel == vs.gen("x") * vs.gen("a") * vs.gen("bc")
     salg = "superalgebra A\n  even x\n  odd %s\n  rel %s\nend\n"
-    assert error_at(parse_document, salg % ("a ab ba", "x*aba")) == (4, 9)
-    assert outcome(lambda: parse_document(salg % ("a ab ba", "x*aba")))[0] == (
-        "line 4, column 9: 'aba' reads as both a*ba and ab*a"
-    )
-    # a declared name that is also a concatenation of odd names
-    assert outcome(lambda: parse_document(salg % ("a b ab", "x*a*b")))[0] == (
-        "line 3, column 11: 'ab' reads as both ab and a*b"
-    )
-    assert error_at(parse_document, salg % ("ab a b", "x")) == (3, 7)
-    assert error_at(parse_document, "superalgebra A\n  even ab\n  odd a b\nend\n") == (2, 8)
+    # odd names under which a concatenation reads two ways (aba is a*ba and
+    # ab*a) are an error at the name after which they do, used or not
+    for rel in ("x*aba", "x*a*ba", "x"):
+        assert outcome(lambda: parse_document(salg % ("a ab ba", rel)))[0] == (
+            "line 3, column 12: odd name 'ba' lets a concatenation of odd names read two ways"
+        )
+    # an odd name that is also a concatenation of odd names
+    assert error_at(parse_document, salg % ("a b ab", "x*a*b")) == (3, 11)
+    assert error_at(parse_document, salg % ("ab a b", "x")) == (3, 12)
     assert error_at(parse_document, salg % ("a aa", "x")) == (3, 9)
+    # an even name that is a concatenation of odd names
+    assert outcome(lambda: parse_document("superalgebra A\n  even ab\n  odd a b\nend\n"))[0] == (
+        "line 2, column 8: 'ab' reads as both ab and a*b"
+    )
     # numbered names keep their one reading
     ys = " ".join("y%d" % i for i in range(1, 13))
     vs = parse_document(salg % (ys, "x*y1y12*y11")).algebra.vs
     assert parse_poly("y1y12y11", vs) == vs.gen("y1") * vs.gen("y12") * vs.gen("y11")
 
 
+def factorizations(word, names):
+    """The number of ways to write word as a concatenation of names."""
+    ways = [1] + [0] * len(word)
+    for i in range(len(word)):
+        for name in names:
+            if ways[i] and word.startswith(name, i):
+                ways[i + len(name)] += ways[i]
+    return ways[-1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sets(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=4))
+def test_unique_decodability_matches_a_search_of_short_words(names):
+    # over these names a shortest word with two readings has at most 12
+    # letters (checked over every such set)
+    names = tuple(sorted(names))
+    words, todo = set(), [""]
+    while todo:
+        w = todo.pop()
+        for name in names:
+            if len(w + name) <= 12 and w + name not in words:
+                words.add(w + name)
+                todo.append(w + name)
+    assert _uniquely_decodable(names) == all(factorizations(w, names) == 1 for w in words)
+
+
 def test_a_long_identifier_is_split_in_bounded_time():
     start = time.perf_counter()
     vs = VarSet(("x",), ("a", "b"), QQ)
     assert parse_poly("ab" * 50000, vs).is_zero()
-    vs = VarSet(("x",), ("a", "aa"), QQ)
-    assert outcome(lambda: parse_poly("a" * 100000, vs))[1:] == (1, 1)
+    vs = VarSet(("x",), ("a", "ab"), QQ)
+    assert outcome(lambda: parse_poly("a" * 100000 + "c", vs))[1:] == (1, 1)
     assert time.perf_counter() - start < 2
 
 

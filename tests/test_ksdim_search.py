@@ -5,27 +5,32 @@ prefix whose product is zero or a scalar multiple of a product that has
 already failed; once failures pile up it also screens single-term
 candidates on their own.  Random small presentations over Q and F_7 check
 that it returns what trying every combination in
-``itertools.combinations`` order returns: the same super-dimension, the
-same certificate elements and the same annihilator, with the odd half of
-the elimination run only for that annihilator.  A second family,
-k[x | y1..yn] with x*y_i = 0 for some i, is drawn so that the screen
-changes the walk.  On the family k[x | y1..yn]/(x*y_i), whose candidate
-products collapse onto few distinct values, no product reaches either
-half of the elimination twice, and the odd half, which only the
-certificate needs, never runs.  A test reads its verdict from the even
-half's kernel basis before reduction; a property test checks that this
-leaves the Krull dimension of the quotient as the reduced annihilator
-does, and that each half returns kernel elements of its own parity only.
+``itertools.combinations`` order returns: the same super-dimension and
+the same certificate, its elements, dimension witness and reason.  A
+second family, k[x | y1..yn] with x*y_i = 0 for some i, is drawn so that
+the screen changes the walk.  On the family k[x | y1..yn]/(x*y_i), whose
+candidate products collapse onto few distinct values, no product reaches
+the elimination twice.  On all three the odd half of the elimination
+never runs, and an accepted certificate is checked through the reference
+path: the reduced ``annihilator`` of its product leaves bar(A) the Krull
+dimension the certificate witnesses.  A test reads its verdict from the
+even half's kernel basis before reduction; a property test checks that
+this leaves the Krull dimension of the quotient as the reduced
+annihilator does, and that each half returns kernel elements of its own
+parity only.
 """
 
+import io
 import itertools
+import os
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superalg import sdim
+from superalg import groebner, sdim
+from superalg.cli import run_command
 from superalg.groebner import SuperAlgebra, annihilator, annihilator_elimination
 from superalg.oracle import all_monomials
 from superalg.scalars import QQ, Field, inv
@@ -52,14 +57,14 @@ def exhaustive_ksdim(algebra, random_combos=4, seed=0):
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
-        return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], None, even, "zero ring")
+        return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], even, "zero ring")
     pool = odd_parameter_candidates(algebra, random_combos, seed)
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):
         for combo in itertools.combinations(pool, k):
             ok, cert = is_odd_parameter_system(algebra, list(combo), bar_a, even)
             if ok:
                 return SuperDim(even, k), cert
-    return SuperDim(even, 0), OddParamCertificate([], None, even, "no odd parameters")
+    return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
 
 
 def screenless_walk(algebra, random_combos=4):
@@ -108,15 +113,32 @@ def recorded_ksdim(algebra, random_combos=4):
         seen.append((p.scale(inv(p.lead_term()[1], char)), parity))
         return annihilator_elimination(p, algebra, parity)
 
-    with mock.patch.object(sdim, "annihilator_elimination", recording):
+    with mock.patch.object(sdim, "annihilator_elimination", recording), mock.patch.object(
+        groebner, "annihilator_elimination", recording
+    ):
         result = ksdim(algebra, random_combos=random_combos)
     return result, seen
 
 
 def rendered(result):
     dim, cert = result
-    ann = None if cert.annihilator is None else [g.render() for g in cert.annihilator.generators]
-    return dim, [e.render() for e in cert.elements], ann, cert.reason
+    return dim, [e.render() for e in cert.elements], cert.even_dim_witness, cert.reason
+
+
+def check_certificate(algebra, result, seen):
+    """``ksdim`` ran no odd half of the elimination, and an accepted set's
+    product, through the reduced ``annihilator``, leaves bar(A) the Krull
+    dimension its certificate witnesses."""
+    assert all(parity == 0 for _, parity in seen)
+    cert = result[1]
+    if cert.elements:
+        prod = algebra.vs.one()
+        for y in cert.elements:
+            prod = prod * y
+        bar_a = bar(algebra)
+        image = even_annihilator_image_in_bar(annihilator(prod, algebra), bar_a)
+        dq = leading_term_dim(SuperAlgebra(bar_a.vs, bar_a.relations + image))
+        assert dq == cert.even_dim_witness == result[0].even
 
 
 def draw_combination(draw, vs, terms):
@@ -147,19 +169,7 @@ def test_search_matches_exhaustive_search(case):
     A, random_combos = case
     result, seen = recorded_ksdim(A, random_combos=random_combos)
     assert rendered(result) == rendered(exhaustive_ksdim(A, random_combos=random_combos))
-    # the odd half runs once, for the certificate of the accepted product,
-    # after its even half decided the test
-    cert = result[1]
-    odd_runs = [monic for monic, parity in seen if parity == 1]
-    if cert.annihilator is None:
-        assert odd_runs == []
-    else:
-        prod = A.vs.one()
-        for y in cert.elements:
-            prod = prod * y
-        prod = A.nf(prod)
-        accepted = prod.scale(inv(prod.lead_term()[1], A.vs.field.char))
-        assert odd_runs == [accepted] and (accepted, 0) in seen
+    check_certificate(A, result, seen)
 
 
 @st.composite
@@ -181,11 +191,10 @@ def screened_family(draw):
 @given(screened_family())
 def test_screen_matches_exhaustive_search(A):
     result, tested = recorded_ksdim(A)
-    even_tested = [monic for monic, parity in tested if parity == 0]
-    assume(even_tested != screenless_walk(A))  # the screen changed the walk
+    assume([monic for monic, _ in tested] != screenless_walk(A))  # the screen changed the walk
     assert len(set(tested)) == len(tested)
-    assert sum(parity for _, parity in tested) <= 1
     assert rendered(result) == rendered(exhaustive_ksdim(A))
+    check_certificate(A, result, tested)
 
 
 def test_search_matches_exhaustive_search_on_the_collapsing_family():
@@ -193,8 +202,13 @@ def test_search_matches_exhaustive_search_on_the_collapsing_family():
         odd = tuple("y%d" % i for i in range(1, n + 1))
         vs = VarSet(("x",), odd, QQ)
         A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in odd])
-        assert rendered(ksdim(A)) == rendered(exhaustive_ksdim(A))
-        assert ksdim(A)[0] == SuperDim(1, 0)
+        result, seen = recorded_ksdim(A)
+        assert rendered(result) == rendered(exhaustive_ksdim(A))
+        assert result[0] == SuperDim(1, 0)
+        check_certificate(A, result, seen)
+        # each generator fails on its own, and says why
+        ok, cert = is_odd_parameter_system(A, [vs.gen("y1")])
+        assert not ok and cert.reason == "annihilator drops even dimension to 0"
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -205,19 +219,33 @@ def test_no_product_reaches_the_annihilator_twice(n):
     (dim, cert), seen = recorded_ksdim(A)
     assert dim == SuperDim(1, 0)
     assert seen and len(set(seen)) == len(seen)
-    # no certificate, so only the even half, which decides the tests, runs
-    assert cert.annihilator is None
-    assert all(parity == 0 for _, parity in seen)
+    assert cert.elements == [] and cert.reason == "no odd parameters"
 
 
-def test_failing_set_keeps_its_full_annihilator():
-    vs = VarSet(("x",), ("y1", "y2", "y3", "y4"), QQ)
-    A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in vs.odd])
-    y1 = vs.gen("y1")
-    ok, cert = is_odd_parameter_system(A, [y1])
-    assert not ok
-    assert cert.reason == "annihilator drops even dimension to 0"
-    assert cert.annihilator.generators == annihilator(y1, A).generators
+def test_commands_run_only_the_even_half(monkeypatch):
+    parities = []
+
+    def recording(p, algebra, parity):
+        parities.append(parity)
+        return annihilator_elimination(p, algebra, parity)
+
+    monkeypatch.setattr(sdim, "annihilator_elimination", recording)
+    monkeypatch.setattr(groebner, "annihilator_elimination", recording)
+    data = os.path.join(os.path.dirname(__file__), "..", "data")
+    xy1y2, a11 = os.path.join(data, "xy1y2.salg"), os.path.join(data, "a11.salg")
+    for argv in (
+        ["ksdim", xy1y2, "--json"],
+        ["odd-params", xy1y2, "--json"],
+        ["verify-orbits", a11, "--derivation", "translate", "--point", "x = 2", "--json"],
+    ):
+        assert run_command(argv, out=io.StringIO()) == 0
+    assert parities and set(parities) == {0}
+
+
+def test_the_certificate_carries_no_annihilator():
+    assert OddParamCertificate.__slots__ == ("elements", "even_dim_witness", "reason")
+    gone = [(groebner, "annihilator_from_elimination"), (sdim, "_certificate"), (sdim, "_even_test")]
+    assert not [name for module, name in gone if hasattr(module, name)]
 
 
 @st.composite
@@ -260,7 +288,7 @@ def test_unreduced_kernel_basis_decides_the_verdict(case):
         SuperAlgebra(bar_a.vs, bar_a.relations + unreduced).module_gb
         == SuperAlgebra(bar_a.vs, bar_a.relations + reduced).module_gb
     )
-    assert sdim._even_dim_modulo_annihilator(pairs, bar_a) == leading_term_dim(
+    assert sdim._even_dim_modulo_annihilator(p, A, bar_a) == leading_term_dim(
         SuperAlgebra(bar_a.vs, bar_a.relations + reduced)
     )
 

@@ -26,7 +26,7 @@ from superalg.orbits import (
     validate_action,
     verify_orbit_theorems,
 )
-from superalg.scalars import QQ, Field
+from superalg.scalars import QQ, Field, inv
 from superalg.sdim import PointIdeal, SuperDim
 from superalg.superpoly import VarSet
 
@@ -177,12 +177,18 @@ def test_pivot_independence():
     validate_action(act)
     pt = PointIdeal({"x": QQ.of(1)})
     gens, slopes = orbit_slopes(act, pt)
-    nonzero = [i for i, lam in enumerate(slopes) if lam != QQ.zero]
+    nonzero = [j for j, lam in enumerate(slopes) if lam != QQ.zero]
     assert len(nonzero) >= 2
-    ideals = [orbit_ideal(act, pt, pivot=i).ideal for i in nonzero]
-    base = ideals[0]
-    for other in ideals[1:]:
-        assert base.module_gb == other.module_gb  # identical reduced bases
+    base = orbit_ideal(act, pt).ideal
+    m_gens = pt.max_ideal_even_gens(A)
+    for j in nonzero:
+        # the orbit ideal built around pivot j: w_i - (lam_i / lam_j) * w_j
+        odd_gens = [
+            w - gens[j].scale(lam * inv(slopes[j], 0))
+            for i, (w, lam) in enumerate(zip(gens, slopes))
+            if i != j
+        ]
+        assert base.module_gb == SuperIdeal(A, m_gens + odd_gens).module_gb  # identical reduced bases
 
 
 def test_orbit_on_quotient_algebra():

@@ -76,20 +76,11 @@ def test_records_keep_value_semantics():
     with pytest.raises(TypeError):
         hash(pt)
 
-    cert = OddParamCertificate(["y"], None, 1)
-    assert (cert.elements, cert.annihilator, cert.even_dim_witness, cert.reason) == (
-        ["y"],
-        None,
-        1,
-        "",
-    )
-    assert cert == OddParamCertificate(
-        elements=["y"], annihilator=None, even_dim_witness=1, reason=""
-    )
-    assert cert != OddParamCertificate(["y"], None, 1, "product is zero")
-    assert repr(cert) == (
-        "OddParamCertificate(elements=['y'], annihilator=None, even_dim_witness=1, reason='')"
-    )
+    cert = OddParamCertificate(["y"], 1)
+    assert (cert.elements, cert.even_dim_witness, cert.reason) == (["y"], 1, "")
+    assert cert == OddParamCertificate(elements=["y"], even_dim_witness=1, reason="")
+    assert cert != OddParamCertificate(["y"], 1, "product is zero")
+    assert repr(cert) == "OddParamCertificate(elements=['y'], even_dim_witness=1, reason='')"
 
 
 def test_bar():
