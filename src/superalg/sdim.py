@@ -243,29 +243,38 @@ def odd_parameter_candidates(algebra, random_combos=4, seed=0):
 def ksdim(algebra, random_combos=4, seed=0):
     """Krull super-dimension with an explicit certificate.
 
-    The odd component is the longest parameter system found in the finite
-    candidate pool; it is a certified lower bound, capped above by the
-    number of odd generators.  The certificate is the first valid set of
-    that size in ``itertools.combinations`` order over the pool.
+    The odd component is exact: it is K, the largest |T| for which the
+    generator monomial y_T passes the parameter test.  A product p of k
+    odd elements is an A_0-combination of the y_T with |T| = k, so every
+    f in the intersection of their annihilators kills p: Ann(p) contains
+    that intersection, which contains the product of the Ann(y_T)_0.  In
+    bar(A) the zero set of the image of Ann(p)_0 therefore lies in the
+    union of those of the Ann(y_T)_0, and if every y_T with |T| = k fails,
+    so does every set of k odd elements.  A y_T that passes makes
+    {y_i : i in T} a system of odd parameters.  Ann(y_S) is contained in
+    Ann(y_T) for S in T, so passing index sets are closed under subsets:
+    K is found by testing the full monomial, then by a depth-first search
+    over index sets that extends only passing sets and stops where no
+    extension can beat the best size found.
 
-    The search walks those combinations depth first, each prefix carrying
-    its normalised product, and skips a prefix with all its extensions
-    when that product is zero or a scalar multiple of a product already
-    found wanting.  Both skips are exact: Ann(c*p) = Ann(p) for a nonzero
-    scalar c, and Ann(p) is contained in Ann(p*q), so a product that
-    fails fails in every extension.  Every verdict is kept under its monic
-    product, so each distinct product, up to a scalar, is tested once; a
-    pass that another combination reaches is issued with that
-    combination's elements.
-
-    The same containment makes a failing candidate fail in every set that
-    holds it.  Once the walk has recorded as many failures as the pool has
-    candidates, and while it looks for two or more parameters, it tests a
-    single-term candidate on its own, once, before extending with it, and
-    skips the candidate when that test fails.  The screen is lazy so that
-    an input whose walk succeeds early pays at most about double, and only
-    monomials are screened because their own tests are cheap, where a
-    random combination's elimination can cost more than it saves.
+    The candidate pool and its seed take no part in the dimension and
+    only pick the certificate: the first valid set of size K in
+    ``itertools.combinations`` order over the pool, which lists the
+    normalised generators first, in index order, so one exists.  The same
+    containment makes that set {nf(y_i) : i in T} for the
+    lexicographically first passing T of size K, whatever the pool size
+    or seed: a set of K odd elements holding the generators y_i, i in G,
+    has its product in the ideal of the y_U with G in U and |U| = K, so it
+    passes only if one such y_U does, and that generator set comes
+    first.  The walk runs at that one size, depth first, each prefix
+    carrying its normalised product, and skips a prefix with all its
+    extensions when that product is zero or a scalar multiple of a
+    product already found wanting.
+    Both skips are exact: Ann(c*p) = Ann(p) for a nonzero scalar c, and
+    Ann(p) is contained in Ann(p*q), so a product that fails fails in
+    every extension.  Every verdict, from the monomial search or the walk,
+    is kept under its monic product, so each distinct product, up to a
+    scalar, is tested once.
 
     A test needs only its verdict, and reads it from the even half of the
     elimination, Ann(p)_0, with its basis as the elimination leaves it:
@@ -280,22 +289,47 @@ def ksdim(algebra, random_combos=4, seed=0):
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], even, "zero ring")
-    pool = odd_parameter_candidates(algebra, random_combos, seed)
-    char = algebra.vs.field.char
+    vs = algebra.vs
+    char = vs.field.char
     verdicts = {}  # monic product -> whether it passes the parameter test
-    failures = 0
 
     def monic_of(p):
         return p.scale(inv(p.lead_term()[1], char))
 
     def passes(monic):
-        nonlocal failures
         if monic not in verdicts:
             verdicts[monic] = _even_dim_modulo_annihilator(monic, algebra, bar_a) == even
-            failures += not verdicts[monic]
         return verdicts[monic]
 
-    def first_system(k, chosen, prod, start):
+    n = vs.n
+    gens = [vs.gen(y) for y in vs.odd]
+    k = 0  # the largest size of a passing generator set found so far
+
+    def grow(size, prod, start):
+        nonlocal k
+        k = max(k, size)
+        for j in range(start, n):
+            if size + n - j <= k:
+                return
+            p = algebra.nf(prod * gens[j])
+            if p and passes(monic_of(p)):
+                grow(size + 1, p, j + 1)
+
+    full = algebra.nf(vs.monomial((0,) * vs.m, (1 << n) - 1))
+    if n and full and passes(monic_of(full)):
+        k = n
+    else:
+        grow(0, vs.one(), 0)
+    # grow and first_system refer to themselves through their closures;
+    # deleting each after its use breaks the cycle, which frees the verdict
+    # memo, keyed by every tested product, and the candidate pool now
+    # rather than at a later full collection
+    del grow
+    if not k:
+        return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
+    pool = odd_parameter_candidates(algebra, random_combos, seed)
+
+    def first_system(chosen, prod, start):
         for i in range(start, len(pool) - k + len(chosen) + 1):
             p = algebra.nf(prod * pool[i])
             if p.is_zero():
@@ -303,27 +337,16 @@ def ksdim(algebra, random_combos=4, seed=0):
             monic = monic_of(p)
             if verdicts.get(monic) is False:
                 continue
-            if k >= 2 and failures >= len(pool) and len(pool[i].terms) == 1:
-                if not passes(monic_of(pool[i])):
-                    continue
             combo = chosen + [pool[i]]
             if len(combo) < k:
-                cert = first_system(k, combo, p, i + 1)
+                cert = first_system(combo, p, i + 1)
                 if cert is not None:
                     return cert
             elif passes(monic):
                 return OddParamCertificate(combo, even)
         return None
 
-    for k in range(min(algebra.vs.n, len(pool)), 0, -1):
-        cert = first_system(k, [], algebra.vs.one(), 0)
-        if cert is not None:
-            break
-    else:
-        k, cert = 0, OddParamCertificate([], even, "no odd parameters")
-    # first_system refers to itself through its closure; breaking that cycle
-    # frees the verdict memo, keyed by every tested product, and the
-    # candidate pool now rather than at a later full collection
+    cert = first_system([], vs.one(), 0)
     del first_system
     return SuperDim(even, k), cert
 

@@ -1,23 +1,27 @@
-"""The ksdim candidate search against the exhaustive one it replaces.
+"""The ksdim search against the exhaustive one it replaces.
 
-``ksdim`` walks the candidate combinations depth first and skips every
-prefix whose product is zero or a scalar multiple of a product that has
-already failed; once failures pile up it also screens single-term
-candidates on their own.  Random small presentations over Q and F_7 check
-that it returns what trying every combination in
-``itertools.combinations`` order returns: the same super-dimension and
-the same certificate, its elements, dimension witness and reason.  A
-second family, k[x | y1..yn] with x*y_i = 0 for some i, is drawn so that
-the screen changes the walk.  On the family k[x | y1..yn]/(x*y_i), whose
-candidate products collapse onto few distinct values, no product reaches
-the elimination twice.  On all three the odd half of the elimination
-never runs, and an accepted certificate is checked through the reference
-path: the reduced ``annihilator`` of its product leaves bar(A) the Krull
-dimension the certificate witnesses.  A test reads its verdict from the
-even half's kernel basis before reduction; a property test checks that
-this leaves the Krull dimension of the quotient as the reduced
-annihilator does, and that each half returns kernel elements of its own
-parity only.
+``ksdim`` reads the odd part off the generator monomials: it is exact,
+the largest |T| whose y_T passes the parameter test, and a property test
+checks it against that maximum taken over every generator subset, and
+the certificate against the normalised generators of the first such
+subset, for every pool size and seed.  The candidate pool, walked depth
+first at that one size, issues the certificate, skipping every prefix
+whose product is zero or a scalar multiple of a product that has already
+failed.  Random small presentations over Q and F_7 check that it returns
+what trying every combination in ``itertools.combinations`` order, from
+the largest size down, returns: the same super-dimension and the same
+certificate, its elements, dimension witness and reason.  A second
+family, k[x | y1..yn] with x*y_i = 0 for some i, makes some generators
+fail on their own.  On the family k[x | y1..yn]/(x*y_i), which has no
+odd parameter, the search costs at most n + 1 eliminations and no product
+reaches the elimination twice.  On all three the odd half of the
+elimination never runs, and an accepted certificate is checked through
+the reference path: the reduced ``annihilator`` of its product leaves
+bar(A) the Krull dimension the certificate witnesses.  A test reads its
+verdict from the even half's kernel basis before reduction; a property
+test checks that this leaves the Krull dimension of the quotient as the
+reduced annihilator does, and that each half returns kernel elements of
+its own parity only.
 """
 
 import io
@@ -65,42 +69,6 @@ def exhaustive_ksdim(algebra, random_combos=4, seed=0):
             if ok:
                 return SuperDim(even, k), cert
     return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
-
-
-def screenless_walk(algebra, random_combos=4):
-    """The monic products, in order, that the depth-first walk tests when
-    it screens no candidate on its own."""
-    bar_a = bar(algebra)
-    even = leading_term_dim(bar_a)
-    if even == ZERO_RING_DIM:
-        return []
-    pool = odd_parameter_candidates(algebra, random_combos)
-    char = algebra.vs.field.char
-    tested, failed = [], set()
-
-    def walk(k, chosen, prod, start):
-        for i in range(start, len(pool) - k + len(chosen) + 1):
-            p = algebra.nf(prod * pool[i])
-            if p.is_zero():
-                continue
-            monic = p.scale(inv(p.lead_term()[1], char))
-            if monic in failed:
-                continue
-            combo = chosen + [pool[i]]
-            if len(combo) < k:
-                if walk(k, combo, p, i + 1):
-                    return True
-                continue
-            tested.append(monic)
-            if is_odd_parameter_system(algebra, combo, bar_a, even)[0]:
-                return True
-            failed.add(monic)
-        return False
-
-    for k in range(min(algebra.vs.n, len(pool)), 0, -1):
-        if walk(k, [], algebra.vs.one(), 0):
-            break
-    return tested
 
 
 def recorded_ksdim(algebra, random_combos=4):
@@ -190,11 +158,35 @@ def screened_family(draw):
 @settings(SEARCH_SETTINGS, max_examples=30)
 @given(screened_family())
 def test_screen_matches_exhaustive_search(A):
+    """Where some generators fail on their own, so that the monomial search
+    prunes them, ``ksdim`` still returns what trying every combination of
+    the pool returns, and tests no product twice."""
     result, tested = recorded_ksdim(A)
-    assume([monic for monic, _ in tested] != screenless_walk(A))  # the screen changed the walk
     assert len(set(tested)) == len(tested)
     assert rendered(result) == rendered(exhaustive_ksdim(A))
     check_certificate(A, result, tested)
+
+
+@SEARCH_SETTINGS
+@given(presentations())
+def test_odd_part_is_the_largest_passing_generator_set(case):
+    """The odd part is the largest |T| whose generators y_i, i in T, form a
+    system of odd parameters, over every subset T, and the certificate is
+    the normalised generators of the first such T in lexicographic order,
+    whatever the pool size or seed."""
+    A, _ = case
+    gens = [A.vs.gen(y) for y in A.vs.odd]
+    passing = [
+        combo
+        for size in range(len(gens), -1, -1)
+        for combo in itertools.combinations(range(len(gens)), size)
+        if not combo or is_odd_parameter_system(A, [gens[i] for i in combo])[0]
+    ]
+    for random_combos in (0, 4, 24):
+        for seed in range(4):
+            dim, cert = ksdim(A, random_combos=random_combos, seed=seed)
+            assert dim.odd == len(passing[0])
+            assert cert.elements == [A.nf(gens[i]) for i in passing[0]]
 
 
 def test_search_matches_exhaustive_search_on_the_collapsing_family():
@@ -211,14 +203,16 @@ def test_search_matches_exhaustive_search_on_the_collapsing_family():
         assert not ok and cert.reason == "annihilator drops even dimension to 0"
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_no_product_reaches_the_annihilator_twice(n):
+    """On k[x | y1..yn]/(x*y_i) the full monomial and each generator fail,
+    and no pool walk follows: at most n + 1 eliminations."""
     odd = tuple("y%d" % i for i in range(1, n + 1))
     vs = VarSet(("x",), odd, QQ)
     A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in odd])
     (dim, cert), seen = recorded_ksdim(A)
     assert dim == SuperDim(1, 0)
-    assert seen and len(set(seen)) == len(seen)
+    assert seen and len(set(seen)) == len(seen) <= n + 1
     assert cert.elements == [] and cert.reason == "no odd parameters"
 
 
