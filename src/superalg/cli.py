@@ -193,7 +193,7 @@ def _verdict(ok):
 
 
 def _cmd_ksdim(args):
-    dim, cert = sdim.ksdim(_algebra(args), seed=args.seed)
+    dim, cert = sdim.ksdim(_algebra(args))
     return True, {
         "result": dim.render(),
         "certificate": {
@@ -241,7 +241,7 @@ def _cmd_ann(args):
 
 
 def _cmd_odd_params(args):
-    dim, cert = sdim.ksdim(_algebra(args), seed=args.seed)
+    dim, cert = sdim.ksdim(_algebra(args))
     elements = [e.render() for e in cert.elements]
     text = "maximal odd parameter system: {%s} (odd dimension %s)" % (
         ", ".join(elements),
@@ -431,7 +431,7 @@ def _build_parser():
         metavar="F",
         help="scalar field: 'q' (default) or 'fp <p>' with p an odd prime",
     )
-    common.add_argument("--seed", type=int, default=0, help="randomized-search seed")
+    common.add_argument("--seed", type=int, default=0, help="seed of the selftest sample")
 
     parser = argparse.ArgumentParser(
         prog="superalg",

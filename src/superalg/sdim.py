@@ -7,7 +7,6 @@ covering checks for affine super-dimension.
 from __future__ import annotations
 
 import itertools
-import random
 
 from superalg.groebner import (
     SuperAlgebra,
@@ -17,7 +16,6 @@ from superalg.groebner import (
     buchberger,
     ideal_equal,
     localize_at_even,
-    odd_square_free_monomials,
     superideal_closure,
     weight_term_key,
 )
@@ -223,24 +221,7 @@ def is_odd_regular_sequence(algebra, elements):
     return ideal_equal(annihilator(prod, algebra), SuperIdeal(algebra, list(elements)))
 
 
-def odd_parameter_candidates(algebra, random_combos=4, seed=0):
-    """Finite search pool: odd generators, square-free odd monomials of odd
-    degree, and seeded random combinations."""
-    vs = algebra.vs
-    monos = odd_square_free_monomials(vs, parity=1)
-    pool = [algebra.nf(p) for p in monos]
-    if random_combos and any(pool):
-        rng = random.Random(seed)
-        for _ in range(random_combos):
-            combo = vs.zero()
-            for mpoly in monos:
-                combo = combo + mpoly.scale(rng.randint(-2, 2))
-            pool.append(algebra.nf(combo))
-    # dict.fromkeys drops repeats and keeps first-occurrence order
-    return [q for q in dict.fromkeys(pool) if q]
-
-
-def ksdim(algebra, random_combos=4, seed=0):
+def ksdim(algebra):
     """Krull super-dimension with an explicit certificate.
 
     The odd component is exact: it is K, the largest |T| for which the
@@ -252,29 +233,18 @@ def ksdim(algebra, random_combos=4, seed=0):
     union of those of the Ann(y_T)_0, and if every y_T with |T| = k fails,
     so does every set of k odd elements.  A y_T that passes makes
     {y_i : i in T} a system of odd parameters.  Ann(y_S) is contained in
-    Ann(y_T) for S in T, so passing index sets are closed under subsets:
-    K is found by testing the full monomial, then by a depth-first search
-    over index sets that extends only passing sets and stops where no
-    extension can beat the best size found.
+    Ann(y_T) for S in T, so passing index sets are closed under subsets.
 
-    The candidate pool and its seed take no part in the dimension and
-    only pick the certificate: the first valid set of size K in
-    ``itertools.combinations`` order over the pool, which lists the
-    normalised generators first, in index order, so one exists.  The same
-    containment makes that set {nf(y_i) : i in T} for the
-    lexicographically first passing T of size K, whatever the pool size
-    or seed: a set of K odd elements holding the generators y_i, i in G,
-    has its product in the ideal of the y_U with G in U and |U| = K, so it
-    passes only if one such y_U does, and that generator set comes
-    first.  The walk runs at that one size, depth first, each prefix
-    carrying its normalised product, and skips a prefix with all its
-    extensions when that product is zero or a scalar multiple of a
-    product already found wanting.
-    Both skips are exact: Ann(c*p) = Ann(p) for a nonzero scalar c, and
-    Ann(p) is contained in Ann(p*q), so a product that fails fails in
-    every extension.  Every verdict, from the monomial search or the walk,
-    is kept under its monic product, so each distinct product, up to a
-    scalar, is tested once.
+    K is found by testing the full monomial, then by a depth-first search
+    over index sets in lexicographic order that extends only passing sets
+    and stops where no extension can beat the best size found.  Closure
+    under subsets puts every prefix of the lexicographically first passing
+    set of size K on the search's path, and the size bound cuts nothing
+    off before a set of size K is found, so the search meets that set
+    before any other of its size; its normalised generators are the
+    certificate.  Each verdict is kept under its monic product, so each
+    distinct product, up to a scalar, is tested once: Ann(c*p) = Ann(p)
+    for a nonzero scalar c.
 
     A test needs only its verdict, and reads it from the even half of the
     elimination, Ann(p)_0, with its basis as the elimination leaves it:
@@ -293,62 +263,39 @@ def ksdim(algebra, random_combos=4, seed=0):
     char = vs.field.char
     verdicts = {}  # monic product -> whether it passes the parameter test
 
-    def monic_of(p):
-        return p.scale(inv(p.lead_term()[1], char))
-
-    def passes(monic):
+    def passes(p):
+        monic = p.scale(inv(p.lead_term()[1], char))
         if monic not in verdicts:
             verdicts[monic] = _even_dim_modulo_annihilator(monic, algebra, bar_a) == even
         return verdicts[monic]
 
     n = vs.n
     gens = [vs.gen(y) for y in vs.odd]
-    k = 0  # the largest size of a passing generator set found so far
+    best = []  # the first passing index set of the largest size found so far
 
-    def grow(size, prod, start):
-        nonlocal k
-        k = max(k, size)
-        for j in range(start, n):
-            if size + n - j <= k:
+    def grow(chosen, prod):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for j in range(chosen[-1] + 1 if chosen else 0, n):
+            if len(chosen) + n - j <= len(best):
                 return
             p = algebra.nf(prod * gens[j])
-            if p and passes(monic_of(p)):
-                grow(size + 1, p, j + 1)
+            if p and passes(p):
+                grow(chosen + [j], p)
 
     full = algebra.nf(vs.monomial((0,) * vs.m, (1 << n) - 1))
-    if n and full and passes(monic_of(full)):
-        k = n
+    if n and full and passes(full):
+        best = list(range(n))
     else:
-        grow(0, vs.one(), 0)
-    # grow and first_system refer to themselves through their closures;
-    # deleting each after its use breaks the cycle, which frees the verdict
-    # memo, keyed by every tested product, and the candidate pool now
-    # rather than at a later full collection
+        grow([], vs.one())
+    # grow refers to itself through its closure; deleting it breaks the
+    # cycle, so the verdict memo is freed on return rather than at a later
+    # full collection
     del grow
-    if not k:
+    if not best:
         return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
-    pool = odd_parameter_candidates(algebra, random_combos, seed)
-
-    def first_system(chosen, prod, start):
-        for i in range(start, len(pool) - k + len(chosen) + 1):
-            p = algebra.nf(prod * pool[i])
-            if p.is_zero():
-                continue
-            monic = monic_of(p)
-            if verdicts.get(monic) is False:
-                continue
-            combo = chosen + [pool[i]]
-            if len(combo) < k:
-                cert = first_system(combo, p, i + 1)
-                if cert is not None:
-                    return cert
-            elif passes(monic):
-                return OddParamCertificate(combo, even)
-        return None
-
-    cert = first_system([], vs.one(), 0)
-    del first_system
-    return SuperDim(even, k), cert
+    return SuperDim(even, len(best)), OddParamCertificate([algebra.nf(gens[i]) for i in best], even)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +414,7 @@ def covers_unit(algebra, elements):
     return test.is_zero_ring()
 
 
-def verify_cover(algebra, elements, **kw):
+def verify_cover(algebra, elements):
     """Checks the covering identity: the lexicographic maximum of the
     localized super-dimensions, with the odd part maximized over the
     indices of maximal even dimension, equals the global value."""
@@ -476,11 +423,11 @@ def verify_cover(algebra, elements, **kw):
             raise ParityError("cover element %s is not even" % a)
     if not covers_unit(algebra, elements):
         raise StructureError("elements do not generate the unit ideal of the even part")
-    global_dim, _ = ksdim(algebra, **kw)
+    global_dim, _ = ksdim(algebra)
     local = []
     for a in elements:
         loc, _ = localize_at_even(algebra, a)
-        d, _ = ksdim(loc, **kw)
+        d, _ = ksdim(loc)
         local.append(d)
     d0 = max(d.even for d in local)
     max_idx = [i for i, d in enumerate(local) if d.even == d0]

@@ -56,13 +56,13 @@ def run(seed=0):
             tuple("x%d" % (i + 1) for i in range(m)),
             tuple("y%d" % (i + 1) for i in range(n)),
         )
-        dim, _ = sdim.ksdim(A, seed=seed)
+        dim, _ = sdim.ksdim(A)
         check("free-ksdim-%d-%d" % (m, n), dim.as_tuple() == (m, n), dim.render())
 
     # corpus dimensions
     expected = {"xy": (1, 0), "xy1y2": (1, 1), "lambda2": (0, 2), "x1x2": (1, 1)}
     for name, want in sorted(expected.items()):
-        dim, cert = sdim.ksdim(algebras[name], seed=seed)
+        dim, cert = sdim.ksdim(algebras[name])
         check(
             "ksdim-%s" % name,
             dim.as_tuple() == want,

@@ -61,7 +61,7 @@ def test_criterion_1_free_algebra_ksdim():
                 tuple("x%d" % (i + 1) for i in range(m)),
                 tuple("y%d" % (i + 1) for i in range(n)),
             )
-            dim, _ = sdim.ksdim(A, random_combos=0)
+            dim, _ = sdim.ksdim(A)
             if dim.as_tuple() != (m, n):
                 ok = False
                 details.append("(%d|%d) -> %s" % (m, n, dim.render()))

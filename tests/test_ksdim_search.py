@@ -1,32 +1,35 @@
 """The ksdim search against the exhaustive one it replaces.
 
 ``ksdim`` reads the odd part off the generator monomials: it is exact,
-the largest |T| whose y_T passes the parameter test, and a property test
-checks it against that maximum taken over every generator subset, and
-the certificate against the normalised generators of the first such
-subset, for every pool size and seed.  The candidate pool, walked depth
-first at that one size, issues the certificate, skipping every prefix
-whose product is zero or a scalar multiple of a product that has already
-failed.  Random small presentations over Q and F_7 check that it returns
-what trying every combination in ``itertools.combinations`` order, from
-the largest size down, returns: the same super-dimension and the same
-certificate, its elements, dimension witness and reason.  A second
-family, k[x | y1..yn] with x*y_i = 0 for some i, makes some generators
-fail on their own.  On the family k[x | y1..yn]/(x*y_i), which has no
-odd parameter, the search costs at most n + 1 eliminations and no product
-reaches the elimination twice.  On all three the odd half of the
+the largest |T| whose y_T passes the parameter test, and a property
+test checks it against that maximum taken over every generator subset,
+and the certificate against the normalised generators of the first such
+subset in lexicographic order.  The reference is the search as it was:
+every combination of a finite candidate pool (the square-free odd
+monomials of odd degree and seeded random combinations of them) in
+``itertools.combinations`` order, from the largest size down.  Random
+small presentations over Q and F_7 check that ``ksdim`` returns what
+that search returns, for several pool sizes and seeds: the same
+super-dimension and the same certificate, its elements, dimension
+witness and reason, so neither the pool nor its seed changes the
+answer.  A second family, k[x | y1..yn] with x*y_i = 0 for some i,
+makes some generators fail on their own.  On these and on the
+collapsing family, x*y_i = 0 for every i, the odd half of the
 elimination never runs, and an accepted certificate is checked through
 the reference path: the reduced ``annihilator`` of its product leaves
-bar(A) the Krull dimension the certificate witnesses.  A test reads its
-verdict from the even half's kernel basis before reduction; a property
-test checks that this leaves the Krull dimension of the quotient as the
-reduced annihilator does, and that each half returns kernel elements of
-its own parity only.
+bar(A) the Krull dimension the certificate witnesses.  The search costs
+n + 1 eliminations on the collapsing family, n with the one relation
+x*y1...yn and 1 in the free algebra, and no product reaches the
+elimination twice.  A test reads its verdict from the even half's
+kernel basis before reduction; a property test checks that this leaves
+the Krull dimension of the quotient as the reduced annihilator does,
+and that each half returns kernel elements of its own parity only.
 """
 
 import io
 import itertools
 import os
+import random
 from unittest import mock
 
 import pytest
@@ -35,7 +38,12 @@ from hypothesis import strategies as st
 
 from superalg import groebner, sdim
 from superalg.cli import run_command
-from superalg.groebner import SuperAlgebra, annihilator, annihilator_elimination
+from superalg.groebner import (
+    SuperAlgebra,
+    annihilator,
+    annihilator_elimination,
+    odd_square_free_monomials,
+)
 from superalg.oracle import all_monomials
 from superalg.scalars import QQ, Field, inv
 from superalg.sdim import (
@@ -47,12 +55,29 @@ from superalg.sdim import (
     is_odd_parameter_system,
     ksdim,
     leading_term_dim,
-    odd_parameter_candidates,
 )
 from superalg.superpoly import SuperPoly, VarSet
 
 FIELDS = (QQ, Field(7))
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def odd_parameter_candidates(algebra, random_combos, seed):
+    """The finite pool that the search used to walk: the normalised odd
+    generators, then the other square-free odd monomials of odd degree,
+    then seeded random combinations of them, without zeros or repeats."""
+    vs = algebra.vs
+    monos = odd_square_free_monomials(vs, parity=1)
+    pool = [algebra.nf(p) for p in monos]
+    if random_combos and any(pool):
+        rng = random.Random(seed)
+        for _ in range(random_combos):
+            combo = vs.zero()
+            for mpoly in monos:
+                combo = combo + mpoly.scale(rng.randint(-2, 2))
+            pool.append(algebra.nf(combo))
+    # dict.fromkeys drops repeats and keeps first-occurrence order
+    return [q for q in dict.fromkeys(pool) if q]
 
 
 def exhaustive_ksdim(algebra, random_combos=4, seed=0):
@@ -71,7 +96,7 @@ def exhaustive_ksdim(algebra, random_combos=4, seed=0):
     return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
 
 
-def recorded_ksdim(algebra, random_combos=4):
+def recorded_ksdim(algebra):
     """``ksdim`` and the (monic product, parity) pairs that reached the
     elimination, in order."""
     char = algebra.vs.field.char
@@ -84,7 +109,7 @@ def recorded_ksdim(algebra, random_combos=4):
     with mock.patch.object(sdim, "annihilator_elimination", recording), mock.patch.object(
         groebner, "annihilator_elimination", recording
     ):
-        result = ksdim(algebra, random_combos=random_combos)
+        result = ksdim(algebra)
     return result, seen
 
 
@@ -132,16 +157,16 @@ def presentations(draw):
 
 
 @SEARCH_SETTINGS
-@given(presentations())
-def test_search_matches_exhaustive_search(case):
+@given(presentations(), st.integers(0, 3))
+def test_search_matches_exhaustive_search(case, seed):
     A, random_combos = case
-    result, seen = recorded_ksdim(A, random_combos=random_combos)
-    assert rendered(result) == rendered(exhaustive_ksdim(A, random_combos=random_combos))
+    result, seen = recorded_ksdim(A)
+    assert rendered(result) == rendered(exhaustive_ksdim(A, random_combos, seed))
     check_certificate(A, result, seen)
 
 
 @st.composite
-def screened_family(draw):
+def failing_generator_family(draw):
     """k[x | y1 .. yn], n = 3 or 4, over Q or F_7, with x*y_i = 0 for i in
     a nonempty drawn subset, so that each such y_i fails on its own, and
     zero to two further relations like those of ``presentations``."""
@@ -156,8 +181,8 @@ def screened_family(draw):
 
 
 @settings(SEARCH_SETTINGS, max_examples=30)
-@given(screened_family())
-def test_screen_matches_exhaustive_search(A):
+@given(failing_generator_family())
+def test_failing_generators_match_exhaustive_search(A):
     """Where some generators fail on their own, so that the monomial search
     prunes them, ``ksdim`` still returns what trying every combination of
     the pool returns, and tests no product twice."""
@@ -172,8 +197,10 @@ def test_screen_matches_exhaustive_search(A):
 def test_odd_part_is_the_largest_passing_generator_set(case):
     """The odd part is the largest |T| whose generators y_i, i in T, form a
     system of odd parameters, over every subset T, and the certificate is
-    the normalised generators of the first such T in lexicographic order,
-    whatever the pool size or seed."""
+    the normalised generators of the first such T in lexicographic order.
+    Over every pool size and seed, that certificate is also the first
+    valid set of its size in ``itertools.combinations`` order over the
+    pool."""
     A, _ = case
     gens = [A.vs.gen(y) for y in A.vs.odd]
     passing = [
@@ -182,11 +209,21 @@ def test_odd_part_is_the_largest_passing_generator_set(case):
         for combo in itertools.combinations(range(len(gens)), size)
         if not combo or is_odd_parameter_system(A, [gens[i] for i in combo])[0]
     ]
+    dim, cert = ksdim(A)
+    assert dim.odd == len(passing[0])
+    assert cert.elements == [A.nf(gens[i]) for i in passing[0]]
+    if not dim.odd:
+        return
+    bar_a = bar(A)
     for random_combos in (0, 4, 24):
         for seed in range(4):
-            dim, cert = ksdim(A, random_combos=random_combos, seed=seed)
-            assert dim.odd == len(passing[0])
-            assert cert.elements == [A.nf(gens[i]) for i in passing[0]]
+            pool = odd_parameter_candidates(A, random_combos, seed)
+            first = next(
+                list(combo)
+                for combo in itertools.combinations(pool, dim.odd)
+                if is_odd_parameter_system(A, list(combo), bar_a, dim.even)[0]
+            )
+            assert first == cert.elements
 
 
 def test_search_matches_exhaustive_search_on_the_collapsing_family():
@@ -203,17 +240,32 @@ def test_search_matches_exhaustive_search_on_the_collapsing_family():
         assert not ok and cert.reason == "annihilator drops even dimension to 0"
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_no_product_reaches_the_annihilator_twice(n):
-    """On k[x | y1..yn]/(x*y_i) the full monomial and each generator fail,
-    and no pool walk follows: at most n + 1 eliminations."""
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["collapsing", "one-product", "free"])
+def test_no_product_reaches_the_annihilator_twice(family, n):
+    """Even-half eliminations of the search on three families over
+    k[x | y1..yn].  On the collapsing family, x*y_i = 0 for every i, the
+    full monomial and each generator fail: n + 1.  With the one relation
+    x*y1...yn the full monomial fails and every smaller set passes: the
+    full monomial and y1, y1y2, .., y1...y(n-1), and nothing past them,
+    since no extension of a later prefix can beat n - 1: n.  In the free
+    algebra the full monomial passes, and its test is the whole search."""
     odd = tuple("y%d" % i for i in range(1, n + 1))
     vs = VarSet(("x",), odd, QQ)
-    A = SuperAlgebra(vs, [vs.gen("x") * vs.gen(y) for y in odd])
-    (dim, cert), seen = recorded_ksdim(A)
-    assert dim == SuperDim(1, 0)
-    assert seen and len(set(seen)) == len(seen) <= n + 1
-    assert cert.elements == [] and cert.reason == "no odd parameters"
+    x, ys = vs.gen("x"), [vs.gen(y) for y in odd]
+    full = x
+    for y in ys:
+        full = full * y
+    rels, k, tests = {
+        "collapsing": ([x * y for y in ys], 0, n + 1),
+        "one-product": ([full], n - 1, n),
+        "free": ([], n, 1),
+    }[family]
+    (dim, cert), seen = recorded_ksdim(SuperAlgebra(vs, rels))
+    assert dim == SuperDim(1, k)
+    assert cert.elements == ys[:k]
+    assert cert.reason == ("" if k else "no odd parameters")
+    assert len(set(seen)) == len(seen) == tests
 
 
 def test_commands_run_only_the_even_half(monkeypatch):
