@@ -419,14 +419,14 @@ def annihilator(p, algebra):
     """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal.
 
     The kernel pairs of both parities from ``annihilator_elimination`` are
-    autoreduced on their own: a main-block lead divides no tag-block term,
-    so the main-block elements take no part in their reduction, and the
-    result is the tag-block part of the reduced elimination basis.  That is
-    already the reduced basis of the kernel K under term_key:
-    elim_term_key restricted to the tag block is term_key; K contains J
-    and is closed under odd multiplication, so closing it and adding the
-    relation basis changes nothing; and the reduced basis of a
-    parity-graded module is parity-homogeneous.
+    autoreduced on their own, under term_key: a main-block lead divides no
+    tag-block term, so the main-block elements take no part in their
+    reduction, and elim_term_key restricted to the tag block is term_key,
+    so the result is the tag-block part of the reduced elimination basis.
+    That is already the reduced basis of the kernel K: K contains J and is
+    closed under odd multiplication, so closing it and adding the relation
+    basis changes nothing; and the reduced basis of a parity-graded module
+    is parity-homogeneous.
     """
     vs = algebra.vs
     if p.parity() is None:
@@ -435,18 +435,14 @@ def annihilator(p, algebra):
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()])
     pairs = annihilator_elimination(p, algebra, 0) + annihilator_elimination(p, algebra, 1)
-    char = vs.field.char
-    tag = _autoreduce(elim_term_key, char, pairs)
-    kernel = GBasis(term_key, char)
-    for (exps, (_, mask)), v in zip(tag.leads, tag.vectors):
-        kernel.append({(e, comp[1]): c for (e, comp), c in v.items()}, (exps, mask))
-    return SuperIdeal._from_reduced_basis(algebra, kernel)
+    return SuperIdeal._from_reduced_basis(algebra, _autoreduce(term_key, vs.field.char, pairs))
 
 
 def annihilator_elimination(p, algebra, parity):
     """The kernel elements of one parity of multiplication by p on the free
     module, for a nonzero parity-homogeneous p in normal form, as the
-    (lead, vector) pairs of a Gröbner basis of them that is not yet reduced.
+    (lead, vector) pairs of a Gröbner basis of them that is not yet reduced,
+    in the superideal's coordinates: the tag e_S is the term (0, S).
 
     The graph vectors (y_S * p, e_S-tag) with |S| of the given parity,
     together with the relation basis elements of parity ``parity`` + |p|,
@@ -495,7 +491,11 @@ def annihilator_elimination(p, algebra, parity):
         else:
             gb.append({e_s: one}, e_s)
     gb = complete(graph, elim_term_key, char, gb)
-    return [(lead, v) for lead, v in zip(gb.leads, gb.vectors) if lead[1][0] == 1]
+    return [
+        ((exps, mask), {(e, m): c for (e, (_, m)), c in v.items()})
+        for (exps, (block, mask)), v in zip(gb.leads, gb.vectors)
+        if block == 1
+    ]
 
 
 # ---------------------------------------------------------------------------

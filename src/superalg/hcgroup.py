@@ -114,38 +114,18 @@ def invert_even(algebra, u, cap=64):
     raise HCError("non-constant part of %s is not nilpotent" % u)
 
 
-# The one bound on the HC memos (``_INVERSE_CACHE`` and each pair's
-# ``rho_at`` cache): a memo that reaches it is emptied before it stores more.
+# The bound on the one HC memo, each pair's rho(g^-1) (``HCPair.rho_at_inverse``):
+# a memo that reaches it is emptied before it stores more.
 HC_CACHE_SIZE = 4096
-
-_INVERSE_CACHE = {}
-
-
-def _remember(cache, key, value):
-    if len(cache) >= HC_CACHE_SIZE:
-        cache.clear()
-    cache[key] = value
-    return value
-
-
-def _matrix_key(M):
-    return tuple(
-        tuple(e.frozen_terms() for e in row) for row in M
-    )
 
 
 def mat_inverse(algebra, M):
-    key = (algebra.key, _matrix_key(M))
-    if key in _INVERSE_CACHE:
-        return _INVERSE_CACHE[key]
     det = algebra.nf(mat_det(M))
     adj = mat_adjugate(M)
     if det == algebra.vs.one():
-        out = [[algebra.nf(e) for e in row] for row in adj]
-    else:
-        dinv = invert_even(algebra, det)
-        out = [[algebra.nf(e * dinv) for e in row] for row in adj]
-    return _remember(_INVERSE_CACHE, key, out)
+        return [[algebra.nf(e) for e in row] for row in adj]
+    dinv = invert_even(algebra, det)
+    return [[algebra.nf(e * dinv) for e in row] for row in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +260,11 @@ class HCPair:
         self.bracket = {
             (i, j): bracket.get((min(i, j), max(i, j)), zero) for i in range(t) for j in range(t)
         }
-        self._rho_at_cache = {}
-        self._identity_action = None
+        pt = group.identity_point()
+        # rho(I), the action matrix at the identity, as t x t scalars
+        self.identity_action = [[p.evaluate_at_point(pt) for p in row] for row in rho]
+        self._rho_inverse = {}
         self._corrections = {}
-
-    def identity_action(self):
-        """rho(I): the action matrix at the identity, as t x t scalars."""
-        if self._identity_action is None:
-            pt = self.group.identity_point()
-            self._identity_action = [[p.evaluate_at_point(pt) for p in row] for row in self.rho]
-        return self._identity_action
 
     def correction(self, i, j):
         """``(x, drho(x))`` for the bracket correction I + b*x that sorting
@@ -297,7 +272,7 @@ class HCPair:
         [v_i, v_j], halved when i == j.  None when x is zero."""
         key = (i, j)
         if key not in self._corrections:
-            x = self.bracket_matrix(i, j)
+            x = self.bracket[i, j]
             if i == j:
                 field = self.group.field
                 half = field.of(Fraction(1, 2))
@@ -319,19 +294,22 @@ class HCPair:
 
     def rho_at(self, algebra, M):
         """Evaluate the action matrix at a group point over the even part
-        of a coefficient algebra.  Memoized on the algebra's key and the
-        matrix contents: the rewriting engine hits the same group factors
-        repeatedly."""
-        key = (algebra.key, _matrix_key(M))
-        if key in self._rho_at_cache:
-            return self._rho_at_cache[key]
+        of a coefficient algebra."""
         images = self.group.point_images(algebra, M, [p for row in self.rho for p in row])
-        out = [[algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
-               for row in self.rho]
-        return _remember(self._rho_at_cache, key, out)
+        return [[algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
+                for row in self.rho]
 
-    def bracket_matrix(self, i, j):
-        return self.bracket[(min(i, j), max(i, j))]
+    def rho_at_inverse(self, algebra, g):
+        """rho(g^-1), memoized on the algebra's key and g's entries: pushing
+        an exponential past a group factor g reads only this, and the
+        rewriting engine meets the same factors repeatedly."""
+        key = (algebra.key, tuple(tuple(e.frozen_terms() for e in row) for row in g))
+        memo = self._rho_inverse
+        if key not in memo:
+            if len(memo) >= HC_CACHE_SIZE:
+                memo.clear()
+            memo[key] = self.rho_at(algebra, mat_inverse(algebra, g))
+        return memo[key]
 
 
 def validate_hc_pair(pair):
@@ -344,7 +322,7 @@ def validate_hc_pair(pair):
 
     # identity action
     ok, wit = True, None
-    for r, row in enumerate(pair.identity_action()):
+    for r, row in enumerate(pair.identity_action):
         for c, got in enumerate(row):
             if got != vs.field.of(int(r == c)):
                 ok, wit = False, "rho[%d][%d](identity) = %s" % (r, c, got)
@@ -358,7 +336,7 @@ def validate_hc_pair(pair):
     ok, wit = True, None
     for i in range(t):
         for j in range(t):
-            if pair.bracket_matrix(i, j) != pair.bracket_matrix(j, i):
+            if pair.bracket[i, j] != pair.bracket[j, i]:
                 ok, wit = False, "bracket[%d][%d] != bracket[%d][%d]" % (i, j, j, i)
     report["bracket_symmetric"] = (ok, wit)
 
@@ -371,13 +349,13 @@ def validate_hc_pair(pair):
     ok, wit = True, None
     for i in range(t):
         for j in range(i, t):
-            B = [[vs.const(c) for c in row] for row in pair.bracket_matrix(i, j)]
+            B = [[vs.const(c) for c in row] for row in pair.bracket[i, j]]
             lhs = mat_mul(mat_mul(G, B), Ginv)
             rhs = [[vs.zero()] * N for _ in range(N)]
             for k in range(t):
                 for l in range(t):
                     coeff = pair.rho[k][i] * pair.rho[l][j]
-                    for r, row in enumerate(pair.bracket_matrix(k, l)):
+                    for r, row in enumerate(pair.bracket[k, l]):
                         for c, x in enumerate(row):
                             if x:
                                 rhs[r][c] = rhs[r][c] + coeff.scale(x)
@@ -391,7 +369,7 @@ def validate_hc_pair(pair):
     # cubic identity with indeterminate coefficients
     tvs = VarSet(tuple("t%d" % (i + 1) for i in range(t)), (), group.field)
     tgens = [tvs.gen("t%d" % (i + 1)) for i in range(t)]
-    drhos = {(i, j): pair.drho(pair.bracket_matrix(i, j)) for i in range(t) for j in range(t)}
+    drhos = {(i, j): pair.drho(pair.bracket[i, j]) for i in range(t) for j in range(t)}
     ok, wit = True, None
     for l in range(t):
         acc = tvs.zero()
@@ -452,7 +430,7 @@ def _closure_proof(pair, two):
     in_lie = (True, None)
     for i in range(pair.t):
         for j in range(i, pair.t):
-            if lie.reduce(_entries(pair.bracket_matrix(i, j))):
+            if lie.reduce(_entries(pair.bracket[i, j])):
                 in_lie = (False, "bracket[%d][%d] outside the Lie algebra" % (i, j))
     return closed, in_lie
 
@@ -657,11 +635,11 @@ def _rewrite(pair, algebra, word, strategy="left", max_steps=100000):
             # e(a, v_i) g  ->  g e(a, rho(g^-1) v_i), expanded over the basis
             a, i = f[1], f[2]
             if nxt[0] == "g":
-                R = pair.rho_at(algebra, mat_inverse(algebra, nxt[1]))
+                R = pair.rho_at_inverse(algebra, nxt[1])
                 column = [row[i] for row in R]
             else:
                 b, dx = nxt[1], nxt[3]
-                column = [vs.const(r[i]) - b.scale(d[i]) for r, d in zip(pair.identity_action(), dx)]
+                column = [vs.const(r[i]) - b.scale(d[i]) for r, d in zip(pair.identity_action, dx)]
             new = [nxt]
             for kk, c in enumerate(column):
                 coeff = nf(c * a) if c else None

@@ -11,7 +11,7 @@ whole group (all orbit slopes vanish) or trivial.
 from __future__ import annotations
 
 from superalg.groebner import SuperAlgebra, SuperIdeal, odd_square_free_monomials
-from superalg.sdim import Record, SuperDim, ksdim
+from superalg.sdim import Record, SuperDim, check_ksdim_bound, ksdim
 from superalg.scalars import inv
 from superalg.superpoly import StructureError
 
@@ -224,7 +224,9 @@ def verify_orbit_theorems(action, pt):
     """Structure facts about the orbit: the ideal is phi-stable (so the
     orbit closure is a subscheme on which the group still acts), the
     stabilizer is full or trivial, and super-dimensions are additive:
-    sdim(orbit) + sdim(stabilizer) = sdim(group) = (0|1)."""
+    sdim(orbit) + sdim(stabilizer) = sdim(group) = (0|1).  The last check
+    runs ksdim on the orbit closure, so its bound is checked first."""
+    check_ksdim_bound(action.algebra.vs)
     result = orbit_ideal(action, pt)
     report = {}
     report["stabilizer_dichotomy"] = result.stabilizer in ("full", "trivial")

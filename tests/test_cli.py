@@ -308,6 +308,43 @@ def test_library_errors_exit_2_with_their_message(argv, message, capsys):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def bounded_document(tmp_path, n):
+    """k[x | y1..yn]/(x*y1y2y3) with the derivation yn -> 1 and the point
+    x = 0."""
+    odd = " ".join("y%d" % (i + 1) for i in range(n))
+    doc = tmp_path / ("odd%d.salg" % n)
+    doc.write_text(
+        "superalgebra big\n  even x\n  odd %s\n  rel x*y1*y2*y3\nend\n"
+        "derivation shift\n  y%d -> 1\nend\npoint origin\n  x = 0\nend\n" % (odd, n)
+    )
+    return str(doc)
+
+
+KSDIM_COMMANDS = (["ksdim"], ["odd-params"], ["verify-orbits", "--derivation", "shift"])
+
+
+@pytest.mark.parametrize("command", KSDIM_COMMANDS, ids=[c[0] for c in KSDIM_COMMANDS])
+def test_ksdim_above_its_odd_bound_exits_2(command, tmp_path, capsys):
+    from superalg.sdim import KSDIM_MAX_ODD
+
+    doc = bounded_document(tmp_path, KSDIM_MAX_ODD + 1)
+    code, out = run([command[0], doc] + command[1:])
+    assert (code, out) == (2, "")
+    message = "ksdim searches at most %d odd generators, not %d" % (KSDIM_MAX_ODD, KSDIM_MAX_ODD + 1)
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_the_odd_bound_is_ksdims_own(tmp_path):
+    """At the bound ksdim still answers, and above it bar, which searches
+    nothing, still does."""
+    from superalg.sdim import KSDIM_MAX_ODD
+
+    code, out = run(["ksdim", bounded_document(tmp_path, KSDIM_MAX_ODD)])
+    assert (code, out) == (0, "Ksdim = 1|%d\n" % (KSDIM_MAX_ODD - 1))
+    code, out = run(["bar", bounded_document(tmp_path, KSDIM_MAX_ODD + 1)])
+    assert code == 0 and "even x" in out
+
+
 def test_finite_field_flag():
     code, out = run(["ksdim", data("xy.salg"), "--field", "fp", "5"])
     assert code == 0 and "1|0" in out

@@ -477,8 +477,8 @@ def test_pair_document_roundtrip(coeff):
 
 
 def test_caches_never_serve_another_algebra():
-    """Algebras built and dropped in turn reuse addresses; the inverse and
-    rho caches must still tell Lambda(s,t)/(st) from Lambda(s,t)."""
+    """Algebras built and dropped in turn reuse addresses; the rho(g^-1)
+    memo must still tell Lambda(s,t)/(st) from Lambda(s,t)."""
     from superalg.groebner import SuperAlgebra
     from superalg.superpoly import VarSet
 
@@ -491,45 +491,74 @@ def test_caches_never_serve_another_algebra():
             A, g, g_inv = SuperAlgebra(vs, [st]), vs.one(), vs.one()
         else:
             A, g, g_inv = SuperAlgebra(vs, []), vs.one() + st, vs.one() - st
+        assert pair.rho_at_inverse(A, M) == [[g_inv]]
         assert mat_inverse(A, M) == [[g_inv]]
         assert pair.rho_at(A, M) == [[g]]
 
 
-def test_caches_keep_q_and_fp_apart(monkeypatch):
+def test_caches_keep_q_and_fp_apart():
     """A residue and a rational integer compare equal, so the same integer
-    matrix over Q and over F_7 has the same terms; the inverse and rho
-    caches must still answer each over its own field, in either order."""
+    matrix over Q and over F_7 has the same terms; the rho(g^-1) memo must
+    still answer each over its own field, in either order."""
     inverses = {QQ: [["1/2", "-1/2"], ["-1/2", "3/2"]], F7: [["4", "3"], ["3", "5"]]}
     for order in ((QQ, F7), (F7, QQ)):
-        monkeypatch.setattr(hcgroup, "_INVERSE_CACHE", {})
         pair = builtin_pairs(QQ)["sl2-standard"]  # rho(g) = g
         for field in order:
             A = lambda_algebra(("s", "t"), field)
             M = [[A.vs.const(3), A.vs.one()], [A.vs.one(), A.vs.one()]]
-            inverse = mat_inverse(A, M)
-            assert [[str(e) for e in row] for row in inverse] == inverses[field]
-            rho = pair.rho_at(A, M)
-            assert [[str(e) for e in row] for row in rho] == [["3", "1"], ["1", "1"]]
-            for e in [e for row in inverse + rho for e in row]:
-                assert e.vs == A.vs
+            for _ in range(2):  # a miss, then a hit
+                rho_inv = pair.rho_at_inverse(A, M)
+                assert [[str(e) for e in row] for row in rho_inv] == inverses[field]
+                assert all(e.vs == A.vs for row in rho_inv for e in row)
+            assert mat_inverse(A, M) == rho_inv
+            assert [[str(e) for e in row] for row in pair.rho_at(A, M)] == [["3", "1"], ["1", "1"]]
 
 
 def test_hc_caches_never_exceed_the_bound(monkeypatch, coeff):
-    """The inverse cache and each pair's rho cache share one bound: a full
-    memo is emptied before it stores more, so neither ever grows past it."""
+    """A full memo is emptied before it stores more, so it never grows past
+    HC_CACHE_SIZE."""
     bound = 5
     monkeypatch.setattr(hcgroup, "HC_CACHE_SIZE", bound)
-    monkeypatch.setattr(hcgroup, "_INVERSE_CACHE", {})
     pair = builtin_pairs(QQ)["sl2-standard"]
     rng = random.Random(41)
-    largest = [0, 0]
+    sizes = []
     for _ in range(12):
         a = random_element(pair, coeff, rng)
         assert hc_mul(a, hc_inv(a)) == hc_identity(pair, coeff)
-        sizes = (len(hcgroup._INVERSE_CACHE), len(pair._rho_at_cache))
-        assert max(sizes) <= bound
-        largest = [max(m, s) for m, s in zip(largest, sizes)]
-    assert largest == [bound, bound]  # both filled up, so both were emptied
+        sizes.append(len(pair._rho_inverse))
+    assert max(sizes) == bound
+    # it filled up, and it shrank, which only emptying does
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_mat_inverse_runs_once_per_algebra_and_group_factor(monkeypatch):
+    """Pushing several exponentials past the same g inverts g once for
+    each coefficient algebra, whatever the strategy and however often the
+    word is rewritten."""
+    pushes, inversions = [], []
+    rho_at_inverse = hcgroup.HCPair.rho_at_inverse
+
+    def counted_rho_at_inverse(self, algebra, g):
+        pushes.append(1)
+        return rho_at_inverse(self, algebra, g)
+
+    def counted_inverse(algebra, M):
+        inversions.append(1)
+        return mat_inverse(algebra, M)
+
+    monkeypatch.setattr(hcgroup.HCPair, "rho_at_inverse", counted_rho_at_inverse)
+    monkeypatch.setattr(hcgroup, "mat_inverse", counted_inverse)
+    pair = builtin_pairs(QQ)["sl2-standard"]
+    for field in (QQ, F7):
+        A = lambda_algebra(("s", "t", "u", "w"), field)
+        s, t, u, w = (A.vs.gen(n) for n in ("s", "t", "u", "w"))
+        one, zero, st = A.vs.one(), A.vs.zero(), s * t
+        for M in ([[one + st, zero], [zero, one - st]], [[one, st], [zero, one]]):
+            word = [("e", u, 0), ("e", w, 1), ("g", M)]
+            for strategy in ("left", "right", "left"):
+                normalize_word(pair, A, word, strategy)
+    assert len(inversions) == 4  # two algebras times two group factors
+    assert len(pushes) >= 3 * len(inversions)
 
 
 def test_exhausted_caps_raise_hc_error(pairs, coeff):
@@ -627,7 +656,7 @@ def rescan_normalize_word(pair, algebra, word, strategy="left", max_steps=100000
                 corr = algebra.nf((a * b).scale(-1))
                 new = []
                 if corr:
-                    x = pair.bracket_matrix(i, i)
+                    x = pair.bracket[i, i]
                     xh = [[field.of(half * e) for e in row] for row in x]
                     if any(e for row in xh for e in row):
                         new.append(("g", _f_matrix(algebra, corr, xh)))
@@ -639,7 +668,7 @@ def rescan_normalize_word(pair, algebra, word, strategy="left", max_steps=100000
                 corr = algebra.nf((a * b).scale(-1))
                 new = []
                 if corr:
-                    x = pair.bracket_matrix(i, j)
+                    x = pair.bracket[i, j]
                     if any(e for row in x for e in row):
                         new.append(("g", _f_matrix(algebra, corr, x)))
                 new.extend([("e", b, j), ("e", a, i)])
@@ -788,7 +817,7 @@ def test_dual_number_identities(field):
             for j in range(i + 1):
                 correction = pair.correction(i, j)
                 if correction is None:
-                    assert not any(c for row in pair.bracket_matrix(i, j) for c in row)
+                    assert not any(c for row in pair.bracket[i, j] for c in row)
                     continue
                 x, dx = correction
                 assert dx == pair.drho(x)
@@ -799,7 +828,7 @@ def test_dual_number_identities(field):
                     plus = _f_matrix(coeff, b, x)
                     minus = [[nf(e) for e in row] for row in _f_matrix(coeff, -b, x)]
                     assert mat_inverse(coeff, plus) == minus
-                    rho1 = pair.identity_action()
+                    rho1 = pair.identity_action
                     assert pair.rho_at(coeff, minus) == [
                         [nf(vs.const(rho1[r][c]) - b.scale(dx[r][c])) for c in range(pair.t)]
                         for r in range(pair.t)

@@ -41,6 +41,47 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def empty_containers(source):
+    """Names a module binds, at its top level, to an empty ``{}``, ``[]``,
+    ``set()`` or ``dict()``: a memo there outlives every object it was
+    filled for, so a memo lives on the object whose lifetime it shares."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (
+            isinstance(value, ast.Dict) and not value.keys
+            or isinstance(value, ast.List) and not value.elts
+            or isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("set", "dict")
+            and not value.args
+            and not value.keywords
+        ):
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_the_scan_sees_a_module_level_memo():
+    source = (
+        "_INVERSE_CACHE = {}\na = b = []\nS = set()\nD: dict = dict()\n"
+        "TABLE = {1: 2}\nONE = [0]\nP = set((1,))\nQ = dict(a=1)\n"
+        "def f():\n    memo = {}\nclass C:\n    cache = {}\n"
+    )
+    assert empty_containers(source) == ["_INVERSE_CACHE", "a", "b", "S", "D"]
+
+
+def test_no_module_keeps_a_module_level_memo():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {path.name: empty_containers(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 # Each module imports only from its own layer or an earlier one; the
 # package itself re-exports the polynomial layer.
 LAYERS = (

@@ -324,7 +324,7 @@ def test_unreduced_kernel_basis_decides_the_verdict(case):
     unreduced = [
         g
         for g in (
-            SuperPoly(bar_a.vs, {(exps, 0): c for (exps, (_, mask)), c in v.items() if not mask})
+            SuperPoly(bar_a.vs, {(exps, 0): c for (exps, mask), c in v.items() if not mask})
             for _, v in pairs
         )
         if g
@@ -344,6 +344,8 @@ def test_unreduced_kernel_basis_decides_the_verdict(case):
 def test_each_half_returns_kernel_elements_of_its_parity(case):
     A, p = case
     for parity in (0, 1):
-        for (_, (block, lead_mask)), v in annihilator_elimination(p, A, parity):
-            assert block == 1 and lead_mask.bit_count() & 1 == parity
-            assert all(b == 1 and mask.bit_count() & 1 == parity for _, (b, mask) in v)
+        for (_, lead_mask), v in annihilator_elimination(p, A, parity):
+            assert lead_mask.bit_count() & 1 == parity
+            assert all(mask.bit_count() & 1 == parity for _, mask in v)
+            # in the superideal's coordinates, a kernel element f has f*p = 0
+            assert A.nf(SuperPoly(A.vs, v) * p).is_zero()

@@ -76,8 +76,8 @@ def test_derivative_of_x_to_the_p_vanishes_over_fp():
 
 def test_sl2_bracket_over_f7_holds_residues():
     pair = sl2_standard_pair(F7)
-    assert pair.bracket_matrix(0, 1) == [[6, 0], [0, 1]]
-    assert pair.bracket_matrix(1, 1) == [[0, 0], [5, 0]]
+    assert pair.bracket[0, 1] == [[6, 0], [0, 1]]
+    assert pair.bracket[1, 1] == [[0, 0], [5, 0]]
     for B in pair.bracket.values():
         for row in B + pair.drho(B):
             for c in row:
