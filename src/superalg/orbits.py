@@ -4,13 +4,16 @@ An action of the odd additive group (coordinate ring k[z] with z odd,
 z^2 = 0) on SSpec(A) is the same thing as an odd superderivation phi of A
 with phi^2 = 0: the coaction is f |-> 1 (x) f + z (x) phi(f).  The orbit
 of a rational point x is cut out by the kernel of the composite
-A -> k[z], f |-> f(x) + z * ev_x(phi(f)).  The stabilizer is either the
-whole group (all orbit slopes vanish) or trivial.
+A -> k[z], f |-> f(x) + z * ev_x(phi(f)): the maximal ideal of the even
+part plus a hyperplane of the odd cotangent space, which y_1, ..., y_n
+span, so it is read off the slopes ev_x(phi(y_i)) of the n odd
+generators.  The stabilizer is either the whole group (all slopes
+vanish) or trivial.
 """
 
 from __future__ import annotations
 
-from superalg.groebner import SuperAlgebra, SuperIdeal, odd_square_free_monomials
+from superalg.groebner import SuperAlgebra, SuperIdeal
 from superalg.sdim import Record, SuperDim, check_ksdim_bound, ksdim
 from superalg.scalars import inv
 from superalg.superpoly import StructureError
@@ -66,12 +69,8 @@ def validate_action(action):
             ok, wit = False, "phi(%s) = %s is not in the ideal" % (r, d)
     report["ideal_stable"] = (ok, wit)
 
-    ok, wit = True, None
-    for name in vs.even + vs.odd:
-        d = action.apply(action.images[name])
-        if d:
-            ok, wit = False, "phi^2(%s) = %s is nonzero" % (name, d)
-    report["square_zero"] = (ok, wit)
+    wit = _square_zero_failure(action)
+    report["square_zero"] = (wit is None, wit)
 
     for check, (good, witness) in report.items():
         if not good:
@@ -84,26 +83,26 @@ def check_coaction_multiplicative(action):
     acting by z1 and then z2 agrees with acting by z1 + z2.  The two sides
     over A (x) /\\(z1, z2) are f + (z1 + z2) phi(f) + z1 z2 phi^2(f) and
     f + (z1 + z2) phi(f); z1 z2 is free over A, so they agree iff phi^2
-    vanishes on every generator (its images are already normal forms)."""
-    return all(not action.apply(img) for img in action.images.values())
+    vanishes on every generator."""
+    return _square_zero_failure(action) is None
 
 
-def odd_module_generators(algebra):
-    """Odd square-free monomials of odd degree with nonzero normal form:
-    generators of the odd part as a module over the even part."""
-    gens = []
-    for mono in odd_square_free_monomials(algebra.vs, parity=1):
-        if algebra.nf(mono):
-            gens.append(mono)
-    return gens
+def _square_zero_failure(action):
+    """Why phi^2 is not zero, named at the last generator (even ones
+    first, then odd) where it does not vanish; None when it vanishes on
+    every generator (whose images are already normal forms)."""
+    vs = action.algebra.vs
+    for name in reversed(vs.even + vs.odd):
+        d = action.apply(action.images[name])
+        if d:
+            return "phi^2(%s) = %s is nonzero" % (name, d)
+    return None
 
 
 class OrbitResult(Record):
     __slots__ = (
         "point",
-        "generators",
         "slopes",
-        "pivot",
         "ideal",
         "stabilizer",
         "orbit_sdim",
@@ -114,9 +113,7 @@ class OrbitResult(Record):
     def __init__(
         self,
         point,
-        generators,
         slopes,
-        pivot,
         ideal,
         stabilizer,
         orbit_sdim=None,
@@ -124,9 +121,7 @@ class OrbitResult(Record):
         stabilizer_sdim=None,
     ):
         self.point = point  # dict
-        self.generators = generators  # odd module generators w_i used
-        self.slopes = slopes  # ev_x(phi(w_i))
-        self.pivot = pivot  # index of the chosen nonzero slope, or -1
+        self.slopes = slopes  # ev_x(phi(y_i)), one per odd generator
         self.ideal = ideal  # SuperIdeal cutting out the orbit
         self.stabilizer = stabilizer  # "full" or "trivial"
         self.orbit_sdim = orbit_sdim
@@ -134,59 +129,63 @@ class OrbitResult(Record):
         self.stabilizer_sdim = stabilizer_sdim
 
 
-def orbit_slopes(action, pt):
-    """ev_x(phi(w_i)) over the odd module generators w_i."""
-    A = action.algebra
-    gens = odd_module_generators(A)
-    slopes = [action.apply(w).evaluate_at_point(pt.point) for w in gens]
-    return gens, slopes
-
-
 def orbit_ideal(action, pt):
-    """The ideal of the orbit through a rational point, with the
-    stabilizer dichotomy and the dimension bookkeeping.  The pivot is the
-    first nonzero slope; any other nonzero one yields the same ideal.
+    """The ideal of the orbit through a rational point x, with the
+    stabilizer dichotomy and the dimension bookkeeping.
+
+    The slopes are lam_i = ev_x(phi(y_i)).  If all vanish, the stabilizer
+    is the whole group and the orbit is the point, cut out by the maximal
+    superideal M + (y_1, ..., y_n), M = (x_i - a_i).  Otherwise, with j
+    the first nonzero slope and c_i = lam_i / lam_j, the orbit ideal is
+    M plus the hyperplane of the odd cotangent space that the o_i =
+    y_i - c_i y_j (i != j) span, and the m + n - 1 candidates x_i - a_i,
+    then o_i, go through ``_minimalize_gens``.  Any other nonzero slope
+    as pivot gives the same ideal.
+
+    Why the pairs y_a y_b and the odd monomials y_T with |T| >= 3, which
+    also lie in the orbit ideal, are not candidates, and why leaving them
+    out changes nothing: let N be the ideal of the odd generators and O1
+    the set of the o_i, with o_j := 0.  Then
+        y_a y_b = o_a o_b + c_b o_a y_j + c_a y_j o_b,
+    so every pair lies in N (O1) and every y_T with |T| >= 3 in N^2 (O1);
+    the slope of y_T is 0, since every term of phi(y_T) keeps an odd
+    factor, so its candidate would be y_T itself.  In a greedy pass that
+    also had those candidates (the pairs after the x_i - a_i, the y_T
+    after the o_i), every test of an x_i - a_i sees the same ideal as
+    here, and every pair and every y_T is dropped.  A test of an o_i asks
+    whether o = o_i lies in R + N (o), R the ideal of the other kept
+    candidates: if o = mu + nu o with mu in R, the odd parts give the same
+    with nu even, so nu lies in N^2, is nilpotent, and o = (1 - nu)^-1 mu
+    lies in R already.  So the pairs and the y_T never decide a test.
     """
     A = action.algebra
     vs = A.vs
+    check_ksdim_bound(vs)
     pt.validate(A)
-    gens, slopes = orbit_slopes(action, pt)
-    zero = vs.field.zero
-    pivot = next((i for i, lam in enumerate(slopes) if lam != zero), -1)
-    if pivot < 0:
+    slopes = [action.images[y].evaluate_at_point(pt.point) for y in vs.odd]
+    pivot = next((j for j, lam in enumerate(slopes) if lam), None)
+    if pivot is None:
         ideal = SuperIdeal(A, pt.max_superideal_gens(A))
-        result = OrbitResult(
-            point=dict(pt.point),
-            generators=gens,
-            slopes=slopes,
-            pivot=-1,
-            ideal=ideal,
-            stabilizer="full",
-            orbit_sdim=SuperDim(0, 0),
-            stabilizer_sdim=SuperDim(0, 1),
-        )
+        stabilizer, orbit_sdim, stabilizer_sdim = "full", SuperDim(0, 0), SuperDim(0, 1)
     else:
-        m_gens = pt.max_ideal_even_gens(A)
-        wj = gens[pivot]
+        yj = vs.gen(vs.odd[pivot])
         lamj = slopes[pivot]
-        odd_gens = []
-        for i, (w, lam) in enumerate(zip(gens, slopes)):
-            if i == pivot:
-                continue
-            odd_gens.append(w - wj.scale(lam * inv(lamj, vs.field.char)))
-        ideal = SuperIdeal(A, _minimalize_gens(A, m_gens + odd_gens))
-        result = OrbitResult(
-            point=dict(pt.point),
-            generators=gens,
-            slopes=slopes,
-            pivot=pivot,
-            ideal=ideal,
-            stabilizer="trivial",
-            orbit_sdim=SuperDim(0, 1),
-            stabilizer_sdim=SuperDim(0, 0),
-        )
-    _check_phi_stable(action, result.ideal)
-    return result
+        odd_gens = [
+            vs.gen(y) - yj.scale(lam * inv(lamj, vs.field.char))
+            for i, (y, lam) in enumerate(zip(vs.odd, slopes))
+            if i != pivot
+        ]
+        ideal = SuperIdeal(A, _minimalize_gens(A, pt.even_gens(A) + odd_gens))
+        stabilizer, orbit_sdim, stabilizer_sdim = "trivial", SuperDim(0, 1), SuperDim(0, 0)
+    _check_phi_stable(action, ideal)
+    return OrbitResult(
+        point=dict(pt.point),
+        slopes=slopes,
+        ideal=ideal,
+        stabilizer=stabilizer,
+        orbit_sdim=orbit_sdim,
+        stabilizer_sdim=stabilizer_sdim,
+    )
 
 
 def _minimalize_gens(algebra, gens):
@@ -225,15 +224,12 @@ def verify_orbit_theorems(action, pt):
     orbit closure is a subscheme on which the group still acts), the
     stabilizer is full or trivial, and super-dimensions are additive:
     sdim(orbit) + sdim(stabilizer) = sdim(group) = (0|1).  The last check
-    runs ksdim on the orbit closure, so its bound is checked first."""
-    check_ksdim_bound(action.algebra.vs)
+    runs ksdim on the orbit closure, whose bound ``orbit_ideal`` checks
+    first."""
     result = orbit_ideal(action, pt)
     report = {}
     report["stabilizer_dichotomy"] = result.stabilizer in ("full", "trivial")
-    report["sdim_additive"] = (
-        result.orbit_sdim.as_tuple()[0] + result.stabilizer_sdim.as_tuple()[0],
-        result.orbit_sdim.as_tuple()[1] + result.stabilizer_sdim.as_tuple()[1],
-    ) == result.group_sdim.as_tuple()
+    report["sdim_additive"] = result.orbit_sdim == result.group_sdim - result.stabilizer_sdim
     computed = orbit_quotient_sdim(result)
     report["sdim_matches_presentation"] = computed == result.orbit_sdim
     report["coaction_group_law"] = check_coaction_multiplicative(action)

@@ -25,9 +25,11 @@ from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, t
 
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
-# The most odd generators ``ksdim`` searches over: its search makes up to
-# n + 1 eliminations over 2^n components, so k[x | y1..yn]/(x*y1y2y3) takes
-# about 1 s at n = 14, 2 s at n = 15 and 5 s at n = 16.
+# The most odd generators ``ksdim`` searches over, and ``orbits.orbit_ideal``
+# takes: the search makes up to n + 1 eliminations over 2^n components, so
+# k[x | y1..yn]/(x*y1y2y3) takes about 1 s at n = 14, 2 s at n = 15 and 5 s
+# at n = 16; an orbit ideal there, n superideals over 2^n components, about
+# 25 s at n = 14.
 KSDIM_MAX_ODD = 14
 
 
@@ -35,9 +37,7 @@ def check_ksdim_bound(vs):
     """StructureError, naming the bound, for more than KSDIM_MAX_ODD odd
     generators."""
     if vs.n > KSDIM_MAX_ODD:
-        raise StructureError(
-            "ksdim searches at most %d odd generators, not %d" % (KSDIM_MAX_ODD, vs.n)
-        )
+        raise StructureError("at most %d odd generators, not %d" % (KSDIM_MAX_ODD, vs.n))
 
 
 class Record:
@@ -327,21 +327,20 @@ class PointIdeal(Record):
             if r.evaluate_at_point(self.point):
                 raise StructureError("point does not satisfy relation %s" % r)
 
+    def even_gens(self, algebra):
+        """x - a for each even generator x with value a at the point."""
+        vs = algebra.vs
+        return [vs.gen(x) - vs.const(self.point[x]) for x in vs.even]
+
     def max_ideal_even_gens(self, algebra):
         """Generators of the maximal ideal of the even part: translated
         even generators plus the even nilpotents from odd pairs."""
         vs = algebra.vs
-        gens = [vs.gen(x) - vs.const(self.point[x]) for x in vs.even]
-        for i in range(vs.n):
-            for j in range(i + 1, vs.n):
-                gens.append(vs.gen(vs.odd[i]) * vs.gen(vs.odd[j]))
-        return gens
+        pairs = itertools.combinations(vs.odd, 2)
+        return self.even_gens(algebra) + [vs.gen(a) * vs.gen(b) for a, b in pairs]
 
     def max_superideal_gens(self, algebra):
-        vs = algebra.vs
-        return [vs.gen(x) - vs.const(self.point[x]) for x in vs.even] + [
-            vs.gen(y) for y in vs.odd
-        ]
+        return self.even_gens(algebra) + [algebra.vs.gen(y) for y in algebra.vs.odd]
 
 
 def phi_dim_at_point(algebra, pt):
@@ -351,21 +350,19 @@ def phi_dim_at_point(algebra, pt):
 
 
 def phi_basis_lift(algebra, pt):
-    """Odd monomials whose classes form a basis of the odd part modulo the
-    maximal ideal, as elements of the algebra."""
+    """Odd generators whose classes form a basis of the odd part modulo
+    the maximal ideal, as elements of the algebra.  No other odd monomial
+    is needed: one of degree three or more is a multiple of a pair y_a y_b,
+    a generator of the ideal, so its class is 0."""
     pt.validate(algebra)
     vs = algebra.vs
     ideal = SuperIdeal(algebra, pt.max_ideal_even_gens(algebra))
     out = []
     span = Echelon(term_key, vs.field.char)
-    zero_exps = (0,) * vs.m
-    for mask in range(1, 1 << vs.n):
-        if mask.bit_count() & 1 == 0:
-            continue
-        mono = vs.monomial(zero_exps, mask)
-        r = ideal.nf(mono)
+    for y in map(vs.gen, vs.odd):
+        r = ideal.nf(y)
         if r and span.insert(r.terms):
-            out.append(mono)
+            out.append(y)
     return out
 
 

@@ -320,7 +320,12 @@ def bounded_document(tmp_path, n):
     return str(doc)
 
 
-KSDIM_COMMANDS = (["ksdim"], ["odd-params"], ["verify-orbits", "--derivation", "shift"])
+KSDIM_COMMANDS = (
+    ["ksdim"],
+    ["odd-params"],
+    ["verify-orbits", "--derivation", "shift"],
+    ["orbit", "--derivation", "shift", "--point", "origin"],
+)
 
 
 @pytest.mark.parametrize("command", KSDIM_COMMANDS, ids=[c[0] for c in KSDIM_COMMANDS])
@@ -330,7 +335,7 @@ def test_ksdim_above_its_odd_bound_exits_2(command, tmp_path, capsys):
     doc = bounded_document(tmp_path, KSDIM_MAX_ODD + 1)
     code, out = run([command[0], doc] + command[1:])
     assert (code, out) == (2, "")
-    message = "ksdim searches at most %d odd generators, not %d" % (KSDIM_MAX_ODD, KSDIM_MAX_ODD + 1)
+    message = "at most %d odd generators, not %d" % (KSDIM_MAX_ODD, KSDIM_MAX_ODD + 1)
     assert capsys.readouterr().err == "error: %s\n" % message
 
 

@@ -1,28 +1,36 @@
 """Orbits of odd unipotent one-parameter actions.
 
 Besides the hand-picked actions on k[x | y], a derandomized property
-suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with relations in the
-even variables only, an odd derivation phi = sum f_i(x) d/dy_i and a
-rational point on the scheme, and checks the paper's statements there:
-every orbit theorem holds, the stabilizer is trivial exactly when some
-f_i is nonzero at the point, and the even part of the orbit ideal is
-the maximal ideal of the point.
+suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with even and
+odd-factor relations, an odd derivation phi = sum f_i(x) d/dy_i, possibly
+with odd images of the even generators, and a rational point on the
+scheme, keeps the draws that ``validate_action`` accepts, and checks the
+paper's statements there: every orbit theorem holds, the stabilizer is
+trivial exactly when some f_i is nonzero at the point, and the even part
+of the orbit ideal is the maximal ideal of the point.  It also checks
+that the generators built from the n odd generators alone are those of
+the greedy pass over every odd monomial.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superalg.groebner import SuperAlgebra, SuperIdeal, fresh_name, ideal_equal
+from superalg.groebner import (
+    SuperAlgebra,
+    SuperIdeal,
+    fresh_name,
+    ideal_equal,
+    odd_square_free_monomials,
+)
 from superalg.oracle import all_monomials
 from superalg.orbits import (
     ActionError,
     OddAction,
     OrbitResult,
+    _minimalize_gens,
     check_coaction_multiplicative,
-    odd_module_generators,
     orbit_ideal,
-    orbit_slopes,
     validate_action,
     verify_orbit_theorems,
 )
@@ -55,6 +63,12 @@ def test_validate_rejects_non_square_zero(free_line):
     act = OddAction(free_line, {"x": free_line.vs.gen("y"), "y": free_line.vs.one()})
     with pytest.raises(ActionError):
         validate_action(act)
+    # the witness is the last generator, even ones first, on which phi^2 fails
+    A = make_algebra(("x1", "x2"), ("y",))
+    act = OddAction(A, {"y": A.vs.one(), "x1": A.vs.gen("y"), "x2": A.vs.gen("y")})
+    with pytest.raises(ActionError, match=r"^square_zero check failed: phi\^2\(x2\) = 1 is nonzero$"):
+        validate_action(act)
+    assert check_coaction_multiplicative(act) is False
 
 
 def test_validate_rejects_unstable_ideal():
@@ -114,16 +128,15 @@ def test_translation_orbits(free_line):
 
 
 def test_orbit_result_defaults(free_line):
-    res = OrbitResult({"x": 0}, [], [], -1, None, "full")
+    res = OrbitResult({"x": 0}, [0], None, "full")
     assert (res.orbit_sdim, res.group_sdim, res.stabilizer_sdim) == (None, SuperDim(0, 1), None)
-    assert res == OrbitResult(
-        point={"x": 0}, generators=[], slopes=[], pivot=-1, ideal=None, stabilizer="full"
-    )
-    assert res != OrbitResult({"x": 0}, [], [], -1, None, "full", SuperDim(0, 0))
-    assert repr(res).startswith("OrbitResult(point={'x': 0}, generators=[], slopes=[], pivot=-1")
+    assert res == OrbitResult(point={"x": 0}, slopes=[0], ideal=None, stabilizer="full")
+    assert res != OrbitResult({"x": 0}, [0], None, "full", SuperDim(0, 0))
+    assert repr(res).startswith("OrbitResult(point={'x': 0}, slopes=[0], ideal=None, stabilizer='full'")
     assert repr(res).endswith("group_sdim=SuperDim(even=0, odd=1), stabilizer_sdim=None)")
     act = OddAction(free_line, {"y": free_line.vs.one()})
-    assert orbit_ideal(act, PointIdeal({"x": QQ.of(2)})).group_sdim == SuperDim(0, 1)
+    res = orbit_ideal(act, PointIdeal({"x": QQ.of(2)}))
+    assert (res.slopes, res.group_sdim) == ([1], SuperDim(0, 1))
 
 
 def test_scaling_orbits(free_line):
@@ -173,22 +186,32 @@ def test_even_part_of_orbit_ideal_is_m(free_line):
 
 def test_pivot_independence():
     A = make_algebra(("x",), ("y1", "y2"))
-    act = OddAction(A, {"y1": A.vs.one(), "y2": A.vs.const(3)})
+    vs = A.vs
+    act = OddAction(A, {"y1": vs.one(), "y2": vs.const(3)})
     validate_action(act)
     pt = PointIdeal({"x": QQ.of(1)})
-    gens, slopes = orbit_slopes(act, pt)
-    nonzero = [j for j, lam in enumerate(slopes) if lam != QQ.zero]
-    assert len(nonzero) >= 2
-    base = orbit_ideal(act, pt).ideal
-    m_gens = pt.max_ideal_even_gens(A)
-    for j in nonzero:
-        # the orbit ideal built around pivot j: w_i - (lam_i / lam_j) * w_j
+    res = orbit_ideal(act, pt)
+    assert res.slopes == [1, 3]
+    for j, yj in enumerate(vs.odd):
+        # the orbit ideal built around pivot j: y_i - (lam_i / lam_j) * y_j
         odd_gens = [
-            w - gens[j].scale(lam * inv(slopes[j], 0))
-            for i, (w, lam) in enumerate(zip(gens, slopes))
+            vs.gen(y) - vs.gen(yj).scale(lam * inv(res.slopes[j], 0))
+            for i, (y, lam) in enumerate(zip(vs.odd, res.slopes))
             if i != j
         ]
-        assert base.module_gb == SuperIdeal(A, m_gens + odd_gens).module_gb  # identical reduced bases
+        # identical reduced bases
+        assert res.ideal.module_gb == SuperIdeal(A, pt.even_gens(A) + odd_gens).module_gb
+
+
+def test_a_redundant_odd_candidate_is_dropped():
+    """On k[x | y1, y2]/(x*y2) with phi(y1) = 1, the odd candidate y2 lies
+    in (x - 1) at x = 1, since y2 = -(x - 1)*y2 + x*y2."""
+    A = make_algebra(("x",), ("y1", "y2"), lambda vs: [vs.gen("x") * vs.gen("y2")])
+    act = OddAction(A, {"y1": A.vs.one()})
+    validate_action(act)
+    res = orbit_ideal(act, PointIdeal({"x": QQ.of(1)}))
+    assert (res.stabilizer, [g.render() for g in res.ideal.generators]) == ("trivial", ["x - 1"])
+    assert res.slopes == [1, 0]
 
 
 def test_orbit_on_quotient_algebra():
@@ -202,12 +225,6 @@ def test_orbit_on_quotient_algebra():
     validate_action(act0)
     res = orbit_ideal(act0, PointIdeal({"x": QQ.of(1)}))
     assert res.stabilizer == "full"
-
-
-def test_odd_module_generators_pruning():
-    A = make_algebra(("x",), ("y1", "y2"), lambda vs: [vs.gen("y1") * vs.gen("y2")])
-    gens = odd_module_generators(A)
-    assert [g.render() for g in gens] == ["y1", "y2"]
 
 
 def test_slopes_on_lambda1_coefficients():
@@ -245,11 +262,13 @@ def draw_even_poly(draw, vs, monos):
 
 @st.composite
 def actions_at_points(draw):
-    """(action, point): k[x1 (, x2) | y1 .. yn], n from 1 to 3, over Q or
-    F_7, a point a with coordinates in [-3, 3], zero to two relations
-    g(x) - g(a) with g of degree 1 or 2, and phi(y_i) = f_i(x) of degree at
-    most 2, each f_i possibly zero.  phi kills every relation and every
-    f_i, so it is a square-zero odd derivation of A."""
+    """(action, point) that ``validate_action`` accepts: k[x1 (, x2) | y1
+    .. yn], n from 1 to 3, over Q or F_7, a point a with coordinates in
+    [-3, 3], zero to two relations g(x) - g(a) with g of degree 1 or 2,
+    possibly an odd-factor relation h(x)*y_T, phi(y_i) = f_i(x) of degree
+    at most 2, each f_i possibly zero, and possibly an odd phi(x_k) =
+    h_k(x)*y_i with f_i = 0.  Draws on which phi is not a square-zero odd
+    derivation of A are discarded."""
     field = draw(st.sampled_from((QQ, Field(7))))
     even = ("x1", "x2")[: draw(st.integers(1, 2))]
     odd = tuple("y%d" % i for i in range(1, draw(st.integers(1, 3)) + 1))
@@ -260,12 +279,48 @@ def actions_at_points(draw):
     for _ in range(draw(st.integers(0, 2))):
         g = draw_even_poly(draw, vs, [e for e in monos if sum(e)])
         rels.append(g - vs.const(g.evaluate_at_point(point)))
+    if draw(st.booleans()):
+        y_T = vs.monomial((0,) * vs.m, draw(st.integers(1, (1 << vs.n) - 1)))
+        rels.append(draw_even_poly(draw, vs, monos) * y_T)
     A = SuperAlgebra(vs, rels)
     images = {y: draw_even_poly(draw, vs, monos) if draw(st.booleans()) else vs.zero() for y in odd}
-    return OddAction(A, images), PointIdeal(point)
+    idle = [y for y in odd if not images[y]]  # phi^2(x_k) = 0 needs phi(y_i) = 0 there
+    for x in even:
+        if idle and draw(st.booleans()):
+            images[x] = draw_even_poly(draw, vs, monos) * vs.gen(draw(st.sampled_from(idle)))
+    act = OddAction(A, images)
+    try:
+        validate_action(act)
+    except ActionError:
+        assume(False)
+    return act, PointIdeal(point)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def all_candidate_generators(action, pt):
+    """The orbit ideal's rendered generators from the whole odd module: as
+    odd candidates every odd square-free monomial w with nonzero normal
+    form, each as w - (lam_w / lam_j)*w_j around the first one with a
+    nonzero slope, after the x_i - a_i and the pairs y_a*y_b, through the
+    same greedy pass; None when every slope vanishes.  ``orbit_ideal``
+    needs only the n odd generators (its docstring says why), and this is
+    the reference it must agree with."""
+    A = action.algebra
+    vs = A.vs
+    gens = [w for w in odd_square_free_monomials(vs, parity=1) if A.nf(w)]
+    slopes = [action.apply(w).evaluate_at_point(pt.point) for w in gens]
+    pivot = next((i for i, lam in enumerate(slopes) if lam), None)
+    if pivot is None:
+        return None
+    wj, lamj = gens[pivot], slopes[pivot]
+    odd_gens = [
+        w - wj.scale(lam * inv(lamj, vs.field.char))
+        for i, (w, lam) in enumerate(zip(gens, slopes))
+        if i != pivot
+    ]
+    return [g.render() for g in _minimalize_gens(A, pt.max_ideal_even_gens(A) + odd_gens)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(actions_at_points())
 def test_orbit_theorems_hold_on_drawn_actions(case):
     act, pt = case
@@ -280,6 +335,8 @@ def test_orbit_theorems_hold_on_drawn_actions(case):
     for x in vs.even:
         assert res.ideal.contains(vs.gen(x) - vs.const(pt.point[x]))
     assert not res.ideal.contains(vs.one())
+    rendered = [g.render() for g in res.ideal.generators] if moved else None
+    assert rendered == all_candidate_generators(act, pt)
 
 
 # Stabilizer and generators of the orbit ideal on k[x1, x2 | y1 .. yn]/(x1^2 -
