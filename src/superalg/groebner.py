@@ -269,18 +269,6 @@ def _autoreduce(key, p, leads_and_vectors):
 # closure and algebra presentations
 
 
-def odd_square_free_monomials(vs, parity):
-    """All square-free odd monomials y_T of the given degree parity and
-    degree at least 1 as SuperPolys, ascending order."""
-    out = []
-    for mask in range(1, 1 << vs.n):
-        if mask.bit_count() & 1 != parity:
-            continue
-        out.append(vs.monomial((0,) * vs.m, mask))
-    out.sort(key=lambda p: term_key(next(iter(p.terms))))
-    return out
-
-
 def superideal_closure(gens):
     """Close a generating set under multiplication by odd monomials; the
     k[x]-span of the result is the two-sided superideal generated by gens."""
@@ -566,29 +554,22 @@ class Morphism:
 
 def check_mono_necessary(phi):
     """Necessary condition for SSpec(dst) -> SSpec(src) to be a
-    monomorphism: the odd part of the target must be generated, as a
-    module over the even part, by the images of odd elements."""
+    monomorphism: the odd part A_1 of the target A must be generated, as a
+    module over its even part A_0, by the image of the odd part B_1 of the
+    source B.
+
+    It is decided on the n odd generators of each side.  B_1 is spanned
+    over B_0 by the y_j and phi(B_0) lies in A_0, so phi(B_1) generates
+    M = sum A_0*phi(y_j) over A_0.  M is the odd part of the superideal
+    (phi(y_j)): ``Morphism`` makes each phi(y_j) odd, so that superideal's
+    reduced basis is parity-homogeneous.  For |T| odd, y_T = +-y_(T-i)*y_i
+    with y_(T-i) in A_0, so A_1 lies in M iff every odd generator y_i of
+    the target does.
+    """
     bad = phi.check_well_defined()
     if bad is not None:
         raise StructureError("map is not well defined: relation %s is not sent to zero" % bad)
     dst = phi.dst
     vs = dst.vs
-    src_odd_monomials = odd_square_free_monomials(phi.src.vs, parity=1)
-    vectors = list(dst.gbasis.vectors)
-    even_monomials = [vs.one()] + odd_square_free_monomials(vs, parity=0)
-    for m in src_odd_monomials:
-        img = phi.apply(m)
-        if img.is_zero():
-            continue
-        for u in even_monomials:
-            prod = dst.nf(u * img)
-            if prod:
-                vectors.append(prod.terms)
-    gb = buchberger(vectors, term_key, vs.field.char)
-    for w in odd_square_free_monomials(vs, parity=1):
-        wn = dst.nf(w)
-        if wn.is_zero():
-            continue
-        if gb.nf(wn.terms):
-            return False
-    return True
+    ideal = SuperIdeal(dst, [phi.images[y] for y in phi.src.vs.odd])
+    return all(ideal.contains(vs.gen(y)) for y in vs.odd)

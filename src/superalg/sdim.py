@@ -21,7 +21,7 @@ from superalg.groebner import (
 )
 from superalg.linalg import Echelon
 from superalg.scalars import inv
-from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet, term_key
+from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
@@ -172,10 +172,15 @@ def even_annihilator_image_in_bar(ideal, bar_algebra):
 # systems of odd parameters
 
 
-def _check_all_odd(elements):
+def _odd_product(algebra, elements):
+    """The normal form of the product of the elements, in order; a
+    ParityError names the first element that is not odd."""
+    prod = algebra.vs.one()
     for y in elements:
         if y.parity() != 1:
             raise ParityError("%s is not odd" % y)
+        prod = prod * y
+    return algebra.nf(prod)
 
 
 def _even_dim_modulo_annihilator(p, algebra, bar_algebra):
@@ -206,11 +211,7 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
     ``bar_algebra`` (= bar(algebra)) and ``even_dim`` (its Krull dimension)
     depend only on the algebra; a caller testing many candidates passes
     them in once computed."""
-    _check_all_odd(elements)
-    prod = algebra.vs.one()
-    for y in elements:
-        prod = prod * y
-    prod = algebra.nf(prod)
+    prod = _odd_product(algebra, elements)
     if prod.is_zero():
         return False, OddParamCertificate(list(elements), None, "product is zero")
     bar_a = bar(algebra) if bar_algebra is None else bar_algebra
@@ -223,11 +224,8 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
 def is_odd_regular_sequence(algebra, elements):
     """Stronger condition: the annihilator of the product equals the
     superideal generated by the elements themselves."""
-    _check_all_odd(elements)
-    prod = algebra.vs.one()
-    for y in elements:
-        prod = prod * y
-    if algebra.nf(prod).is_zero():
+    prod = _odd_product(algebra, elements)
+    if prod.is_zero():
         return False
     return ideal_equal(annihilator(prod, algebra), SuperIdeal(algebra, list(elements)))
 
@@ -332,13 +330,6 @@ class PointIdeal(Record):
         vs = algebra.vs
         return [vs.gen(x) - vs.const(self.point[x]) for x in vs.even]
 
-    def max_ideal_even_gens(self, algebra):
-        """Generators of the maximal ideal of the even part: translated
-        even generators plus the even nilpotents from odd pairs."""
-        vs = algebra.vs
-        pairs = itertools.combinations(vs.odd, 2)
-        return self.even_gens(algebra) + [vs.gen(a) * vs.gen(b) for a, b in pairs]
-
     def max_superideal_gens(self, algebra):
         return self.even_gens(algebra) + [algebra.vs.gen(y) for y in algebra.vs.odd]
 
@@ -351,19 +342,36 @@ def phi_dim_at_point(algebra, pt):
 
 def phi_basis_lift(algebra, pt):
     """Odd generators whose classes form a basis of the odd part modulo
-    the maximal ideal, as elements of the algebra.  No other odd monomial
-    is needed: one of degree three or more is a multiple of a pair y_a y_b,
-    a generator of the ideal, so its class is 0."""
+    the maximal ideal, as elements of the algebra: y_i is kept when its
+    class is independent of those kept before it.
+
+    Write A = k[x | y]/J and let m be the maximal superideal of the point.
+    The ideal the classes are taken modulo is I = (x - a, y_a*y_b) + J, and
+    I_1 = (m^2)_1 + J_1, so the answer is the odd part of m/(m^2 + J),
+    spanned by the classes of the y_i.  Every relation vanishes at the
+    point, so it lies in m, and J is the k-span of the relations modulo
+    m*J, which lies in m^2.  Modulo m^2, an odd relation r is
+    sum ev_x(dr/dy_i)*y_i, and an even one contributes nothing.  So the
+    class of y_i depends on those kept before it iff e_i lies in the span
+    of the odd Jacobian rows {i: ev_x(dr/dy_i)} and the e_j kept before
+    it.  The greedy pass runs in the order of the odd generators, so the
+    same y_i are kept as when each class is reduced modulo a Gröbner basis
+    of I.  No closure over the 2^n components and no Gröbner basis is
+    built: the work is one row per relation and one per odd generator.
+    """
     pt.validate(algebra)
     vs = algebra.vs
-    ideal = SuperIdeal(algebra, pt.max_ideal_even_gens(algebra))
-    out = []
-    span = Echelon(term_key, vs.field.char)
-    for y in map(vs.gen, vs.odd):
-        r = ideal.nf(y)
-        if r and span.insert(r.terms):
-            out.append(y)
-    return out
+    span = Echelon(int, vs.field.char)
+    derivations = [{y: vs.one()} for y in vs.odd]
+    for r in algebra.relations:
+        row = {}
+        for i, d in enumerate(derivations):
+            c = r.apply_derivation(d, 1).evaluate_at_point(pt.point)
+            if c:
+                row[i] = c
+        span.insert(row)
+    one = vs.field.one
+    return [vs.gen(y) for i, y in enumerate(vs.odd) if span.insert({i: one})]
 
 
 # ---------------------------------------------------------------------------

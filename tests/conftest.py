@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from superalg.groebner import SuperAlgebra
 from superalg.scalars import QQ
-from superalg.superpoly import SuperPoly, VarSet
+from superalg.superpoly import SuperPoly, VarSet, term_key
 
 
 def make_algebra(even, odd, rel_builder=None, field=QQ):
@@ -27,6 +28,26 @@ def random_poly(vs, rng, max_degree=3, terms=4, coeff_range=3):
         if c:
             p = p + vs.monomial(tuple(exps), mask, c)
     return p
+
+
+def odd_square_free_monomials(vs, parity):
+    """All square-free odd monomials y_T of the given degree parity and
+    degree at least 1 as SuperPolys, ascending order."""
+    out = []
+    for mask in range(1, 1 << vs.n):
+        if mask.bit_count() & 1 != parity:
+            continue
+        out.append(vs.monomial((0,) * vs.m, mask))
+    out.sort(key=lambda p: term_key(next(iter(p.terms))))
+    return out
+
+
+def max_ideal_even_gens(pt, algebra):
+    """Generators of the maximal ideal of the even part at the point: the
+    translated even generators plus the even nilpotents y_a*y_b."""
+    vs = algebra.vs
+    pairs = itertools.combinations(vs.odd, 2)
+    return pt.even_gens(algebra) + [vs.gen(a) * vs.gen(b) for a, b in pairs]
 
 
 @pytest.fixture

@@ -76,6 +76,17 @@ def test_phi_dim():
     assert code == 0 and "0" in out
 
 
+def test_phi_dim_has_no_bound_on_odd_generators(tmp_path, capsys):
+    """k[x | y1..y40]/(x*y1y2y3, x*y1 - y2): y2 is x*y1, so 39 at x = 0 and
+    at x = 1; phi-dim builds no Gröbner basis over the 2^40 components."""
+    path = tmp_path / "forty.salg"
+    odd = " ".join("y%d" % i for i in range(1, 41))
+    path.write_text("superalgebra f\n  even x\n  odd %s\n  rel x*y1*y2*y3\n  rel x*y1 - y2\nend\n" % odd)
+    for value in (0, 1):
+        assert run(["phi-dim", str(path), "--point", "x = %d" % value]) == (0, "dim Phi = 39\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_localize():
     code, out = run(["localize", data("xy.salg"), "--element", "x"])
     assert code == 0 and "inverse variable t" in out

@@ -42,7 +42,6 @@ from superalg.groebner import (
     SuperAlgebra,
     annihilator,
     annihilator_elimination,
-    odd_square_free_monomials,
 )
 from superalg.oracle import all_monomials
 from superalg.scalars import QQ, Field, inv
@@ -57,6 +56,8 @@ from superalg.sdim import (
     leading_term_dim,
 )
 from superalg.superpoly import SuperPoly, VarSet
+
+from conftest import odd_square_free_monomials
 
 FIELDS = (QQ, Field(7))
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
