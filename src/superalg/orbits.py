@@ -14,7 +14,7 @@ vanish) or trivial.
 from __future__ import annotations
 
 from superalg.groebner import SuperAlgebra, SuperIdeal
-from superalg.sdim import Record, SuperDim, check_ksdim_bound, ksdim
+from superalg.sdim import Record, SuperDim, check_ksdim_bound, ksdim, odd_cotangent_relations
 from superalg.scalars import inv
 from superalg.superpoly import StructureError
 
@@ -138,25 +138,48 @@ def orbit_ideal(action, pt):
     superideal M + (y_1, ..., y_n), M = (x_i - a_i).  Otherwise, with j
     the first nonzero slope and c_i = lam_i / lam_j, the orbit ideal is
     M plus the hyperplane of the odd cotangent space that the o_i =
-    y_i - c_i y_j (i != j) span, and the m + n - 1 candidates x_i - a_i,
-    then o_i, go through ``_minimalize_gens``.  Any other nonzero slope
-    as pivot gives the same ideal.
+    y_i - c_i y_j (i != j) span.  Any other nonzero slope as pivot gives
+    the same ideal.
 
-    Why the pairs y_a y_b and the odd monomials y_T with |T| >= 3, which
-    also lie in the orbit ideal, are not candidates, and why leaving them
-    out changes nothing: let N be the ideal of the odd generators and O1
-    the set of the o_i, with o_j := 0.  Then
-        y_a y_b = o_a o_b + c_b o_a y_j + c_a y_j o_b,
-    so every pair lies in N (O1) and every y_T with |T| >= 3 in N^2 (O1);
-    the slope of y_T is 0, since every term of phi(y_T) keeps an odd
-    factor, so its candidate would be y_T itself.  In a greedy pass that
-    also had those candidates (the pairs after the x_i - a_i, the y_T
-    after the o_i), every test of an x_i - a_i sees the same ideal as
-    here, and every pair and every y_T is dropped.  A test of an o_i asks
-    whether o = o_i lies in R + N (o), R the ideal of the other kept
-    candidates: if o = mu + nu o with mu in R, the odd parts give the same
-    with nu even, so nu lies in N^2, is nilpotent, and o = (1 - nu)^-1 mu
-    lies in R already.  So the pairs and the y_T never decide a test.
+    Its generators are those a greedy pass keeps from the m + n - 1
+    candidates x_i - a_i, then o_i: in order, a candidate is dropped when
+    it lies in R, the superideal of J and the other candidates still kept.
+    Each step keeps the ideal, so R plus the tested candidate is always the
+    orbit ideal.  The x_i - a_i with nonzero normal form are tested so,
+    with every o_i among the others: they all come before any o_i, so they
+    see the same ideals as in the pass.  The o_i are decided by linear algebra on their rows v_i = e_i - c_i e_j, the
+    coefficients of the y_k in o_i:
+
+    1. o_i lies in R iff it lies in R + (x - a).  R + A o_i is the orbit
+       ideal, so each x_k - a_k is rho_k + g_k o_i with rho_k in R and g_k
+       odd.  If o_i = mu + sum f_k (x_k - a_k) with mu in R and f_k odd,
+       then o_i (1 - nu) lies in R for nu = sum f_k g_k, which is even and
+       in N^2, N the ideal of the odd generators; so nu is nilpotent and
+       1 - nu a unit.
+    2. Modulo x - a, A is /\\(y)/J(a), whose maximal ideal m is (y), and R
+       becomes R', J(a) plus the other kept o_k.  R' + (o_i) contains every
+       o_k, so m^2, which y_a y_b = o_a o_b + c_b o_a y_j + c_a y_j o_b
+       (o_j := 0) puts in m (o_1, ..., o_n), lies in R' + m o_i.  The
+       linear parts of the odd elements of J(a) are the span of the odd
+       Jacobian rows (``odd_cotangent_relations``).  So if o_i lies in R',
+       v_i lies in the span of the Jacobian rows and the other kept rows;
+       conversely o_i is then lambda + q with lambda in R' and q odd in
+       m^2, so q = rho + mu o_i with rho in R' and mu even in m, and
+       o_i (1 - mu) lies in R' with 1 - mu a unit (Nakayama).
+    3. So the pass drops o_i iff v_i lies in the span of the Jacobian rows,
+       the rows kept before it and every row after it; and that holds iff
+       v_i lies in the span of the Jacobian rows and the v_k for k > i: a
+       combination that used a kept v_k, k < i, would put the first such
+       v_k in the span of the Jacobian rows and the rows after it, and it
+       would have been dropped.  Inserting the rows into the echelon form
+       of the Jacobian rows from the last o_i to the first therefore
+       returns True exactly for the o_i the pass keeps.
+    4. An o_i whose normal form is zero lies in J, so its row lies in the
+       span of the Jacobian rows and its insert returns False: the pass
+       never saw it as a candidate.
+
+    The work is at most m + 1 superideals: one per x_i - a_i, and the
+    result.
     """
     A = action.algebra
     vs = A.vs
@@ -165,7 +188,7 @@ def orbit_ideal(action, pt):
     slopes = [action.images[y].evaluate_at_point(pt.point) for y in vs.odd]
     pivot = next((j for j, lam in enumerate(slopes) if lam), None)
     if pivot is None:
-        ideal = SuperIdeal(A, pt.max_superideal_gens(A))
+        ideal = SuperIdeal(A, pt.even_gens(A) + [vs.gen(y) for y in vs.odd])
         stabilizer, orbit_sdim, stabilizer_sdim = "full", SuperDim(0, 0), SuperDim(0, 1)
     else:
         yj = vs.gen(vs.odd[pivot])
@@ -175,7 +198,19 @@ def orbit_ideal(action, pt):
             for i, (y, lam) in enumerate(zip(vs.odd, slopes))
             if i != pivot
         ]
-        ideal = SuperIdeal(A, _minimalize_gens(A, pt.even_gens(A) + odd_gens))
+        span = odd_cotangent_relations(A, pt)
+        # y_k is mask bit k, so a linear form's terms give its row
+        kept_odd = [
+            o
+            for o in reversed(odd_gens)
+            if span.insert({mask.bit_length() - 1: c for (_, mask), c in o.terms.items()})
+        ][::-1]
+        kept = [g for g in map(A.nf, pt.even_gens(A)) if g]
+        for g in list(kept):
+            rest = [h for h in kept if h is not g]
+            if SuperIdeal(A, rest + odd_gens).contains(g):
+                kept = rest
+        ideal = SuperIdeal(A, kept + kept_odd)
         stabilizer, orbit_sdim, stabilizer_sdim = "trivial", SuperDim(0, 1), SuperDim(0, 0)
     _check_phi_stable(action, ideal)
     return OrbitResult(
@@ -186,19 +221,6 @@ def orbit_ideal(action, pt):
         orbit_sdim=orbit_sdim,
         stabilizer_sdim=stabilizer_sdim,
     )
-
-
-def _minimalize_gens(algebra, gens):
-    """Drop generators already contained in the superideal the others
-    generate; keeps the reported presentation human-sized."""
-    gens = [algebra.nf(g) for g in gens]
-    gens = [g for g in gens if g]
-    kept = list(gens)
-    for g in list(gens):
-        rest = [h for h in kept if h is not g]
-        if rest and SuperIdeal(algebra, rest).contains(g):
-            kept = rest
-    return kept
 
 
 def _check_phi_stable(action, ideal):

@@ -28,8 +28,8 @@ ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 # The most odd generators ``ksdim`` searches over, and ``orbits.orbit_ideal``
 # takes: the search makes up to n + 1 eliminations over 2^n components, so
 # k[x | y1..yn]/(x*y1y2y3) takes about 1 s at n = 14, 2 s at n = 15 and 5 s
-# at n = 16; an orbit ideal there, n superideals over 2^n components, about
-# 25 s at n = 14.
+# at n = 16; an orbit ideal there, m + 1 superideals over 2^n components
+# for m even generators, about 4 s at n = 14 (2 vCPUs).
 KSDIM_MAX_ODD = 14
 
 
@@ -330,9 +330,6 @@ class PointIdeal(Record):
         vs = algebra.vs
         return [vs.gen(x) - vs.const(self.point[x]) for x in vs.even]
 
-    def max_superideal_gens(self, algebra):
-        return self.even_gens(algebra) + [algebra.vs.gen(y) for y in algebra.vs.odd]
-
 
 def phi_dim_at_point(algebra, pt):
     """Dimension of the odd part modulo the maximal ideal: the minimal
@@ -340,26 +337,19 @@ def phi_dim_at_point(algebra, pt):
     return len(phi_basis_lift(algebra, pt))
 
 
-def phi_basis_lift(algebra, pt):
-    """Odd generators whose classes form a basis of the odd part modulo
-    the maximal ideal, as elements of the algebra: y_i is kept when its
-    class is independent of those kept before it.
+def odd_cotangent_relations(algebra, pt):
+    """The echelon form of the odd Jacobian rows {i: ev_x(dr/dy_i)} of the
+    relations r at a point x on the scheme: the span of the linear parts of
+    the odd elements of J at x, in the coordinates of the y_i.
 
     Write A = k[x | y]/J and let m be the maximal superideal of the point.
-    The ideal the classes are taken modulo is I = (x - a, y_a*y_b) + J, and
-    I_1 = (m^2)_1 + J_1, so the answer is the odd part of m/(m^2 + J),
-    spanned by the classes of the y_i.  Every relation vanishes at the
-    point, so it lies in m, and J is the k-span of the relations modulo
-    m*J, which lies in m^2.  Modulo m^2, an odd relation r is
-    sum ev_x(dr/dy_i)*y_i, and an even one contributes nothing.  So the
-    class of y_i depends on those kept before it iff e_i lies in the span
-    of the odd Jacobian rows {i: ev_x(dr/dy_i)} and the e_j kept before
-    it.  The greedy pass runs in the order of the odd generators, so the
-    same y_i are kept as when each class is reduced modulo a Gröbner basis
-    of I.  No closure over the 2^n components and no Gröbner basis is
-    built: the work is one row per relation and one per odd generator.
+    Every relation vanishes at the point, so it lies in m, and J is the
+    k-span of the relations modulo m*J, which lies in m^2.  Modulo m^2, an
+    odd relation r is sum ev_x(dr/dy_i)*y_i, and an even one contributes
+    nothing.  So a linear form sum v_i*y_i lies in (m^2)_1 + J_1 iff v lies
+    in the span of these rows.  No closure over the 2^n components and no
+    Gröbner basis is built: the work is one row per relation.
     """
-    pt.validate(algebra)
     vs = algebra.vs
     span = Echelon(int, vs.field.char)
     derivations = [{y: vs.one()} for y in vs.odd]
@@ -370,6 +360,25 @@ def phi_basis_lift(algebra, pt):
             if c:
                 row[i] = c
         span.insert(row)
+    return span
+
+
+def phi_basis_lift(algebra, pt):
+    """Odd generators whose classes form a basis of the odd part modulo
+    the maximal ideal, as elements of the algebra: y_i is kept when its
+    class is independent of those kept before it.
+
+    The ideal the classes are taken modulo is I = (x - a, y_a*y_b) + J,
+    and I_1 = (m^2)_1 + J_1, so the answer is the odd part of m/(m^2 + J),
+    spanned by the classes of the y_i.  By ``odd_cotangent_relations``, the
+    class of y_i depends on those kept before it iff e_i lies in the span
+    of the odd Jacobian rows and the e_j kept before it.  The greedy pass
+    runs in the order of the odd generators, so the same y_i are kept as
+    when each class is reduced modulo a Gröbner basis of I.
+    """
+    pt.validate(algebra)
+    vs = algebra.vs
+    span = odd_cotangent_relations(algebra, pt)
     one = vs.field.one
     return [vs.gen(y) for i, y in enumerate(vs.odd) if span.insert({i: one})]
 
@@ -445,9 +454,9 @@ def verify_cover(algebra, elements):
         loc, _ = localize_at_even(algebra, a)
         d, _ = ksdim(loc)
         local.append(d)
-    d0 = max(d.even for d in local)
+    d0 = max((d.even for d in local), default=ZERO_RING_DIM)
     max_idx = [i for i, d in enumerate(local) if d.even == d0]
-    d1 = max(local[i].odd for i in max_idx)
+    d1 = max((local[i].odd for i in max_idx), default=0)
     agreed = SuperDim(d0, d1) == global_dim
     return {
         "global": global_dim,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superalg.groebner import SuperAlgebra
+from superalg.groebner import SuperAlgebra, SuperIdeal
 from superalg.scalars import QQ
 from superalg.superpoly import SuperPoly, VarSet, term_key
 
@@ -48,6 +48,21 @@ def max_ideal_even_gens(pt, algebra):
     vs = algebra.vs
     pairs = itertools.combinations(vs.odd, 2)
     return pt.even_gens(algebra) + [vs.gen(a) * vs.gen(b) for a, b in pairs]
+
+
+def minimalize_gens(algebra, gens):
+    """The greedy pass over the candidates, one superideal per test: in
+    order, drop a generator already contained in the superideal the others
+    still kept generate.  ``orbits.orbit_ideal`` keeps the same generators
+    with one superideal per even candidate; this is its reference."""
+    gens = [algebra.nf(g) for g in gens]
+    gens = [g for g in gens if g]
+    kept = list(gens)
+    for g in list(gens):
+        rest = [h for h in kept if h is not g]
+        if rest and SuperIdeal(algebra, rest).contains(g):
+            kept = rest
+    return kept
 
 
 @pytest.fixture

@@ -1,15 +1,20 @@
 """Orbits of odd unipotent one-parameter actions.
 
 Besides the hand-picked actions on k[x | y], a derandomized property
-suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with even and
-odd-factor relations, an odd derivation phi = sum f_i(x) d/dy_i, possibly
-with odd images of the even generators, and a rational point on the
-scheme, keeps the draws that ``validate_action`` accepts, and checks the
-paper's statements there: every orbit theorem holds, the stabilizer is
-trivial exactly when some f_i is nonzero at the point, and the even part
-of the orbit ideal is the maximal ideal of the point.  It also checks
-that the generators built from the n odd generators alone are those of
-the greedy pass over every odd monomial.
+suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with even,
+odd-factor and linear odd relations, an odd derivation phi = sum f_i(x)
+d/dy_i, possibly with odd images of the even generators, and a rational
+point on the scheme, keeps the draws that ``validate_action`` accepts,
+and checks the paper's statements there: every orbit theorem holds, the
+stabilizer is trivial exactly when some f_i is nonzero at the point, and
+the even part of the orbit ideal is the maximal ideal of the point.  It
+also checks that ``orbit_ideal``, which decides its odd generators by one
+row reduction, keeps the generators of the greedy pass
+(``conftest.minimalize_gens``) over the m + n - 1 candidates it reads off
+the n odd generators, and that those are the generators of the greedy
+pass over every odd monomial.  A linear odd relation whose row at the
+point has two entries is what tells the order of that row reduction
+apart.
 """
 
 import pytest
@@ -27,7 +32,6 @@ from superalg.orbits import (
     ActionError,
     OddAction,
     OrbitResult,
-    _minimalize_gens,
     check_coaction_multiplicative,
     orbit_ideal,
     validate_action,
@@ -37,7 +41,7 @@ from superalg.scalars import QQ, Field, inv
 from superalg.sdim import PointIdeal, SuperDim
 from superalg.superpoly import VarSet
 
-from conftest import make_algebra, max_ideal_even_gens, odd_square_free_monomials
+from conftest import make_algebra, max_ideal_even_gens, minimalize_gens, odd_square_free_monomials
 
 
 @pytest.fixture
@@ -263,17 +267,21 @@ def draw_even_poly(draw, vs, monos):
 def actions_at_points(draw):
     """(action, point) that ``validate_action`` accepts: k[x1 (, x2) | y1
     .. yn], n from 1 to 3, over Q or F_7, a point a with coordinates in
-    [-3, 3], zero to two relations g(x) - g(a) with g of degree 1 or 2,
-    possibly an odd-factor relation h(x)*y_T, phi(y_i) = f_i(x) of degree
-    at most 2, each f_i possibly zero, and possibly an odd phi(x_k) =
-    h_k(x)*y_i with f_i = 0.  Draws on which phi is not a square-zero odd
-    derivation of A are discarded."""
+    [-3, 3], phi(y_i) = f_i(x) of degree at most 2, each f_i possibly
+    zero, zero to two relations g(x) - g(a) with g of degree 1 or 2,
+    possibly an odd-factor relation h(x)*y_T, possibly a linear odd
+    relation sum h_k(x)*y_k over the y_k with f_k = 0, each h_k of degree
+    at most 1, and possibly an odd phi(x_k) = h_k(x)*y_i with f_i = 0.
+    Draws on which phi is not a square-zero odd derivation of A are
+    discarded."""
     field = draw(st.sampled_from((QQ, Field(7))))
     even = ("x1", "x2")[: draw(st.integers(1, 2))]
     odd = tuple("y%d" % i for i in range(1, draw(st.integers(1, 3)) + 1))
     vs = VarSet(even, odd, field)
     point = {x: field.of(draw(st.integers(-3, 3))) for x in even}
     monos = [e for e, mask in all_monomials(vs, 2) if not mask]
+    images = {y: draw_even_poly(draw, vs, monos) if draw(st.booleans()) else vs.zero() for y in odd}
+    idle = [y for y in odd if not images[y]]  # phi^2(x_k) = 0 needs phi(y_i) = 0 there
     rels = []
     for _ in range(draw(st.integers(0, 2))):
         g = draw_even_poly(draw, vs, [e for e in monos if sum(e)])
@@ -281,9 +289,11 @@ def actions_at_points(draw):
     if draw(st.booleans()):
         y_T = vs.monomial((0,) * vs.m, draw(st.integers(1, (1 << vs.n) - 1)))
         rels.append(draw_even_poly(draw, vs, monos) * y_T)
+    if idle and draw(st.booleans()):
+        # phi kills every y_k here, so phi(r) = sum phi(h_k)*y_k
+        linear = [e for e in monos if sum(e) <= 1]
+        rels.append(sum((draw_even_poly(draw, vs, linear) * vs.gen(y) for y in idle), vs.zero()))
     A = SuperAlgebra(vs, rels)
-    images = {y: draw_even_poly(draw, vs, monos) if draw(st.booleans()) else vs.zero() for y in odd}
-    idle = [y for y in odd if not images[y]]  # phi^2(x_k) = 0 needs phi(y_i) = 0 there
     for x in even:
         if idle and draw(st.booleans()):
             images[x] = draw_even_poly(draw, vs, monos) * vs.gen(draw(st.sampled_from(idle)))
@@ -295,28 +305,43 @@ def actions_at_points(draw):
     return act, PointIdeal(point)
 
 
-def all_candidate_generators(action, pt):
-    """The orbit ideal's rendered generators from the whole odd module: as
-    odd candidates every odd square-free monomial w with nonzero normal
-    form, each as w - (lam_w / lam_j)*w_j around the first one with a
-    nonzero slope, after the x_i - a_i and the pairs y_a*y_b, through the
-    same greedy pass; None when every slope vanishes.  ``orbit_ideal``
-    needs only the n odd generators (its docstring says why), and this is
-    the reference it must agree with."""
-    A = action.algebra
-    vs = A.vs
-    gens = [w for w in odd_square_free_monomials(vs, parity=1) if A.nf(w)]
-    slopes = [action.apply(w).evaluate_at_point(pt.point) for w in gens]
+def greedy_generators(action, pt, evens, odds):
+    """The rendered generators that the greedy pass keeps from the even
+    candidates, then w - (lam_w / lam_j)*w_j for each odd candidate w but
+    w_j, the first with a nonzero slope lam_w = ev_x(phi(w)); None when
+    every slope vanishes."""
+    vs = action.algebra.vs
+    slopes = [action.apply(w).evaluate_at_point(pt.point) for w in odds]
     pivot = next((i for i, lam in enumerate(slopes) if lam), None)
     if pivot is None:
         return None
-    wj, lamj = gens[pivot], slopes[pivot]
+    wj, lamj = odds[pivot], slopes[pivot]
     odd_gens = [
         w - wj.scale(lam * inv(lamj, vs.field.char))
-        for i, (w, lam) in enumerate(zip(gens, slopes))
+        for i, (w, lam) in enumerate(zip(odds, slopes))
         if i != pivot
     ]
-    return [g.render() for g in _minimalize_gens(A, max_ideal_even_gens(pt, A) + odd_gens)]
+    return [g.render() for g in minimalize_gens(action.algebra, evens + odd_gens)]
+
+
+def all_candidate_generators(action, pt):
+    """The orbit ideal's rendered generators from the whole odd module: the
+    greedy pass over the x_i - a_i and the pairs y_a*y_b, then every odd
+    square-free monomial with nonzero normal form as an odd candidate; None
+    when every slope vanishes.  ``orbit_ideal`` reads its candidates off the
+    n odd generators alone: every pair and every y_T with |T| >= 3 lies in
+    N (o_1, ..., o_n), N the ideal of the odd generators, so by the
+    nilpotence argument of its docstring none decides a test.  This is the
+    reference for that."""
+    A = action.algebra
+    odds = [w for w in odd_square_free_monomials(A.vs, parity=1) if A.nf(w)]
+    return greedy_generators(action, pt, max_ideal_even_gens(pt, A), odds)
+
+
+def rendered_generators(result):
+    """The orbit ideal's rendered generators when the stabilizer is trivial,
+    else None."""
+    return [g.render() for g in result.ideal.generators] if result.stabilizer == "trivial" else None
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -334,8 +359,37 @@ def test_orbit_theorems_hold_on_drawn_actions(case):
     for x in vs.even:
         assert res.ideal.contains(vs.gen(x) - vs.const(pt.point[x]))
     assert not res.ideal.contains(vs.one())
-    rendered = [g.render() for g in res.ideal.generators] if moved else None
-    assert rendered == all_candidate_generators(act, pt)
+    assert rendered_generators(res) == all_candidate_generators(act, pt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(actions_at_points())
+def test_orbit_generators_are_those_of_the_greedy_pass(case):
+    act, pt = case
+    A = act.algebra
+    want = greedy_generators(act, pt, pt.even_gens(A), [A.vs.gen(y) for y in A.vs.odd])
+    assert rendered_generators(orbit_ideal(act, pt)) == want
+
+
+def test_orbit_ideal_builds_one_superideal_per_even_generator_and_one_more(monkeypatch):
+    """On k[x | y1..y8]/(x*y1y2y3) with phi(y8) = 1 at x = 0, the seven odd
+    candidates are decided by row reduction: one superideal tests x, and
+    one is the result."""
+    vs = VarSet(("x",), tuple("y%d" % i for i in range(1, 9)), QQ)
+    A = SuperAlgebra(vs, [vs.gen("x") * vs.gen("y1") * vs.gen("y2") * vs.gen("y3")])
+    act = OddAction(A, {"y8": vs.one()})
+    validate_action(act)
+    built = []
+    init = SuperIdeal.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SuperIdeal, "__init__", counting_init)
+    res = orbit_ideal(act, PointIdeal({"x": QQ.of(0)}))
+    assert len(built) == 2
+    assert rendered_generators(res) == ["x"] + ["y%d" % i for i in range(1, 8)]
 
 
 # Stabilizer and generators of the orbit ideal on k[x1, x2 | y1 .. yn]/(x1^2 -

@@ -212,3 +212,21 @@ def test_localized_dimension_drop():
     loc, _ = localize_at_even(A, A.vs.gen("x"))
     dim, _ = ksdim(loc)
     assert dim.as_tuple() == (1, 0)
+
+
+def test_the_empty_cover_of_the_zero_ring():
+    """No element generates the zero ring's unit ideal, so the empty family
+    covers it, and its maximum over no local dimensions is the zero ring's
+    -inf|0."""
+    zero = make_algebra(("x",), ("y",), lambda vs: [vs.one()])
+    assert covers_unit(zero, [])
+    report = verify_cover(zero, [])
+    assert report == {
+        "global": SuperDim(ZERO_RING_DIM, 0),
+        "local": [],
+        "even_max_indices": [],
+        "cover_max": SuperDim(ZERO_RING_DIM, 0),
+        "agrees": True,
+    }
+    with pytest.raises(StructureError, match="unit ideal"):
+        verify_cover(make_algebra(("x",), ("y",)), [])
