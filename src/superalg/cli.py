@@ -39,6 +39,7 @@ import json
 import sys
 
 from superalg import dsl, sdim
+from superalg._kernel import TermOverflowError
 from superalg.groebner import (
     Morphism,
     annihilator,
@@ -484,6 +485,7 @@ def run_command(argv, out=None):
         ParityError,
         StructureError,
         HCError,
+        TermOverflowError,
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

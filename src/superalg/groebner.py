@@ -6,141 +6,150 @@ monomials.  Signs enter only when the closure operation multiplies
 generators by odd monomials; after that everything is commutative module
 Gröbner theory with a position-over-term flavored order.
 
-Vectors are SuperPoly term dicts {(exps, comp): coeff}, where exps is an
-even exponent tuple and comp is a hashable component id: the odd bitmask
-for superideals, a (block, bitmask) pair inside the annihilator's
-elimination.
+Callers write and read vectors as {(exps, comp): coeff}, where exps is an
+even exponent tuple and comp the component: the odd bitmask for
+superideals, a (block, bitmask) pair inside the annihilator's
+elimination.  Inside this module a vector is {code: coeff}, each term
+packed into one int by its order's key (``_kernel`` keeps the layout):
+integer ``<`` is the order, the bits ``code & layout.comp`` name the
+component, and every even exponent has a field of its own, guarded by a
+top bit that a valid code keeps clear.  So the lead of a vector is
+``max(v)``; a reducer with lead l shifts a term u of its tail to the
+reduced term t by one addition, u + (t - l); and l divides t iff
+``((l | H) - t) & H == H`` for H the guard bits.  ``GBasis.nf`` and the
+S-vectors of ``complete`` run on codes only; ``buchberger``,
+``GBasis.normal_form``, ``GBasis.vectors``/``leads`` and
+``annihilator_elimination`` convert at the edge.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-from operator import add, le, sub
+from operator import itemgetter
 
 from superalg import _kernel
+from superalg._kernel import elim_term_key
 from superalg.scalars import inv
 from superalg.superpoly import (
-    TERM_KEY_CACHE_SIZE,
     ParityError,
     StructureError,
     SuperPoly,
     VarSet,
-    mask_indices,
     term_key,
 )
 
 
-# ---------------------------------------------------------------------------
-# term orders on module monomials; the standard order is superpoly.term_key
-
-
-@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def weight_term_key(term):
-    """Odd-weight-first order: fewer odd factors = greater.  The leading
-    term of any element then lies in its lowest odd-weight slice, which is
-    what makes initial forms of a Gröbner basis present gr(A)."""
-    exps, mask = term
-    return (
-        -mask.bit_count(),
-        sum(exps),
-        tuple(-e for e in reversed(exps)),
-        tuple(mask_indices(mask)),
-    )
-
-
-@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def elim_term_key(term):
-    """Elimination order for the annihilator computation: every term in the
-    main block dominates every term in the tag block."""
-    exps, (block, mask) = term
-    return (1 if block == 0 else 0,) + term_key((exps, mask))
-
-
-# ---------------------------------------------------------------------------
-# vector arithmetic
-
-
-def vec_add_scaled(dst, src, coeff, shift, p):
-    """dst += coeff * x^shift * src, in place, in characteristic p (0 for
-    Q)."""
-    for (exps, comp), c in src.items():
-        t = (tuple(map(add, exps, shift)), comp)
-        nc = dst.get(t)
-        nc = coeff * c if nc is None else nc + coeff * c
-        if p:
-            nc %= p
-        if nc:
-            dst[t] = nc
-        elif t in dst:
-            del dst[t]
-
-
-def vec_lead(v, key):
-    return max(v, key=key)
-
-
-def vec_monic(v, key, p):
-    lt = vec_lead(v, key)
-    lc = v[lt]
-    if lc == 1:
-        return dict(v)
-    c_inv = inv(lc, p)
-    return {t: c * c_inv % p if p else c * c_inv for t, c in v.items()}
-
-
 class GBasis:
-    """A list of monic vectors over characteristic p (0 for Q) with
-    normal-form reduction against them."""
+    """A list of monic vectors {code: coeff} over characteristic p (0 for
+    Q) under one code layout, with normal-form reduction against them.
+    ``vectors`` and ``leads`` read the basis back as {(exps, comp): coeff}
+    vectors and (exps, comp) terms."""
 
-    def __init__(self, key, p):
-        self.key = key
+    def __init__(self, layout, p):
+        self.layout = layout
+        self.key = layout.key
         self.p = p
-        self.vectors = []
-        self.leads = []
+        self.codes = []
+        self.lead_codes = []
         self.tails = []  # each vector without its lead term
-        self.by_comp = {}  # component -> [(index, lead exponents)], by index
+        # per vector, under an order that does not compare degrees first
+        # (empty otherwise): 0 until ``_check_bound`` first needs it, then
+        # the least term of the lead's component that the vector may not
+        # reduce without forming a term over the exponent bound
+        self.caps = []
+        self.by_comp = {}  # component bits -> [(index, lead | guards)], by index
 
-    def append(self, v, lead=None):
-        """Add the monic vector v; ``lead`` is its lead term when the caller
-        already knows it."""
-        if lead is None:
-            lead = vec_lead(v, self.key)
-        self.by_comp.setdefault(lead[1], []).append((len(self.vectors), lead[0]))
-        self.vectors.append(v)
-        self.leads.append(lead)
+    def append(self, v, lead):
+        """Add the monic vector v with lead code ``lead``."""
+        layout = self.layout
+        entry = (len(self.codes), lead | layout.guards)
+        self.by_comp.setdefault(lead & layout.comp, []).append(entry)
+        self.codes.append(v)
+        self.lead_codes.append(lead)
         tail = dict(v)
         del tail[lead]
         self.tails.append(tail)
+        if not layout.graded:
+            # below the top field every order compares degrees first, so a
+            # tail within the lead's top slice never outgrows the lead
+            top = layout.top_shift
+            inside = not tail or min(tail) >> top == lead >> top
+            self.caps.append(layout.beyond if inside else 0)
+
+    def copy(self):
+        """The same basis, to extend without changing this one."""
+        gb = GBasis(self.layout, self.p)
+        gb.codes = list(self.codes)
+        gb.lead_codes = list(self.lead_codes)
+        gb.tails = list(self.tails)
+        gb.caps = list(self.caps)
+        gb.by_comp = {comp: list(entries) for comp, entries in self.by_comp.items()}
+        return gb
+
+    @property
+    def vectors(self):
+        decode = self.layout.decode
+        return [dict(zip(map(decode, v), v.values())) for v in self.codes]
+
+    @property
+    def leads(self):
+        return list(map(self.layout.decode, self.lead_codes))
+
+    def _check_bound(self, i, t):
+        """TermOverflowError when vector i, shifted so that its lead meets
+        the term t of the lead's component, could hold a term over the
+        exponent bound.  Under an order that does not compare degrees
+        first a tail term may have a larger degree than the lead, by up to
+        ``grow``; so the cap is the least term of the component of degree
+        above MAX_DEGREE - grow, and a term below it is always safe."""
+        layout = self.layout
+        if not self.caps[i]:
+            grow = max(map(layout.degree, self.tails[i]), default=0)
+            grow -= layout.degree(self.lead_codes[i])
+            self.caps[i] = layout.degree_cap(t, _kernel.MAX_DEGREE - max(grow, 0))
+        if t >= self.caps[i]:
+            raise _kernel.TermOverflowError(
+                "a reduction would form a term over the term-order bound %d" % _kernel.MAX_DEGREE
+            )
+
+    def normal_form(self, terms):
+        """``nf`` of a {(exps, comp): coeff} vector, in that form."""
+        r = self.nf(dict(zip(map(self.key, terms), terms.values())))
+        return dict(zip(map(self.layout.decode, r), r.values()))
 
     def nf(self, v, skip=None):
-        """Full normal form: every term of the result is a standard
-        monomial (irreducible against the basis).  ``skip`` is the index of
-        a basis vector not to reduce by."""
-        if not self.vectors:
+        """Full normal form of the code vector v: every term of the result
+        is a standard monomial (irreducible against the basis).  ``skip``
+        is the index of a basis vector not to reduce by."""
+        if not self.codes:
             return dict(v)
-        key = self.key
         p = self.p
         by_comp = self.by_comp
+        comp = self.layout.comp
+        guards = self.layout.guards
+        leads = self.lead_codes
         tails = self.tails
+        caps = self.caps
         work = dict(v)
         result = {}
         while work:
-            t = max(work, key=key)
-            exps, comp = t
+            t = max(work)
             c = work.pop(t)
-            for i, lead_exps in by_comp.get(comp, ()):
-                if i != skip and all(map(le, lead_exps, exps)):
+            for i, lh in by_comp.get(t & comp, ()):
+                if (lh - t) & guards == guards and i != skip:
                     break
             else:
                 result[t] = c
                 continue
-            # work -= c * x^shift * (reducer i), inline: the reducer is monic,
-            # so its lead cancels t exactly and only its tail is subtracted
+            if caps and t >= caps[i]:
+                self._check_bound(i, t)
+            # work -= c * (t / lead) * (reducer i), inline: the reducer is
+            # monic, so its lead cancels t exactly and only its tail is
+            # subtracted, each term shifted by one addition
             c = -c
-            shift = tuple(map(sub, exps, lead_exps))
-            for (e, tc), d in tails[i].items():
-                s = (tuple(map(add, e, shift)), tc)
+            shift = t - leads[i]
+            for u, d in tails[i].items():
+                s = u + shift
                 nc = work.get(s)
                 nc = c * d if nc is None else nc + c * d
                 if p:
@@ -152,20 +161,29 @@ class GBasis:
         return result
 
 
-def buchberger(vectors, key, p):
+def buchberger(vectors, key, p, basis=None):
     """Unique reduced Gröbner basis of the k[x]-submodule spanned by
     ``vectors`` with respect to the module order ``key``, over
-    characteristic p (0 for Q)."""
-    gb = complete(vectors, key, p)
-    return _autoreduce(key, p, zip(gb.leads, gb.vectors))
+    characteristic p (0 for Q).  ``basis``, a GBasis under the same order
+    and over p that is already a Gröbner basis, joins them as it is: its
+    vectors enter with their leads, and no pair among them is formed."""
+    vectors = [v for v in vectors if v]
+    if basis is not None and basis.codes:
+        gb = basis.copy()
+    elif not vectors:
+        return GBasis(_kernel.code_layout(key, 0), p)
+    else:
+        # the layout is read off the length of the first exponent tuple
+        gb = GBasis(_kernel.code_layout(key, len(next(iter(vectors[0]))[0])), p)
+    complete(gb, [dict(zip(map(key, v), v.values())) for v in vectors])
+    return _autoreduce(gb.layout, p, zip(gb.lead_codes, gb.codes))
 
 
-def complete(vectors, key, p, gb=None):
-    """A Gröbner basis, not yet reduced, of the k[x]-submodule spanned by
-    ``vectors`` with respect to the module order ``key``, over
-    characteristic p (0 for Q).  A GBasis passed as ``gb`` must already be
-    a Gröbner basis over p of monic vectors with distinct leads; it is
-    extended in place, and no pair among its own elements is formed.
+def complete(gb, vectors):
+    """Extend ``gb``, which must already be a Gröbner basis of monic code
+    vectors with distinct leads, to a Gröbner basis, not yet reduced, of
+    the k[x]-submodule that it and the code ``vectors`` span; no pair
+    among gb's own elements is formed.  Returns gb.
 
     Every vector, input or S-vector, joins the basis only as its nonzero
     normal form, so the inputs that a closure repeats add no pairs.  Only
@@ -180,88 +198,113 @@ def complete(vectors, key, p, gb=None):
     neither (i, k) nor (j, k) is still pending; a pair the product
     criterion dropped is never pending.
     """
-    if gb is None:
-        gb = GBasis(key, p)
+    layout = gb.layout
+    p = gb.p
+    comp_bits = layout.comp
+    guards = layout.guards
     lcm = _kernel.exp_lcm
-    sub = _kernel.exp_sub
-    divides = _kernel.exp_divides
     coprime = _kernel.exp_coprime
-    heap = []  # (key of the lcm, i, j, comp, lcm exponents), i < j
+    decode = layout.decode
+    leads = gb.lead_codes
+    heap = []  # (code of the lcm, i, j), i < j
     pending = set()
     one_comp = {}  # index -> every term lies in the lead's component
 
     def in_one_comp(i):
         flag = one_comp.get(i)
         if flag is None:
-            comp = gb.leads[i][1]
-            flag = one_comp[i] = all(c == comp for _, c in gb.vectors[i])
+            comp = leads[i] & comp_bits
+            flag = one_comp[i] = all(c & comp_bits == comp for c in gb.codes[i])
         return flag
 
     def insert(v):
         r = gb.nf(v)
         if not r:
             return
-        j = len(gb.vectors)
-        gb.append(vec_monic(r, key, p))
-        ej, comp = gb.leads[j]
-        for i, ei in gb.by_comp[comp]:
+        j = len(leads)
+        lead = max(r)
+        lc = r[lead]
+        if lc != 1:
+            c_inv = inv(lc, p)
+            r = {t: c * c_inv % p if p else c * c_inv for t, c in r.items()}
+        gb.append(r, lead)
+        comp = lead & comp_bits
+        ej = decode(lead)[0]
+        for i, _ in gb.by_comp[comp]:
             if i == j:
                 break
+            ei = decode(leads[i])[0]
             # the cheap coprimality test first: it rarely holds
             if coprime(ei, ej) and in_one_comp(i) and in_one_comp(j):
                 continue
-            m = lcm(ei, ej)
-            heapq.heappush(heap, (key((m, comp)), i, j, comp, m))
+            heapq.heappush(heap, (comp | _kernel.exp_code(lcm(ei, ej)), i, j))
             pending.add((i, j))
 
-    def chain_redundant(i, j, comp, m):
-        for k, ek in gb.by_comp[comp]:
+    def chain_redundant(i, j, m):
+        for k, lh in gb.by_comp[m & comp_bits]:
             if (
                 k != i
                 and k != j
-                and divides(ek, m)
+                and (lh - m) & guards == guards
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
             ):
                 return True
         return False
 
-    for v in sorted((v for v in vectors if v), key=lambda v: key(vec_lead(v, key))):
+    for v in sorted(filter(None, vectors), key=max):
         insert(v)
     while heap:
-        _, i, j, comp, m = heapq.heappop(heap)
+        m, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        if chain_redundant(i, j, comp, m):
+        if chain_redundant(i, j, m):
             continue
-        ei, ej = gb.leads[i][0], gb.leads[j][0]
-        # basis vectors are monic: the stored lead coefficient is the one
-        one = gb.vectors[i][gb.leads[i]]
-        s = {}
-        vec_add_scaled(s, gb.vectors[i], one, sub(m, ei), p)
-        vec_add_scaled(s, gb.vectors[j], -one, sub(m, ej), p)
+        if gb.caps:
+            for k in (i, j):
+                if m >= gb.caps[k]:
+                    gb._check_bound(k, m)
+        # basis vectors are monic: the stored lead coefficient is the one;
+        # the leads cancel, so S = (m/lead_i)*tail_i - (m/lead_j)*tail_j
+        one = gb.codes[i][leads[i]]
+        minus = -one
+        shift = m - leads[i]
+        s = {u + shift: one * c for u, c in gb.tails[i].items()}
+        shift = m - leads[j]
+        for u, c in gb.tails[j].items():
+            u += shift
+            nc = s.get(u)
+            nc = minus * c if nc is None else nc + minus * c
+            if p:
+                nc %= p
+            if nc:
+                s[u] = nc
+            elif u in s:
+                del s[u]
         insert(s)
     return gb
 
 
-def _autoreduce(key, p, leads_and_vectors):
-    """The unique reduced basis over characteristic p from the (lead, monic
-    vector) pairs of a completed basis."""
-    divides = _kernel.exp_divides
+def _autoreduce(layout, p, leads_and_vectors):
+    """The unique reduced basis over characteristic p from the (lead code,
+    monic code vector) pairs of a completed basis."""
+    comp = layout.comp
+    guards = layout.guards
     # every element entered as a normal form, so the leads are distinct;
     # minimalize: drop any element whose lead a smaller kept lead divides
-    work = GBasis(key, p)
-    for lead, v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
-        exps, comp = lead
-        if not any(divides(le, exps) for _, le in work.by_comp.get(comp, ())):
+    work = GBasis(layout, p)
+    for lead, v in sorted(leads_and_vectors, key=itemgetter(0)):
+        for _, lh in work.by_comp.get(lead & comp, ()):
+            if (lh - lead) & guards == guards:
+                break
+        else:
             work.append(v, lead)
-    # tail-reduce each element against the others; with pairwise
-    # indivisible leads this terminates in the unique reduced basis, and
-    # no other lead divides a lead, so each keeps its lead and stays monic
-    out = [(work.leads[i], work.nf(v, skip=i)) for i, v in enumerate(work.vectors)]
-    out.sort(key=lambda lv: key(lv[0]), reverse=True)
-    final = GBasis(key, p)
-    for lead, v in out:
-        final.append(v, lead)
+    # tail-reduce each element against the others, largest lead first;
+    # with pairwise indivisible leads this terminates in the unique reduced
+    # basis, and no other lead divides a lead, so each keeps its lead and
+    # stays monic
+    final = GBasis(layout, p)
+    for i in range(len(work.codes) - 1, -1, -1):
+        final.append(work.nf(work.codes[i], skip=i), work.lead_codes[i])
     return final
 
 
@@ -276,12 +319,15 @@ def superideal_closure(gens):
     if not out:
         return []
     vs = out[0].vs
+    char = vs.field.char
+    one = vs.field.one
+    zero_exps = (0,) * vs.m
     closed = dict.fromkeys(out)  # a hash set that keeps first-occurrence order
     for g in out:
         for mask in range(1, 1 << vs.n):
-            prod = vs.monomial((0,) * vs.m, mask) * g
+            prod = _kernel.mul_terms({(zero_exps, mask): one}, g.terms, char)
             if prod:
-                closed.setdefault(prod)
+                closed.setdefault(SuperPoly(vs, prod))
     return list(closed)
 
 
@@ -325,7 +371,7 @@ class SuperAlgebra:
 
     def nf(self, f):
         gb = self.gbasis
-        return SuperPoly(self.vs, gb.nf(f.terms)) if gb.vectors else f
+        return SuperPoly(self.vs, gb.normal_form(f.terms)) if gb.codes else f
 
     def contains_in_ideal(self, f):
         return self.nf(f).is_zero()
@@ -351,8 +397,8 @@ class SuperIdeal:
         self.ambient = ambient
         gens = [g for g in map(ambient.nf, generators) if g]
         self._generators = gens
-        closed = [g.terms for g in superideal_closure(gens)] + ambient.gbasis.vectors
-        self.gbasis = buchberger(closed, term_key, ambient.vs.field.char)
+        closed = [g.terms for g in superideal_closure(gens)]
+        self.gbasis = buchberger(closed, term_key, ambient.vs.field.char, ambient.gbasis)
 
     @classmethod
     def _from_reduced_basis(cls, ambient, gbasis):
@@ -379,7 +425,7 @@ class SuperIdeal:
         return self._generators
 
     def nf(self, f):
-        return SuperPoly(self.ambient.vs, self.gbasis.nf(f.terms))
+        return SuperPoly(self.ambient.vs, self.gbasis.normal_form(f.terms))
 
     def contains(self, f):
         return self.nf(f).is_zero()
@@ -396,7 +442,7 @@ def ideal_equal(I, J):
     of a module under a fixed order is unique."""
     if I.ambient is not J.ambient and I.ambient.vs != J.ambient.vs:
         raise StructureError("ideals live in different ambient algebras")
-    return I.gbasis.vectors == J.gbasis.vectors
+    return I.gbasis.codes == J.gbasis.codes
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +452,15 @@ def ideal_equal(I, J):
 def annihilator(p, algebra):
     """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal.
 
-    The kernel pairs of both parities from ``annihilator_elimination`` are
-    autoreduced on their own, under term_key: a main-block lead divides no
-    tag-block term, so the main-block elements take no part in their
-    reduction, and elim_term_key restricted to the tag block is term_key,
-    so the result is the tag-block part of the reduced elimination basis.
-    That is already the reduced basis of the kernel K: K contains J and is
-    closed under odd multiplication, so closing it and adding the relation
-    basis changes nothing; and the reduced basis of a parity-graded module
-    is parity-homogeneous.
+    The kernel pairs of both parities from the elimination are autoreduced
+    on their own, under term_key: a main-block lead divides no tag-block
+    term, so the main-block elements take no part in their reduction, and
+    elim_term_key restricted to the tag block is term_key, so the result is
+    the tag-block part of the reduced elimination basis.  That is already
+    the reduced basis of the kernel K: K contains J and is closed under odd
+    multiplication, so closing it and adding the relation basis changes
+    nothing; and the reduced basis of a parity-graded module is
+    parity-homogeneous.
     """
     vs = algebra.vs
     if p.parity() is None:
@@ -422,8 +468,9 @@ def annihilator(p, algebra):
     p = algebra.nf(p)
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()])
-    pairs = annihilator_elimination(p, algebra, 0) + annihilator_elimination(p, algebra, 1)
-    return SuperIdeal._from_reduced_basis(algebra, _autoreduce(term_key, vs.field.char, pairs))
+    pairs = _kernel_pairs(p, algebra, 0) + _kernel_pairs(p, algebra, 1)
+    layout = _kernel.code_layout(term_key, vs.m)
+    return SuperIdeal._from_reduced_basis(algebra, _autoreduce(layout, vs.field.char, pairs))
 
 
 def annihilator_elimination(p, algebra, parity):
@@ -444,21 +491,37 @@ def annihilator_elimination(p, algebra, parity):
     pairs of both parities together are a Gröbner basis of the whole
     kernel.
     """
+    decode = _kernel.code_layout(term_key, algebra.vs.m).decode
+    return [
+        (decode(lead), {decode(t): c for t, c in v.items()})
+        for lead, v in _kernel_pairs(p, algebra, parity)
+    ]
+
+
+def _kernel_pairs(p, algebra, parity):
+    """``annihilator_elimination`` in codes.  The elimination codes extend
+    term_key's by the main-block bit, so a relation basis vector moves into
+    the main block by adding that bit to each code, and a tag-block code is
+    the term_key code of its term, the tag e_S that of (0, S)."""
     vs = algebra.vs
     zero_exps = (0,) * vs.m
     char = vs.field.char
     one = vs.field.one
     main_parity = parity ^ p.parity()
+    layout = _kernel.code_layout(elim_term_key, vs.m)
+    block = layout.block
     # The relation basis is a reduced Gröbner basis of homogeneous elements
     # and each e_S with y_S * p = 0 is a kernel element in a component of
     # its own, so together they are a Gröbner basis that enters the
     # elimination as it is, with its leads.
-    gb = GBasis(elim_term_key, char)
+    gb = GBasis(layout, char)
     rel = algebra.gbasis
-    for (exps, mask), v in zip(rel.leads, rel.vectors):
+    for (_, mask), lead, v in zip(rel.leads, rel.lead_codes, rel.codes):
         if mask.bit_count() & 1 == main_parity:
-            gb.append({(ce, (0, cm)): c for (ce, cm), c in v.items()}, (exps, (0, mask)))
-    cols = {0: p}  # cols[S] = y_S * p in normal form
+            gb.append({c + block: x for c, x in v.items()}, lead + block)
+    decode = _kernel.code_layout(term_key, vs.m).decode
+    # cols[S] = y_S * p in normal form, as terms and as term_key codes
+    cols = {0: (p.terms, dict(zip(map(term_key, p.terms), p.terms.values())))}
     graph = []
     for mask in range(1 << vs.n):
         if mask.bit_count() & 1 != parity:
@@ -468,22 +531,25 @@ def annihilator_elimination(p, algebra, parity):
             # indices of S: R is empty or of the parity of S
             rest = mask & (mask - 1)
             rest &= rest - 1
-            base = cols[rest]
-            cols[mask] = algebra.nf(vs.monomial(zero_exps, mask ^ rest) * base) if base else base
-        col = cols[mask]
-        e_s = (zero_exps, (1, mask))
+            base = cols[rest][0]
+            if base:
+                prod = _kernel.mul_terms({(zero_exps, mask ^ rest): one}, base, char)
+                col = dict(zip(map(term_key, prod), prod.values()))
+                if rel.codes:
+                    col = rel.nf(col)
+                cols[mask] = (dict(zip(map(decode, col), col.values())), col)
+            else:
+                cols[mask] = cols[rest]
+        col = cols[mask][1]
+        e_s = term_key((zero_exps, mask))
         if col:
-            v = {(ce, (0, cm)): c for (ce, cm), c in col.terms.items()}
+            v = {c + block: x for c, x in col.items()}
             v[e_s] = one
             graph.append(v)
         else:
             gb.append({e_s: one}, e_s)
-    gb = complete(graph, elim_term_key, char, gb)
-    return [
-        ((exps, mask), {(e, m): c for (e, (_, m)), c in v.items()})
-        for (exps, (block, mask)), v in zip(gb.leads, gb.vectors)
-        if block == 1
-    ]
+    complete(gb, graph)
+    return [(lead, v) for lead, v in zip(gb.lead_codes, gb.codes) if not lead & block]
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,9 @@ def orbit_ideal(action, pt):
         kept = [g for g in map(A.nf, pt.even_gens(A)) if g]
         for g in list(kept):
             rest = [h for h in kept if h is not g]
-            if SuperIdeal(A, rest + odd_gens).contains(g):
+            # with no other generator the superideal is J, which holds no
+            # nonzero normal form, so a lone candidate is always kept
+            if (rest or odd_gens) and SuperIdeal(A, rest + odd_gens).contains(g):
                 kept = rest
         ideal = SuperIdeal(A, kept + kept_odd)
         stabilizer, orbit_sdim, stabilizer_sdim = "trivial", SuperDim(0, 1), SuperDim(0, 0)

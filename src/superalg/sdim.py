@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from superalg._kernel import weight_term_key
 from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
@@ -17,7 +18,6 @@ from superalg.groebner import (
     ideal_equal,
     localize_at_even,
     superideal_closure,
-    weight_term_key,
 )
 from superalg.linalg import Echelon
 from superalg.scalars import inv

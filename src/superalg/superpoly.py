@@ -7,9 +7,8 @@ absorbed into the coefficient.  Values are immutable after construction.
 
 from __future__ import annotations
 
-import functools
-
 from superalg import _kernel
+from superalg._kernel import term_key
 from superalg.scalars import QQ, SCALARS, Field
 
 
@@ -122,29 +121,6 @@ def mask_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-# The term keys are pure functions of the monomial, so a memo shared by
-# every algebra can never serve a key computed for a different one.  The
-# bound keeps memory flat on long runs; a whole perfbench pool touches at
-# most about 300 distinct monomials per order.
-TERM_KEY_CACHE_SIZE = 1 << 12
-
-
-@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
-def term_key(term):
-    """Sort key for the global monomial order.
-
-    Degree-reverse-lexicographic on the even exponents, refined by odd
-    subset size, then by index tuple.  Bigger key = closer to the front.
-    """
-    exps, mask = term
-    return (
-        sum(exps),
-        tuple(-e for e in reversed(exps)),
-        mask.bit_count(),
-        tuple(mask_indices(mask)),
-    )
 
 
 class SuperPoly:

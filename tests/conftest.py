@@ -1,11 +1,14 @@
+import heapq
 import itertools
 import random
+from operator import add, le, sub
 
 import pytest
 
-from superalg.groebner import SuperAlgebra, SuperIdeal
-from superalg.scalars import QQ
-from superalg.superpoly import SuperPoly, VarSet, term_key
+from superalg import _kernel
+from superalg.groebner import SuperAlgebra, SuperIdeal, superideal_closure
+from superalg.scalars import QQ, inv
+from superalg.superpoly import SuperPoly, VarSet, mask_indices, term_key
 
 
 def make_algebra(even, odd, rel_builder=None, field=QQ):
@@ -63,6 +66,208 @@ def minimalize_gens(algebra, gens):
         if rest and SuperIdeal(algebra, rest).contains(g):
             kept = rest
     return kept
+
+
+# ---------------------------------------------------------------------------
+# The term orders as tuple keys and the Gröbner engine on tuple terms: the
+# references that the packed integer codes of ``_kernel`` and the engine
+# of ``groebner`` are checked against.
+
+
+def ref_term_key(term):
+    """Degree-reverse-lexicographic on the even exponents, refined by odd
+    subset size, then by index tuple.  Bigger key = closer to the front."""
+    exps, mask = term
+    return (
+        sum(exps),
+        tuple(-e for e in reversed(exps)),
+        mask.bit_count(),
+        tuple(mask_indices(mask)),
+    )
+
+
+def ref_weight_term_key(term):
+    """Odd-weight-first order: fewer odd factors = greater."""
+    exps, mask = term
+    return (
+        -mask.bit_count(),
+        sum(exps),
+        tuple(-e for e in reversed(exps)),
+        tuple(mask_indices(mask)),
+    )
+
+
+def ref_elim_term_key(term):
+    """Every term in the main block 0 dominates every term in the tag block
+    1; term_key orders each block."""
+    exps, (block, mask) = term
+    return (1 if block == 0 else 0,) + ref_term_key((exps, mask))
+
+
+# The code key of each reference order.
+CODE_KEY = {
+    ref_term_key: _kernel.term_key,
+    ref_weight_term_key: _kernel.weight_term_key,
+    ref_elim_term_key: _kernel.elim_term_key,
+}
+
+
+def ref_vec_add_scaled(dst, src, coeff, shift, p):
+    """dst += coeff * x^shift * src, in place, in characteristic p."""
+    for (exps, comp), c in src.items():
+        t = (tuple(map(add, exps, shift)), comp)
+        nc = dst.get(t)
+        nc = coeff * c if nc is None else nc + coeff * c
+        if p:
+            nc %= p
+        if nc:
+            dst[t] = nc
+        elif t in dst:
+            del dst[t]
+
+
+def ref_vec_monic(v, key, p):
+    lc = v[max(v, key=key)]
+    if lc == 1:
+        return dict(v)
+    c_inv = inv(lc, p)
+    return {t: c * c_inv % p if p else c * c_inv for t, c in v.items()}
+
+
+class RefGBasis:
+    """Monic {(exps, comp): coeff} vectors with normal-form reduction."""
+
+    def __init__(self, key, p):
+        self.key = key
+        self.p = p
+        self.vectors = []
+        self.leads = []
+        self.by_comp = {}
+
+    def append(self, v, lead=None):
+        if lead is None:
+            lead = max(v, key=self.key)
+        self.by_comp.setdefault(lead[1], []).append((len(self.vectors), lead[0]))
+        self.vectors.append(v)
+        self.leads.append(lead)
+
+    def nf(self, v, skip=None):
+        work = dict(v)
+        result = {}
+        while work:
+            t = max(work, key=self.key)
+            exps, comp = t
+            for i, lead_exps in self.by_comp.get(comp, ()):
+                if i != skip and all(map(le, lead_exps, exps)):
+                    break
+            else:
+                result[t] = work.pop(t)
+                continue
+            ref_vec_add_scaled(work, self.vectors[i], -work[t], tuple(map(sub, exps, lead_exps)), self.p)
+        return result
+
+
+def ref_complete(vectors, key, p, gb=None):
+    """Buchberger with the product and chain criteria, on tuple terms."""
+    gb = gb or RefGBasis(key, p)
+    heap = []
+    pending = set()
+
+    def in_one_comp(i):
+        comp = gb.leads[i][1]
+        return all(c == comp for _, c in gb.vectors[i])
+
+    def insert(v):
+        r = gb.nf(v)
+        if not r:
+            return
+        j = len(gb.vectors)
+        gb.append(ref_vec_monic(r, key, p))
+        ej, comp = gb.leads[j]
+        for i, ei in gb.by_comp[comp]:
+            if i == j:
+                break
+            if not any(map(min, ei, ej)) and in_one_comp(i) and in_one_comp(j):
+                continue
+            m = tuple(map(max, ei, ej))
+            heapq.heappush(heap, (key((m, comp)), i, j, comp, m))
+            pending.add((i, j))
+
+    def chain_redundant(i, j, comp, m):
+        return any(
+            k != i
+            and k != j
+            and all(map(le, ek, m))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, ek in gb.by_comp[comp]
+        )
+
+    for v in sorted((v for v in vectors if v), key=lambda v: key(max(v, key=key))):
+        insert(v)
+    while heap:
+        _, i, j, comp, m = heapq.heappop(heap)
+        pending.discard((i, j))
+        if chain_redundant(i, j, comp, m):
+            continue
+        s = {}
+        ref_vec_add_scaled(s, gb.vectors[i], 1, tuple(map(sub, m, gb.leads[i][0])), p)
+        ref_vec_add_scaled(s, gb.vectors[j], -1, tuple(map(sub, m, gb.leads[j][0])), p)
+        insert(s)
+    return gb
+
+
+def ref_autoreduce(key, p, leads_and_vectors):
+    work = RefGBasis(key, p)
+    for lead, v in sorted(leads_and_vectors, key=lambda lv: key(lv[0])):
+        exps, comp = lead
+        if not any(all(map(le, e, exps)) for _, e in work.by_comp.get(comp, ())):
+            work.append(v, lead)
+    out = [(work.leads[i], work.nf(v, skip=i)) for i, v in enumerate(work.vectors)]
+    out.sort(key=lambda lv: key(lv[0]), reverse=True)
+    final = RefGBasis(key, p)
+    for lead, v in out:
+        final.append(v, lead)
+    return final
+
+
+def ref_buchberger(vectors, key, p):
+    """The reduced Gröbner basis on tuple terms under a reference key."""
+    gb = ref_complete(vectors, key, p)
+    return ref_autoreduce(key, p, zip(gb.leads, gb.vectors))
+
+
+def ref_annihilator_basis(p, algebra):
+    """The reduced basis vectors of Ann(p), p a nonzero parity-homogeneous
+    normal form, by tag-block elimination on tuple terms."""
+    vs = algebra.vs
+    char = vs.field.char
+    zero = (0,) * vs.m
+    rel = ref_buchberger([g.terms for g in superideal_closure(algebra.relations)], ref_term_key, char)
+    pairs = []
+    for parity in (0, 1):
+        gb = RefGBasis(ref_elim_term_key, char)
+        for (exps, mask), v in zip(rel.leads, rel.vectors):
+            if mask.bit_count() & 1 == parity ^ p.parity():
+                gb.append({(e, (0, c)): x for (e, c), x in v.items()}, (exps, (0, mask)))
+        graph = []
+        for mask in range(1 << vs.n):
+            if mask.bit_count() & 1 != parity:
+                continue
+            col = rel.nf((vs.monomial(zero, mask) * p).terms)
+            if col:
+                v = {(e, (0, c)): x for (e, c), x in col.items()}
+                v[(zero, (1, mask))] = vs.field.one
+                graph.append(v)
+            else:
+                gb.append({(zero, (1, mask)): vs.field.one})
+        gb = ref_complete(graph, ref_elim_term_key, char, gb)
+        pairs += [
+            ((exps, mask), {(e, c): x for (e, (_, c)), x in v.items()})
+            for (exps, (block, mask)), v in zip(gb.leads, gb.vectors)
+            if block == 1
+        ]
+    return ref_autoreduce(ref_term_key, char, pairs).vectors
 
 
 @pytest.fixture

@@ -60,7 +60,7 @@ def reference_check_mono_necessary(phi):
     gb = buchberger(vectors, term_key, vs.field.char)
     for w in odd_square_free_monomials(vs, parity=1):
         wn = dst.nf(w)
-        if wn and gb.nf(wn.terms):
+        if wn and gb.normal_form(wn.terms):
             return False
     return True
 

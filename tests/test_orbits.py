@@ -392,6 +392,24 @@ def test_orbit_ideal_builds_one_superideal_per_even_generator_and_one_more(monke
     assert rendered_generators(res) == ["x"] + ["y%d" % i for i in range(1, 8)]
 
 
+def test_a_lone_even_candidate_is_kept_without_a_superideal(monkeypatch, free_line):
+    """On k[x | y] with phi(y) = 1 at x = 2 there is no odd candidate, so
+    x - 2 has no other generator to lie in: the superideal it would be
+    tested against is J, and the only superideal built is the result."""
+    act = OddAction(free_line, {"y": free_line.vs.one()})
+    built = []
+    init = SuperIdeal.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SuperIdeal, "__init__", counting_init)
+    res = orbit_ideal(act, PointIdeal({"x": QQ.of(2)}))
+    assert len(built) == 1
+    assert rendered_generators(res) == ["x - 2"]
+
+
 # Stabilizer and generators of the orbit ideal on k[x1, x2 | y1 .. yn]/(x1^2 -
 # x2 - 2) with phi(y_i) = x1 + i at the point (a, a^2 - 2), keyed (n, p, a).
 # They were recorded with the products g*w_j of the point's even generators
