@@ -128,7 +128,7 @@ def scale_terms(terms, c, p):
 EXP_BITS = 16
 MAX_DEGREE = (1 << (EXP_BITS - 1)) - 1
 _FIELD = (1 << EXP_BITS) - 1
-_ODD_SHIFT = 64
+ODD_SHIFT = 64
 _BASE = 71  # the first exponent field, above the mask and the odd size
 _LOW64 = (1 << 64) - 1
 
@@ -176,7 +176,7 @@ def exp_code(exps):
 
 
 def _mask_code(mask):
-    return (mask.bit_count() << _ODD_SHIFT) | (_LOW64 ^ _rev64(mask))
+    return (mask.bit_count() << ODD_SHIFT) | (_LOW64 ^ _rev64(mask))
 
 
 def _top(m):

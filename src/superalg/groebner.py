@@ -18,8 +18,10 @@ top bit that a valid code keeps clear.  So the lead of a vector is
 reduced term t by one addition, u + (t - l); and l divides t iff
 ``((l | H) - t) & H == H`` for H the guard bits.  ``GBasis.nf`` and the
 S-vectors of ``complete`` run on codes only; ``buchberger``,
-``GBasis.normal_form``, ``GBasis.vectors``/``leads`` and
-``annihilator_elimination`` convert at the edge.
+``GBasis.normal_form`` and ``GBasis.vectors``/``leads`` convert at the
+edge.  The annihilator's elimination, ``_kernel_pairs``, also returns
+codes: ``annihilator`` reduces them as they are, and the parameter test of
+``sdim.ksdim`` reads its verdict off them without decoding them.
 """
 
 from __future__ import annotations
@@ -335,7 +337,9 @@ class SuperAlgebra:
     """Finite presentation k[x's | y's] / J with cached Gröbner data.
 
     Relations are split into parity-homogeneous components at
-    construction, so the relation superideal is parity-graded.  ``key``
+    construction, so the relation superideal is parity-graded; a relation
+    that is already homogeneous is kept as it is.  Zero parts and repeats
+    are dropped, and the first occurrences keep their order.  ``key``
     identifies the presentation by content (generators, field and
     relations); caches of answers that depend on the algebra key on it.
     ``gbasis``, built on first use, is the one stored reduced Gröbner
@@ -344,17 +348,27 @@ class SuperAlgebra:
 
     def __init__(self, vs, relations=()):
         self.vs = vs
-        rels = []
+        rels = {}  # a hash set that keeps first-occurrence order
         for r in relations:
             if r.vs != vs:
                 raise StructureError("relation over a different generator set")
-            for par in (0, 1):
-                part = r.parity_part(par)
-                if part and part not in rels:
-                    rels.append(part)
-        self.relations = rels
+            for part in (r,) if r.parity() is not None else (r.parity_part(0), r.parity_part(1)):
+                if part:
+                    rels.setdefault(part)
+        self.relations = list(rels)
         self.key = (vs, tuple(rels))
         self._gbasis = None
+
+    @classmethod
+    def _from_reduced_basis(cls, vs, relations, gbasis):
+        """A presentation whose relation superideal's reduced Gröbner basis
+        under term_key is already known: ``gbasis`` is kept as given, with
+        no closure and no Buchberger run.  The caller vouches that it is
+        the reduced basis of the superideal that the parity parts of the
+        relations generate."""
+        self = cls(vs, relations)
+        self._gbasis = gbasis
+        return self
 
     @property
     def gbasis(self):
@@ -452,11 +466,13 @@ def ideal_equal(I, J):
 def annihilator(p, algebra):
     """Ann_A(p) = {f : f*p = 0 in A} as a SuperIdeal.
 
-    The kernel pairs of both parities from the elimination are autoreduced
-    on their own, under term_key: a main-block lead divides no tag-block
-    term, so the main-block elements take no part in their reduction, and
-    elim_term_key restricted to the tag block is term_key, so the result is
-    the tag-block part of the reduced elimination basis.  That is already
+    The kernel pairs of both parities from the elimination, with the pure
+    tags, the e_S of every S with y_S*p = 0, which the elimination leaves
+    out (``_kernel_pairs``), are autoreduced on their own, under term_key:
+    a main-block lead divides no tag-block term, so the main-block elements
+    take no part in their reduction, and elim_term_key restricted to the
+    tag block is term_key, so the result is the tag-block part of the
+    reduced elimination basis.  That is already
     the reduced basis of the kernel K: K contains J and is closed under odd
     multiplication, so closing it and adding the relation basis changes
     nothing; and the reduced basis of a parity-graded module is
@@ -468,41 +484,53 @@ def annihilator(p, algebra):
     p = algebra.nf(p)
     if p.is_zero():
         return SuperIdeal(algebra, [vs.one()])
-    pairs = _kernel_pairs(p, algebra, 0) + _kernel_pairs(p, algebra, 1)
+    (even, found), (odd, more) = _kernel_pairs(p, algebra, 0), _kernel_pairs(p, algebra, 1)
+    pure = [term_key(((0,) * vs.m, s)) for s in range(1 << vs.n) if s not in found and s not in more]
+    pairs = even + odd + [(e_s, {e_s: vs.field.one}) for e_s in pure]
     layout = _kernel.code_layout(term_key, vs.m)
     return SuperIdeal._from_reduced_basis(algebra, _autoreduce(layout, vs.field.char, pairs))
 
 
-def annihilator_elimination(p, algebra, parity):
-    """The kernel elements of one parity of multiplication by p on the free
-    module, for a nonzero parity-homogeneous p in normal form, as the
-    (lead, vector) pairs of a Gröbner basis of them that is not yet reduced,
-    in the superideal's coordinates: the tag e_S is the term (0, S).
-
-    The graph vectors (y_S * p, e_S-tag) with |S| of the given parity,
-    together with the relation basis elements of parity ``parity`` + |p|,
-    are completed under an order eliminating the main block; the basis
-    elements with a tag-block lead lie wholly in the tag block, because it
-    sorts below every main-block term, and they are a Gröbner basis of the
-    kernel's part of that parity.  Every vector of the completion lies in
-    components of that parity: tag masks of the parity and main-block masks
-    of the parity plus |p|.  The other parity's vectors lie in the other
-    components, so they neither pair with these nor reduce them, and the
-    pairs of both parities together are a Gröbner basis of the whole
-    kernel.
-    """
-    decode = _kernel.code_layout(term_key, algebra.vs.m).decode
-    return [
-        (decode(lead), {decode(t): c for t, c in v.items()})
-        for lead, v in _kernel_pairs(p, algebra, parity)
-    ]
-
-
 def _kernel_pairs(p, algebra, parity):
-    """``annihilator_elimination`` in codes.  The elimination codes extend
-    term_key's by the main-block bit, so a relation basis vector moves into
-    the main block by adding that bit to each code, and a tag-block code is
-    the term_key code of its term, the tag e_S that of (0, S)."""
+    """The kernel elements of one parity of multiplication by p on the free
+    module, for a nonzero parity-homogeneous p in normal form: the (lead,
+    vector) pairs, in term_key codes, of a Gröbner basis of them that is
+    not yet reduced and leaves out the pure tags, and the set of the masks
+    S found with y_S * p nonzero in A, which holds the empty mask and every
+    S of the parity that has a graph vector.  The pure tags are the e_S,
+    |S| of the parity, with y_S * p = 0: those of the masks not in that
+    set.
+
+    The graph vectors (y_S * p, e_S-tag) with |S| of the given parity and
+    y_S * p nonzero, together with the relation basis elements of parity
+    ``parity`` + |p|, are completed under an order eliminating the main
+    block; the basis elements with a tag-block lead lie wholly in the tag
+    block, because it sorts below every main-block term, and with the pure
+    tags they are a Gröbner basis of the kernel's part of that parity.
+    Every vector of the completion lies in components of that parity: tag
+    masks of the parity and main-block masks of the parity plus |p|.  The
+    other parity's vectors lie in the other components, so they neither
+    pair with these nor reduce them, and the pairs of both parities
+    together, with the pure tags, are a Gröbner basis of the whole kernel.
+
+    Only submasks of F have a graph vector, F the odd indices outside the
+    mask that every term of p shares: an S that meets that mask at i kills
+    every term of p, as y_i^2 = 0, so y_S * p = 0.
+
+    The pure tags never enter the completion.  A pure tag e_S is alone in
+    its component (1, S): a graph vector has its one tag-block term in the
+    component of its own mask, a relation basis vector lies in the main
+    block, and a normal form or an S-vector has terms only in components
+    where the vectors it is made of have them.  So no vector has a term
+    that e_S divides, and no pair holds e_S, as a pair needs two leads in
+    one component: the completion with the pure tags is the completion
+    without them, plus the pure tags as they are.
+
+    The elimination codes extend term_key's by the main-block bit, so a
+    relation basis vector moves into the main block by adding that bit to
+    each code, and a tag-block code is the term_key code of its term, the
+    tag e_S that of (0, S).
+    """
     vs = algebra.vs
     zero_exps = (0,) * vs.m
     char = vs.field.char
@@ -510,46 +538,41 @@ def _kernel_pairs(p, algebra, parity):
     main_parity = parity ^ p.parity()
     layout = _kernel.code_layout(elim_term_key, vs.m)
     block = layout.block
-    # The relation basis is a reduced Gröbner basis of homogeneous elements
-    # and each e_S with y_S * p = 0 is a kernel element in a component of
-    # its own, so together they are a Gröbner basis that enters the
-    # elimination as it is, with its leads.
+    # The relation basis is a reduced Gröbner basis of homogeneous elements,
+    # so it enters the elimination as it is, with its leads.
     gb = GBasis(layout, char)
     rel = algebra.gbasis
-    for (_, mask), lead, v in zip(rel.leads, rel.lead_codes, rel.codes):
-        if mask.bit_count() & 1 == main_parity:
+    for lead, v in zip(rel.lead_codes, rel.codes):
+        if lead >> _kernel.ODD_SHIFT & 1 == main_parity:  # the parity of |mask|
             gb.append({c + block: x for c, x in v.items()}, lead + block)
-    decode = _kernel.code_layout(term_key, vs.m).decode
-    # cols[S] = y_S * p in normal form, as terms and as term_key codes
-    cols = {0: (p.terms, dict(zip(map(term_key, p.terms), p.terms.values())))}
+    shared = -1
+    for _, mask in p.terms:
+        shared &= mask
+    free = (1 << vs.n) - 1 & ~shared
+    cols = {0: p.terms}  # cols[S] = y_S * p in normal form
     graph = []
-    for mask in range(1 << vs.n):
-        if mask.bit_count() & 1 != parity:
-            continue
-        if mask:
-            # y_S = y_T * y_R with no sign for T the one or two lowest
-            # indices of S: R is empty or of the parity of S
-            rest = mask & (mask - 1)
-            rest &= rest - 1
-            base = cols[rest][0]
-            if base:
-                prod = _kernel.mul_terms({(zero_exps, mask ^ rest): one}, base, char)
-                col = dict(zip(map(term_key, prod), prod.values()))
-                if rel.codes:
-                    col = rel.nf(col)
-                cols[mask] = (dict(zip(map(decode, col), col.values())), col)
-            else:
-                cols[mask] = cols[rest]
-        col = cols[mask][1]
-        e_s = term_key((zero_exps, mask))
-        if col:
-            v = {c + block: x for c, x in col.items()}
-            v[e_s] = one
-            graph.append(v)
-        else:
-            gb.append({e_s: one}, e_s)
+    mask = 0
+    while True:  # the submasks of free, in increasing order
+        if mask.bit_count() & 1 == parity:
+            if mask:
+                # y_S = y_T * y_R with no sign for T the one or two lowest
+                # indices of S: R, a smaller submask of free, is empty or of
+                # the parity of S
+                rest = mask & (mask - 1)
+                rest &= rest - 1
+                prod = _kernel.mul_terms({(zero_exps, mask ^ rest): one}, cols[rest], char)
+                # an empty relation basis has the layout of m = 0
+                cols[mask] = rel.normal_form(prod) if rel.codes else prod
+            if cols[mask]:
+                v = {term_key(t) + block: x for t, x in cols[mask].items()}
+                v[term_key((zero_exps, mask))] = one
+                graph.append(v)
+        mask = (mask - free) & free
+        if not mask:
+            break
     complete(gb, graph)
-    return [(lead, v) for lead, v in zip(gb.lead_codes, gb.codes) if not lead & block]
+    pairs = [(lead, v) for lead, v in zip(gb.lead_codes, gb.codes) if not lead & block]
+    return pairs, {mask for mask, col in cols.items() if col}
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,15 @@ def _check_phi_stable(action, ideal):
 def orbit_quotient_sdim(result):
     """Krull super-dimension of the coordinate ring of the orbit closure,
     computed from the presentation (an independent check against the
-    stabilizer arithmetic)."""
-    amb = result.ideal.ambient
-    quotient = SuperAlgebra(amb.vs, amb.relations + result.ideal.generators)
+    stabilizer arithmetic).
+
+    The quotient's relations, J's and the orbit ideal's generators, are
+    parity-homogeneous, so the superideal they generate is the orbit ideal
+    itself, and its reduced basis is the orbit ideal's: the quotient takes
+    it as it is, with no closure and no Buchberger run."""
+    ideal = result.ideal
+    amb = ideal.ambient
+    quotient = SuperAlgebra._from_reduced_basis(amb.vs, amb.relations + ideal.generators, ideal.gbasis)
     return ksdim(quotient)[0]
 
 

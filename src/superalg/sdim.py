@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import itertools
 
-from superalg._kernel import weight_term_key
+from superalg._kernel import code_layout, term_key, weight_term_key
 from superalg.groebner import (
+    GBasis,
     SuperAlgebra,
     SuperIdeal,
+    _kernel_pairs,
     annihilator,
-    annihilator_elimination,
     buchberger,
+    complete,
     ideal_equal,
     localize_at_even,
     superideal_closure,
@@ -26,10 +28,13 @@ from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
 # The most odd generators ``ksdim`` searches over, and ``orbits.orbit_ideal``
-# takes: the search makes up to n + 1 eliminations over 2^n components, so
-# k[x | y1..yn]/(x*y1y2y3) takes about 1 s at n = 14, 2 s at n = 15 and 5 s
-# at n = 16; an orbit ideal there, m + 1 superideals over 2^n components
-# for m even generators, about 4 s at n = 14 (2 vCPUs).
+# takes: the search makes up to n + 1 eliminations, each over the odd
+# indices that not every term of its product holds, against a relation
+# basis over 2^n components, so k[x | y1..yn]/(x*y1y2y3) takes about 0.3 s
+# at n = 14, 0.7 s at n = 15 and 1.6 s at n = 16, and k[x | y1..yn]/(x*y_i),
+# whose relation basis fills every component, 4.4 s, 11 s and 20 s; an
+# orbit ideal on the first, m + 1 superideals over 2^n components for m
+# even generators, about 4 s at n = 14 (2 vCPUs).
 KSDIM_MAX_ODD = 14
 
 
@@ -123,49 +128,38 @@ def _even_image(terms, bvs):
 
 
 def bar(algebra):
-    """The largest purely even quotient: all odd generators become zero."""
-    vs = algebra.vs
-    bvs = VarSet(vs.even, (), vs.field)
-    rels = []
-    for r in algebra.relations:
-        rr = _even_image(r.terms, bvs)
-        if rr and rr not in rels:
-            rels.append(rr)
-    return SuperAlgebra(bvs, rels)
+    """The largest purely even quotient: all odd generators become zero.
+    ``SuperAlgebra`` drops the zero and repeated images."""
+    bvs = VarSet(algebra.vs.even, (), algebra.vs.field)
+    return SuperAlgebra(bvs, [_even_image(r.terms, bvs) for r in algebra.relations])
 
 
 def leading_term_dim(comm_algebra):
     """Krull dimension of k[x]/I via the maximum size of a variable subset
-    touching no leading monomial of the reduced basis."""
-    leads = comm_algebra.gbasis.leads
-    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps, _ in leads]
+    touching no leading monomial of the reduced basis (``_lead_dim``)."""
+    return _lead_dim(comm_algebra.gbasis, comm_algebra.vs.m)
+
+
+def _lead_dim(gb, m):
+    """Krull dimension of k[x]/I, for gb a Gröbner basis of I under
+    term_key, reduced or not, with m even generators: the maximum size of a
+    variable subset u that holds the support of no lead.
+
+    The leads generate the initial ideal in(I), and k[x]/I has the Krull
+    dimension of k[x]/in(I), the largest u with no monomial of in(I) in
+    k[u].  That condition reads the same on any generating set of in(I): a
+    monomial of in(I) in k[u] is a multiple of a generator, whose support
+    then lies in u, and each generator is such a monomial.  So unreduced
+    leads give the dimension that the reduced ones give."""
+    decode = gb.layout.decode
+    supports = [frozenset(i for i, e in enumerate(decode(c)[0]) if e) for c in gb.lead_codes]
     if frozenset() in supports:  # the lead 1: the unit ideal
         return ZERO_RING_DIM
-    m = comm_algebra.vs.m
+    # the empty set holds no support, so size 0 always returns
     for size in range(m, -1, -1):
         for combo in itertools.combinations(range(m), size):
-            u = set(combo)
-            if all(not s <= u for s in supports):
+            if all(s.difference(combo) for s in supports):
                 return size
-    return 0
-
-
-def even_annihilator_image_in_bar(ideal, bar_algebra):
-    """Generators (in the purely even quotient) of the image of the even
-    part of a parity-graded superideal.
-
-    The parameter test reads the same image off the unreduced kernel basis
-    (``_even_dim_modulo_annihilator``); this form, from a SuperIdeal such
-    as ``annihilator(p, algebra)``, is its reference."""
-    bvs = bar_algebra.vs
-    gb = ideal.gbasis
-    images = (
-        _even_image(v, bvs)
-        for (_, mask), v in zip(gb.leads, gb.vectors)
-        if not mask.bit_count() & 1
-    )
-    # dict.fromkeys drops repeats and keeps first-occurrence order
-    return [gg for gg in dict.fromkeys(images) if gg]
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +179,35 @@ def _odd_product(algebra, elements):
 
 def _even_dim_modulo_annihilator(p, algebra, bar_algebra):
     """Krull dimension of bar(A) modulo the image of Ann(p)_0, read from the
-    even kernel basis that ``annihilator_elimination(p, algebra, 0)``
-    returns: p passes the parameter test iff that dimension is bar(A)'s
-    own.
+    even kernel basis that ``_kernel_pairs(p, algebra, 0)`` returns: p
+    passes the parameter test iff that dimension is bar(A)'s own.  It stays
+    in term_key codes from the elimination to the verdict.
 
-    That basis is not reduced, but it generates Ann(p)_0 over k[x].  An f
-    in Ann(p)_0 is a sum of a_i*g_i with a_i in k[x], so the terms of f
-    without an odd factor are the sum of a_i times those of g_i: the mask-0
-    terms of the basis generate the image of Ann(p)_0, as those of the
-    reduced basis do.  Odd kernel elements have no mask-0 term, so the odd
-    half of the elimination is not needed."""
-    bvs = bar_algebra.vs
-    image = []
-    for _, v in annihilator_elimination(p, algebra, 0):
-        g = _even_image(v, bvs)
-        if g:
-            image.append(g)
-    return leading_term_dim(SuperAlgebra(bvs, bar_algebra.relations + image))
+    That basis is not reduced, but with the pure tags it generates
+    Ann(p)_0 over k[x].  An f in Ann(p)_0 is a sum of a_i*g_i with a_i in
+    k[x], so the terms of f without an odd factor are the sum of a_i times
+    those of g_i: the mask-0 terms of the basis generate the image of
+    Ann(p)_0, as those of the reduced basis do.  A pure tag e_S has S
+    nonempty, as y_0 * p = p is not zero, and odd kernel elements have no
+    mask-0 term, so neither the pure tags nor the odd half of the
+    elimination is needed.
+
+    A mask-0 term (exps, 0) has the same term_key code in the algebra and
+    in bar(A), which has no odd generator.  So the mask-0 parts of the
+    basis, as they are, extend a copy of bar(A)'s reduced basis by
+    ``complete`` to a Gröbner basis, not reduced, of the image plus the
+    relations of bar(A), whose leads give the dimension (``_lead_dim``)."""
+    m = algebra.vs.m
+    layout = code_layout(term_key, m)
+    even = term_key(((0,) * m, 0)) & layout.comp
+    image = [
+        {c: x for c, x in v.items() if c & layout.comp == even}
+        for _, v in _kernel_pairs(p, algebra, 0)[0]
+    ]
+    gb = bar_algebra.gbasis
+    # buchberger([]) gives the layout of m = 0, so an empty basis starts anew
+    gb = gb.copy() if gb.codes else GBasis(layout, algebra.vs.field.char)
+    return _lead_dim(complete(gb, image), m)
 
 
 def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
@@ -259,10 +265,15 @@ def ksdim(algebra):
     elimination, Ann(p)_0, with its basis as the elimination leaves it:
     that basis generates Ann(p)_0 over k[x] as the reduced one does, so
     the image of Ann(p)_0 in bar(A), and the Krull dimension it leaves, are
-    the same (``_even_dim_modulo_annihilator``).  The odd half never runs:
-    the certificate is the accepted elements and the dimension witness,
-    and ``annihilator`` gives Ann of their product to a caller that wants
-    it.
+    the same (``_even_dim_modulo_annihilator``).  The elimination takes
+    graph vectors only over the odd indices that not every term of p
+    holds, and leaves the tags with y_S*p = 0 out of its completion
+    (``groebner._kernel_pairs``); the verdict extends a copy of bar(A)'s
+    basis by the mask-0 codes of the kernel basis and reads the dimension
+    off the unreduced leads: the kernel basis is never decoded, and no
+    algebra or reduced basis is built.  The odd half never runs: the
+    certificate is the accepted elements and the dimension witness, and
+    ``annihilator`` gives Ann of their product to a caller that wants it.
     """
     check_ksdim_bound(algebra.vs)
     bar_a = bar(algebra)
@@ -389,7 +400,8 @@ def phi_basis_lift(algebra, pt):
 
 def gr_presentation(algebra):
     """Same generators; relations replaced by the lowest odd-weight slices
-    of a basis computed with the odd-weight-first order."""
+    of a basis computed with the odd-weight-first order.  ``SuperAlgebra``
+    drops the repeated slices."""
     vs = algebra.vs
     closed = [g.terms for g in superideal_closure(algebra.relations)]
     gb = buchberger(closed, weight_term_key, vs.field.char)
@@ -397,9 +409,7 @@ def gr_presentation(algebra):
     for (_, mask), v in zip(gb.leads, gb.vectors):
         # the lead lies in the lowest odd-weight slice
         wmin = mask.bit_count()
-        p = SuperPoly(vs, {t: c for t, c in v.items() if t[1].bit_count() == wmin})
-        if p and p not in rels:
-            rels.append(p)
+        rels.append(SuperPoly(vs, {t: c for t, c in v.items() if t[1].bit_count() == wmin}))
     return SuperAlgebra(vs, rels)
 
 

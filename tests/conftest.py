@@ -5,7 +5,7 @@ from operator import add, le, sub
 
 import pytest
 
-from superalg import _kernel
+from superalg import _kernel, groebner
 from superalg.groebner import SuperAlgebra, SuperIdeal, superideal_closure
 from superalg.scalars import QQ, inv
 from superalg.superpoly import SuperPoly, VarSet, mask_indices, term_key
@@ -66,6 +66,43 @@ def minimalize_gens(algebra, gens):
         if rest and SuperIdeal(algebra, rest).contains(g):
             kept = rest
     return kept
+
+
+def annihilator_elimination(p, algebra, parity):
+    """The kernel elements of one parity of multiplication by p, for a
+    nonzero parity-homogeneous p in normal form, as the (lead, vector)
+    pairs of a Gröbner basis of them that is not yet reduced, in the
+    superideal's coordinates: the tag e_S is the term (0, S).  These are
+    ``groebner._kernel_pairs``'s pairs, decoded, and the pure tags e_S,
+    |S| of the parity, of the masks with no graph vector."""
+    vs = algebra.vs
+    decode = _kernel.code_layout(_kernel.term_key, vs.m).decode
+    pairs, graphed = groebner._kernel_pairs(p, algebra, parity)
+    zero = (0,) * vs.m
+    tags = [
+        (zero, mask)
+        for mask in range(1 << vs.n)
+        if mask.bit_count() & 1 == parity and mask not in graphed
+    ]
+    decoded = [(decode(lead), {decode(t): c for t, c in v.items()}) for lead, v in pairs]
+    return decoded + [(e_s, {e_s: vs.field.one}) for e_s in tags]
+
+
+def even_annihilator_image_in_bar(ideal, bar_algebra):
+    """Generators (in the purely even quotient) of the image of the even
+    part of a parity-graded superideal, read off its reduced basis.  The
+    parameter test reads the same image off the unreduced kernel basis in
+    codes (``sdim._even_dim_modulo_annihilator``); this form, from a
+    SuperIdeal such as ``annihilator(p, algebra)``, is its reference."""
+    bvs = bar_algebra.vs
+    gb = ideal.gbasis
+    images = (
+        SuperPoly(bvs, {t: c for t, c in v.items() if not t[1]})
+        for (_, mask), v in zip(gb.leads, gb.vectors)
+        if not mask.bit_count() & 1
+    )
+    # dict.fromkeys drops repeats and keeps first-occurrence order
+    return [g for g in dict.fromkeys(images) if g]
 
 
 # ---------------------------------------------------------------------------

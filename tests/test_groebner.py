@@ -353,3 +353,31 @@ def test_relations_are_parity_split():
     # mixed-parity relation splits, so both x and y die
     assert A.contains_in_ideal(vs.gen("x"))
     assert A.contains_in_ideal(vs.gen("y"))
+
+
+def listed_relations(relations):
+    """The relations as the quadratic scan kept them: the parity parts of
+    each relation in turn, zero parts and repeats dropped, in the order of
+    their first occurrence."""
+    rels = []
+    for r in relations:
+        for par in (0, 1):
+            part = r.parity_part(par)
+            if part and part not in rels:
+                rels.append(part)
+    return rels
+
+
+def test_relations_drop_repeats_and_keep_their_order(rng):
+    vs = VarSet(("x",), ("y1", "y2"), QQ)
+    x, y1, y2 = vs.gen("x"), vs.gen("y1"), vs.gen("y2")
+    rels = [x * y1, x + y1, vs.zero(), x, y1 * y2 + y1, x * y1, x * x + y1 * y2, y1, x * x + y1 * y2]
+    A = SuperAlgebra(vs, rels)
+    assert A.relations == [x * y1, x, y1, y1 * y2, x * x + y1 * y2]
+    assert A.relations == listed_relations(rels)
+    # a homogeneous relation is kept as it is, with no copy
+    assert A.relations[0] is rels[0]
+    for _ in range(100):
+        pool = [random_poly(vs, rng, max_degree=2, terms=3, coeff_range=2) for _ in range(4)]
+        rels = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        assert SuperAlgebra(vs, rels).relations == listed_relations(rels)

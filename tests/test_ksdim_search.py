@@ -21,9 +21,11 @@ bar(A) the Krull dimension the certificate witnesses.  The search costs
 n + 1 eliminations on the collapsing family, n with the one relation
 x*y1...yn and 1 in the free algebra, and no product reaches the
 elimination twice.  A test reads its verdict from the even half's
-kernel basis before reduction; a property test checks that this leaves
-the Krull dimension of the quotient as the reduced annihilator does,
-and that each half returns kernel elements of its own parity only.
+kernel basis before reduction, in codes; a property test checks that
+this leaves the Krull dimension of the quotient as the reduced
+annihilator does, and that each half returns kernel elements of its own
+parity only.  A test builds no algebra and runs no Buchberger, and the
+full monomial's test enters one graph vector and no pure tag.
 """
 
 import io
@@ -38,11 +40,7 @@ from hypothesis import strategies as st
 
 from superalg import groebner, sdim
 from superalg.cli import run_command
-from superalg.groebner import (
-    SuperAlgebra,
-    annihilator,
-    annihilator_elimination,
-)
+from superalg.groebner import SuperAlgebra, annihilator
 from superalg.oracle import all_monomials
 from superalg.scalars import QQ, Field, inv
 from superalg.sdim import (
@@ -50,14 +48,13 @@ from superalg.sdim import (
     OddParamCertificate,
     SuperDim,
     bar,
-    even_annihilator_image_in_bar,
     is_odd_parameter_system,
     ksdim,
     leading_term_dim,
 )
 from superalg.superpoly import SuperPoly, VarSet
 
-from conftest import odd_square_free_monomials
+from conftest import annihilator_elimination, even_annihilator_image_in_bar, odd_square_free_monomials
 
 FIELDS = (QQ, Field(7))
 SEARCH_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -97,6 +94,9 @@ def exhaustive_ksdim(algebra, random_combos=4, seed=0):
     return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
 
 
+ELIMINATION = groebner._kernel_pairs
+
+
 def recorded_ksdim(algebra):
     """``ksdim`` and the (monic product, parity) pairs that reached the
     elimination, in order."""
@@ -105,10 +105,10 @@ def recorded_ksdim(algebra):
 
     def recording(p, algebra, parity):
         seen.append((p.scale(inv(p.lead_term()[1], char)), parity))
-        return annihilator_elimination(p, algebra, parity)
+        return ELIMINATION(p, algebra, parity)
 
-    with mock.patch.object(sdim, "annihilator_elimination", recording), mock.patch.object(
-        groebner, "annihilator_elimination", recording
+    with mock.patch.object(sdim, "_kernel_pairs", recording), mock.patch.object(
+        groebner, "_kernel_pairs", recording
     ):
         result = ksdim(algebra)
     return result, seen
@@ -274,10 +274,10 @@ def test_commands_run_only_the_even_half(monkeypatch):
 
     def recording(p, algebra, parity):
         parities.append(parity)
-        return annihilator_elimination(p, algebra, parity)
+        return ELIMINATION(p, algebra, parity)
 
-    monkeypatch.setattr(sdim, "annihilator_elimination", recording)
-    monkeypatch.setattr(groebner, "annihilator_elimination", recording)
+    monkeypatch.setattr(sdim, "_kernel_pairs", recording)
+    monkeypatch.setattr(groebner, "_kernel_pairs", recording)
     data = os.path.join(os.path.dirname(__file__), "..", "data")
     xy1y2, a11 = os.path.join(data, "xy1y2.salg"), os.path.join(data, "a11.salg")
     for argv in (
@@ -350,3 +350,56 @@ def test_each_half_returns_kernel_elements_of_its_parity(case):
             assert all(mask.bit_count() & 1 == parity for _, mask in v)
             # in the superideal's coordinates, a kernel element f has f*p = 0
             assert A.nf(SuperPoly(A.vs, v) * p).is_zero()
+
+
+def test_a_parameter_test_builds_no_algebra_and_runs_no_buchberger():
+    """Once A's relation basis and bar(A)'s exist, a parameter test stays
+    in codes: it makes no SuperPoly or SuperAlgebra and runs no closure,
+    Buchberger or autoreduce, and its verdicts are the reference ones."""
+    vs = VarSet(("x1", "x2"), ("y1", "y2", "y3"), QQ)
+    x1, x2 = vs.gen("x1"), vs.gen("x2")
+    y1, y2, y3 = (vs.gen(y) for y in vs.odd)
+    A = SuperAlgebra(vs, [x1 * x1 * x2 + x2 * y1 * y2, x1 * y3 + x2 * y1, x1 * x2 * y2])
+    bar_a = bar(A)
+    products = [A.nf(p) for p in (y1, y2, y3, y1 * y2, y1 * y3, y2 * y3, y1 * y2 * y3)]
+    want = []
+    for p in products:
+        image = even_annihilator_image_in_bar(annihilator(p, A), bar_a)
+        want.append(leading_term_dim(SuperAlgebra(bar_a.vs, bar_a.relations + image)))
+    assert A.gbasis.codes and bar_a.gbasis.codes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a parameter test left its codes")
+
+    with mock.patch.object(SuperAlgebra, "__init__", forbidden), mock.patch.object(
+        SuperPoly, "__init__", forbidden
+    ), mock.patch.multiple(
+        groebner, buchberger=forbidden, superideal_closure=forbidden, _autoreduce=forbidden
+    ), mock.patch.multiple(
+        sdim, buchberger=forbidden, superideal_closure=forbidden
+    ):
+        got = [sdim._even_dim_modulo_annihilator(p, A, bar_a) for p in products]
+    assert got == want
+    assert set(want) == {0, 1}
+
+
+def test_the_full_monomial_test_enters_one_graph_vector():
+    """On Lambda(y1..y6) every nonempty S meets the full monomial's mask,
+    so its test hands ``complete`` the graph vector (p, e_0) alone: no
+    graph vector for another S and no pure tag in the basis it extends."""
+    odd = tuple("y%d" % i for i in range(1, 7))
+    vs = VarSet((), odd, QQ)
+    A = SuperAlgebra(vs)
+    seen = []
+    original = groebner.complete
+
+    def recording(gb, vectors):
+        seen.append((len(gb.codes), len(vectors)))
+        return original(gb, vectors)
+
+    with mock.patch.object(groebner, "complete", recording):
+        (dim, cert), tested = recorded_ksdim(A)
+    assert dim == SuperDim(0, 6)
+    assert cert.elements == [vs.gen(y) for y in odd]
+    assert len(tested) == 1
+    assert seen == [(0, 1)]

@@ -17,10 +17,13 @@ point has two entries is what tells the order of that row reduction
 apart.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from superalg import orbits
 from superalg.groebner import (
     SuperAlgebra,
     SuperIdeal,
@@ -34,11 +37,12 @@ from superalg.orbits import (
     OrbitResult,
     check_coaction_multiplicative,
     orbit_ideal,
+    orbit_quotient_sdim,
     validate_action,
     verify_orbit_theorems,
 )
 from superalg.scalars import QQ, Field, inv
-from superalg.sdim import PointIdeal, SuperDim
+from superalg.sdim import PointIdeal, SuperDim, ksdim
 from superalg.superpoly import VarSet
 
 from conftest import make_algebra, max_ideal_even_gens, minimalize_gens, odd_square_free_monomials
@@ -369,6 +373,33 @@ def test_orbit_generators_are_those_of_the_greedy_pass(case):
     A = act.algebra
     want = greedy_generators(act, pt, pt.even_gens(A), [A.vs.gen(y) for y in A.vs.odd])
     assert rendered_generators(orbit_ideal(act, pt)) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(actions_at_points())
+def test_the_orbit_quotient_takes_the_orbit_ideals_basis(case):
+    """``orbit_quotient_sdim`` presets the quotient's relation basis to the
+    orbit ideal's, and that basis is the one a fresh completion of
+    the quotient's relations gives, over Q and F_7."""
+    act, pt = case
+    result = orbit_ideal(act, pt)
+    ideal = result.ideal
+    amb = ideal.ambient
+    fresh = SuperAlgebra(amb.vs, amb.relations + ideal.generators)
+    assert fresh.gbasis.lead_codes == ideal.gbasis.lead_codes
+    assert fresh.gbasis.codes == ideal.gbasis.codes
+    quotients = []
+
+    def recording(algebra):
+        quotients.append(algebra)
+        return ksdim(algebra)
+
+    with mock.patch.object(orbits, "ksdim", recording):
+        computed = orbit_quotient_sdim(result)
+    (quotient,) = quotients
+    assert quotient.gbasis is ideal.gbasis
+    assert quotient.relations == fresh.relations
+    assert computed == ksdim(fresh)[0] == result.orbit_sdim
 
 
 def test_orbit_ideal_builds_one_superideal_per_even_generator_and_one_more(monkeypatch):

@@ -91,6 +91,13 @@ def test_bar():
     assert leading_term_dim(B) == 1
 
 
+def test_bar_drops_repeated_images_in_order():
+    vs = VarSet(("x",), ("y1", "y2"), QQ)
+    x, y1, y2 = vs.gen("x"), vs.gen("y1"), vs.gen("y2")
+    A = SuperAlgebra(vs, [x * x + y1 * y2, x * y1, x * x * x + x * y1 * y2, x * x - x * y1 * y2])
+    assert [r.render() for r in bar(A).relations] == ["x^2", "x^3"]
+
+
 def test_free_algebra_ksdim():
     for m in range(4):
         for n in range(4):
