@@ -299,16 +299,17 @@ class HCPair:
         return [[algebra.nf(p.substitute(images, algebra.vs, check_parity=False)) for p in row]
                 for row in self.rho]
 
-    def rho_at_inverse(self, algebra, g):
+    def rho_at_inverse(self, algebra, g, inverse=None):
         """rho(g^-1), memoized on the algebra's key and g's entries: pushing
         an exponential past a group factor g reads only this, and the
-        rewriting engine meets the same factors repeatedly."""
+        rewriting engine meets the same factors repeatedly.  A caller that
+        knows g^-1 already (``hc_inv``) passes it as ``inverse``."""
         key = (algebra.key, tuple(tuple(e.frozen_terms() for e in row) for row in g))
         memo = self._rho_inverse
         if key not in memo:
             if len(memo) >= HC_CACHE_SIZE:
                 memo.clear()
-            memo[key] = self.rho_at(algebra, mat_inverse(algebra, g))
+            memo[key] = self.rho_at(algebra, mat_inverse(algebra, g) if inverse is None else inverse)
         return memo[key]
 
 
@@ -547,21 +548,38 @@ def _matrix_of(algebra, f):
 def _merge_group_factors(algebra, f, h):
     """The product of two adjacent group factors, as a matrix.  A
     dual-number factor I + b*x has a scalar x, so M*(I + b*x) = M + b*(M*x)
-    and (I + b*x)*M = M + b*(x*M) take scalar products only."""
+    and (I + b*x)*M = M + b*(x*M): an entry changes only where a nonzero
+    x_rc reaches it, by b times its sum of M's entries scaled by x."""
     if h[0] == "d":
-        M, b = _matrix_of(algebra, f), h[1]
-        P = mat_mul(M, h[2])
+        M, b, x, right = _matrix_of(algebra, f), h[1], h[2], True
     elif f[0] == "d":
-        M, b = h[1], f[1]
-        P = mat_mul(f[2], M)
+        M, b, x, right = h[1], f[1], f[2], False
     else:
         return [[algebra.nf(e) for e in row] for row in mat_mul(f[1], h[1])]
-    return [[algebra.nf(e + b * p) for e, p in zip(*rows)] for rows in zip(M, P)]
+    sums = {}
+    for r, row in enumerate(x):
+        for c, v in enumerate(row):
+            if v:
+                # x_rc adds M_ir*x_rc to (M*x)_ic, or x_rc*M_ci to (x*M)_ri
+                for i in range(len(M)):
+                    pos, e = ((i, c), M[i][r]) if right else ((r, i), M[c][i])
+                    if e:
+                        sums[pos] = sums[pos] + e.scale(v) if pos in sums else e.scale(v)
+    out = [list(row) for row in M]
+    for (i, c), s in sums.items():
+        out[i][c] = algebra.nf(M[i][c] + b * s)
+    return out
 
 
 def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     """The normal form of a word of group factors ('g', matrix) and odd
-    exponentials ('e', coefficient, basis_index), checked for membership."""
+    exponentials ('e', coefficient, basis_index), checked for membership.
+    ``_rewrite`` terminates because each coefficient lies in the ideal of
+    the odd generators, so a coefficient with a term of odd degree 0 is an
+    HCError before any step."""
+    for f in word:
+        if f[0] == "e" and any(not mask for _, mask in f[1].terms):
+            raise HCError("exponential coefficient %s has a term of odd degree 0" % f[1])
     g, odd = _rewrite(pair, algebra, word, strategy, max_steps)
     return HCElement(pair, algebra, g, odd)
 
@@ -585,7 +603,9 @@ def _rewrite(pair, algebra, word, strategy="left", max_steps=100000):
     exponentials of non-basis vectors; sort exponentials by basis index,
     emitting bracket corrections; merge equal indices.  Termination:
     every emitted correction carries coefficients of strictly higher odd
-    degree, and the odd part of the coefficient algebra is nilpotent.
+    degree, and the odd part of the coefficient algebra is nilpotent.  This
+    needs every exponential coefficient in the ideal of the odd generators,
+    which ``normalize_word`` checks and a product of members satisfies.
 
     Each step rewrites at the leftmost (``strategy="left"``) or rightmost
     (``"right"``) rule position.  Whether k is one depends only on factors
@@ -594,9 +614,35 @@ def _rewrite(pair, algebra, word, strategy="left", max_steps=100000):
     ascending exponentials lie between two group factors, so each search
     crosses O(t) factors.
 
-    A correction of two odd coefficients is a dual number I + b*x with
-    b^2 = 0, kept as ('d', b, x, drho(x)) until it merges: its inverse is
-    I - b*x and rho(I - b*x) = rho(I) - b*drho(x) for any polynomial rho.
+    A correction of two odd coefficients a, a' is a dual number I + b*x
+    with b = -a*a', kept as ('d', b, x, drho(x)) until it merges.  b^2 = 0:
+    an odd element squares to zero, so b^2 = a*a'*a*a' = -a^2*a'^2 = 0.
+    Hence the inverse of I + b*x is I - b*x, and rho(I - b*x) = rho(I) -
+    b*drho(x) for any polynomial rho, as every term of degree two or more
+    in b vanishes.  Each rule does its algebra once:
+
+    - A push past a dual factor takes one product.  e(a, v_i) (I + b*x) =
+      (I + b*x) e(a, (rho(I) - b*drho(x)) v_i), whose coefficient on v_k is
+      nf((rho(I)_ki - b*drho(x)_ki)*a).  b is even, so b*a = a*b, and nf is
+      k-linear, so that coefficient is rho(I)_ki*nf(a) - drho(x)_ki*ba with
+      ba = nf(b*a) formed once per push.  A k-linear combination of reduced
+      elements is reduced (the relations' leads divide none of its terms),
+      so no further nf is taken.
+    - A dual merge touches only x's nonzero entries: M*(I + b*x) =
+      M + b*(M*x) and (I + b*x)*M = M + b*(x*M), and an entry of M*x or x*M
+      is a sum over the nonzero x_rc alone.  The entries that no nonzero x_rc
+      reaches are left as they are, so a raw group factor's unreduced entry
+      may stay unreduced.  That changes no step: a rule position depends on
+      the kinds of two factors and on exponential coefficients only, a push
+      reads rho(g^-1), which is computed modulo the relations and reduced,
+      and the collapse still reduces every entry of g.
+    - ``hc_inv`` inverts g once: the push past g^-1 reads
+      rho((g^-1)^-1) = rho(g), which it stores in the one memo under g^-1's
+      key.
+
+    So each rule gives the value that the full matrix products give: every
+    step applies the same rule at the same position, and every normal form
+    is the same.
     """
     if strategy not in ("left", "right"):
         raise ValueError("strategy must be 'left' or 'right', not %r" % (strategy,))
@@ -635,16 +681,12 @@ def _rewrite(pair, algebra, word, strategy="left", max_steps=100000):
             # e(a, v_i) g  ->  g e(a, rho(g^-1) v_i), expanded over the basis
             a, i = f[1], f[2]
             if nxt[0] == "g":
-                R = pair.rho_at_inverse(algebra, nxt[1])
-                column = [row[i] for row in R]
+                column = [nf(row[i] * a) if row[i] else row[i]
+                          for row in pair.rho_at_inverse(algebra, nxt[1])]
             else:
-                b, dx = nxt[1], nxt[3]
-                column = [vs.const(r[i]) - b.scale(d[i]) for r, d in zip(pair.identity_action, dx)]
-            new = [nxt]
-            for kk, c in enumerate(column):
-                coeff = nf(c * a) if c else None
-                if coeff:
-                    new.append(("e", coeff, kk))
+                ba, a = nf(nxt[1] * a), nf(a)
+                column = [a.scale(r[i]) - ba.scale(d[i]) for r, d in zip(pair.identity_action, nxt[3])]
+            new = [nxt] + [("e", c, kk) for kk, c in enumerate(column) if c]
         else:
             a, i = f[1], f[2]
             b, j = nxt[1], nxt[2]
@@ -681,13 +723,15 @@ def hc_mul(E1, E2, strategy="left"):
 
 
 def hc_inv(E):
-    """Reverse the word with negated coefficients and normalize."""
-    word = []
-    for i in range(E.pair.t - 1, -1, -1):
-        if E.odd[i]:
-            word.append(("e", -E.odd[i], i))
-    word.append(("g", mat_inverse(E.algebra, E.g)))
-    return _normal_product(E.pair, E.algebra, word)
+    """Reverse the word with negated coefficients and normalize.  Its first
+    push past g^-1 reads rho((g^-1)^-1) = rho(g), stored up front so that
+    g is inverted once."""
+    pair, algebra = E.pair, E.algebra
+    word = [("e", -E.odd[i], i) for i in range(pair.t - 1, -1, -1) if E.odd[i]]
+    g_inv = mat_inverse(algebra, E.g)
+    if word:
+        pair.rho_at_inverse(algebra, g_inv, E.g)
+    return _normal_product(pair, algebra, word + [("g", g_inv)])
 
 
 # ---------------------------------------------------------------------------

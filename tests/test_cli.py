@@ -138,6 +138,19 @@ def test_hc_commands(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_an_exponential_coefficient_with_a_constant_term_is_exit_2(capsys):
+    """Rewriting terminates only for coefficients in the ideal of the odd
+    generators, so e(1, 1) is rejected before any step; it used to print a
+    normal form here, and on sl2-standard to rewrite without bound."""
+    capsys.readouterr()
+    for argv in (["hc", "mul", "unipotent", "e(1,1)e(-1,1)", "e(u,1)"],
+                 ["hc", "inv", "gl1-weight", "g[[2]] e(s + 1/2, 1)"]):
+        assert run(argv) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: exponential coefficient 1 has a term of odd degree 0",
+                   "error: exponential coefficient s + 1/2 has a term of odd degree 0"]
+
+
 def test_hc_mul_on_a_pair_not_proven_closed_still_checks_membership(tmp_path, capsys):
     """Neither pair is a built-in or validated, so their products keep the
     membership check: one group is not closed, the other's bracket lies

@@ -8,16 +8,22 @@ from the document's generators or drawn from a pool of malformed ones,
 and runs it over Q or F_7.  Pair examples edit a shipped ``data/*.shc``
 document the same way (or move a line) and run ``hc validate``, ``sdim``
 or ``graded`` on it.  ``run_command`` must return 0,
-1 or 2, raise nothing, and explain every exit 2 on stderr.  All examples
-go through the parsers that ``run_command`` builds once per process, each
-command's arguments through that command's own parser.
+1 or 2, raise nothing, and explain every exit 2 on stderr.  Element-word
+examples run ``hc mul`` or ``hc inv`` on words of ``g[...]`` and ``e(...)``
+factors with nilpotent, constant and mixed coefficients, bad indices and
+matrices of the wrong size; each call must end within a deadline, and an
+exit 2 prints one ``error:`` line and no output.  All examples go through
+the parsers that ``run_command`` builds once per process, each command's
+arguments through that command's own parser.
 """
 
 import contextlib
 import io
 import os
+import signal
+from datetime import timedelta
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superalg.cli import run_command
@@ -192,3 +198,100 @@ def keeps_the_contract(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error" in err.getvalue()
+
+
+# hc mul / hc inv element words over Lambda(s, t, u, w):
+# pair -> (matrix size, odd dimension)
+HC_PAIRS = {
+    "unipotent": (2, 1), "gl1-weight": (1, 1), "sl2-standard": (2, 2),
+    os.path.join(DATA, "unipotent.shc"): (2, 1),
+}  # fmt: skip
+ODD = ("s", "-t", "2*u", "s*t*u", "s + t*u*w", "1/2*w", "0")
+EVEN_OR_MIXED = ("s*t", "s*t + u*w", "s + t*u")  # nilpotent, but not odd
+CONSTANT = ("1", "-1", "2", "1/2")
+MIXED = ("1 + s", "s*t - 1", "2 + s*t*u")  # a constant term plus a nilpotent
+WORD_JUNK = ("", "(s", "s^", "1/0", "5/7", "x")
+BAD_INDICES = ("0", "3", "s")
+ENTRIES = ("0", "1", "2", "-1", "s*t", "1 + s*t", "u*w", "s", "1/2", "s*t - 2")
+SECONDS = 10  # a call still running then has run away; the deadline is tighter
+
+
+def one_in(draw, n):
+    return draw(st.integers(1, n)) == 1
+
+
+@st.composite
+def group_factors(draw, n):
+    """g[...] of size n (one time in ten n + 1): unitriangular, or one time
+    in eight with every entry drawn."""
+    size = n + 1 if one_in(draw, 10) else n
+    drawn = one_in(draw, 8)
+
+    def entry(r, c):
+        if drawn or r < c or size == 1:
+            return draw(st.sampled_from(ENTRIES))
+        return "1" if r == c else "0"
+
+    return "g[%s]" % ",".join("[%s]" % ",".join(entry(r, c) for c in range(size)) for r in range(size))
+
+
+@st.composite
+def element_words(draw, n, t):
+    """One to three factors: a group factor, or e(coefficient, index) with
+    an odd coefficient and an index in 1..t, each most of the time."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if one_in(draw, 3):
+            factors.append(draw(group_factors(n)))
+            continue
+        kind = draw(st.sampled_from((ODD,) * 12 + (EVEN_OR_MIXED, CONSTANT, MIXED, WORD_JUNK)))
+        index = draw(st.sampled_from(BAD_INDICES)) if one_in(draw, 12) else draw(st.integers(1, t))
+        factors.append("e(%s, %s)" % (draw(st.sampled_from(kind)), index))
+    return draw(st.sampled_from(("", " "))).join(factors)
+
+
+@st.composite
+def hc_element_invocations(draw):
+    command = draw(st.sampled_from(("mul", "mul", "inv")))
+    pair = draw(st.sampled_from(sorted(HC_PAIRS)))
+    argv = ["hc", command, pair]
+    argv += [draw(element_words(*HC_PAIRS[pair])) for _ in range(2 if command == "mul" else 1)]
+    if draw(st.booleans()):
+        argv += ["--field", "fp", "7"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class RunAway(Exception):
+    """A call still running after SECONDS: a deadline alone reports a slow
+    call only once it returns."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def stop(signum, frame):
+        raise RunAway("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=2), derandomize=True)
+@given(argv=hc_element_invocations())
+@example(argv=["hc", "mul", "sl2-standard", "e(1,2)e(1,1)e(1,2)", "e(u,1)"])
+def test_element_words_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(SECONDS), contextlib.redirect_stderr(err):
+        code = run_command(argv, out=out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

@@ -37,6 +37,7 @@ from superalg.scalars import QQ, Field
 
 F7 = Field(7)
 F11 = Field(11)
+F32003 = Field(32003)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def test_group_closure_randomized(pairs):
 # The group laws go through invert_even and the rewriting rules, whose
 # coefficient arithmetic differs between Q and F_p and, over F_p, with the
 # size of p.
-HC_LAW_FIELDS = (QQ, F7, F11, Field(32003))
+HC_LAW_FIELDS = (QQ, F7, F11, F32003)
 HC_LAW_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -561,6 +562,42 @@ def test_mat_inverse_runs_once_per_algebra_and_group_factor(monkeypatch):
     assert len(pushes) >= 3 * len(inversions)
 
 
+def test_hc_inv_inverts_the_group_part_once(monkeypatch):
+    """On a fresh pair, hc_inv of an element with a nonzero odd coordinate
+    inverts g once: the push past g^-1 reads rho((g^-1)^-1) = rho(g), which
+    hc_inv stores under g^-1's key."""
+    inversions = []
+
+    def counted_inverse(algebra, M):
+        inversions.append(1)
+        return mat_inverse(algebra, M)
+
+    monkeypatch.setattr(hcgroup, "mat_inverse", counted_inverse)
+    for field in (QQ, F7):
+        coeff, _ = hc_setting(field)
+        vs = coeff.vs
+        nil = vs.gen("s") * vs.gen("t")
+        for name, odd in (("sl2-standard", [vs.gen("u"), vs.zero()]), ("gl1-weight", [vs.gen("w")])):
+            pair = builtin_pairs(field)[name]
+            if name == "gl1-weight":
+                g = [[vs.const(2) + nil]]
+            else:
+                g = [[vs.one() + nil, vs.const(2)], [vs.zero(), vs.one() - nil]]
+            E = HCElement(pair, coeff, g, odd)
+            inversions.clear()
+            E_inv = hc_inv(E)
+            assert len(inversions) == 1
+            assert E_inv == rescan_normalize_word(pair, coeff, hc_inv_word(E))
+            assert hc_mul(E, E_inv) == hc_identity(pair, coeff)
+
+
+def hc_inv_word(E):
+    """The word hc_inv normalizes: the exponentials reversed and negated,
+    then g^-1."""
+    word = [("e", -E.odd[i], i) for i in range(E.pair.t - 1, -1, -1) if E.odd[i]]
+    return word + [("g", mat_inverse(E.algebra, E.g))]
+
+
 def test_exhausted_caps_raise_hc_error(pairs, coeff):
     """Each bound on rewriting, on the geometric series of an inverse and on
     the exponential series ends in HCError, which the CLI maps to exit 2."""
@@ -753,8 +790,9 @@ def group_factor(pair, coeff, rng):
 
 @st.composite
 def raw_words(draw):
-    """(pair, coeff, word): a raw word of 1 to 9 factors over Q or F_7."""
-    coeff, pairs = hc_setting(draw(st.sampled_from((QQ, F7))))
+    """(pair, coeff, word): a raw word of 1 to 9 factors over Q, F_7 or
+    F_32003."""
+    coeff, pairs = hc_setting(draw(st.sampled_from((QQ, F7, F32003))))
     pair = pairs[draw(st.sampled_from(sorted(pairs)))]
     rng = draw(st.randoms())
     word = []
@@ -850,4 +888,31 @@ def test_dual_number_identities(field):
                     assert merge(coeff, dual, ("g", g)) == left
                     assert merge(coeff, dual, dual) == [
                         [nf(e) for e in row] for row in mat_mul(plus, plus)
+                    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from((QQ, F7)), st.randoms())
+def test_a_push_past_a_dual_factor_gives_the_column_form(field, rng):
+    """e(a, v_i) (I + b*x), with a odd and b = -a'*a'' for odd a', a'',
+    rewrites in one step to (I + b*x) e(c_0, v_0) ... e(c_t-1, v_t-1) with
+    c_k = nf((rho(I)_ki - b*drho(x)_ki)*a): the column of rho(I - b*x)
+    applied to v_i, times a."""
+    coeff, pairs = hc_setting(field)
+    vs, nf = coeff.vs, coeff.nf
+    for pair in list(pairs.values()) + [shc_unipotent_pair(field)]:
+        rho1 = pair.identity_action
+        for i in range(pair.t):
+            for j in range(i + 1):
+                correction = pair.correction(i, j)
+                if correction is None:
+                    continue
+                x, dx = correction
+                a, a1, a2 = (random_odd(vs, rng) for _ in range(3))
+                b = nf((a1 * a2).scale(-1))
+                for k in range(pair.t):
+                    g, odd = hcgroup._rewrite(pair, coeff, [("e", a, k), ("d", b, x, dx)], max_steps=2)
+                    assert g == [[nf(e) for e in row] for row in _f_matrix(coeff, b, x)]
+                    assert odd == [
+                        nf((vs.const(rho1[kk][k]) - b.scale(dx[kk][k])) * a) for kk in range(pair.t)
                     ]
