@@ -168,9 +168,11 @@ def buchberger(vectors, key, p, basis=None):
     ``vectors`` with respect to the module order ``key``, over
     characteristic p (0 for Q).  ``basis``, a GBasis under the same order
     and over p that is already a Gröbner basis, joins them as it is: its
-    vectors enter with their leads, and no pair among them is formed."""
+    vectors enter with their leads, and no pair among them is formed.  Its
+    layout, empty or not, is the result's; without it the layout is read
+    off the first vector, and no vector gives the layout of m = 0."""
     vectors = [v for v in vectors if v]
-    if basis is not None and basis.codes:
+    if basis is not None:
         gb = basis.copy()
     elif not vectors:
         return GBasis(_kernel.code_layout(key, 0), p)
@@ -372,10 +374,16 @@ class SuperAlgebra:
 
     @property
     def gbasis(self):
-        """Reduced Gröbner basis of the superideal closure of the relations."""
+        """Reduced Gröbner basis of the superideal closure of the relations,
+        under the layout of the algebra's m even generators even when it
+        is empty."""
         if self._gbasis is None:
             closed = [g.terms for g in superideal_closure(self.relations)]
-            self._gbasis = buchberger(closed, term_key, self.vs.field.char)
+            char = self.vs.field.char
+            if closed:
+                self._gbasis = buchberger(closed, term_key, char)
+            else:
+                self._gbasis = GBasis(_kernel.code_layout(term_key, self.vs.m), char)
         return self._gbasis
 
     @property
@@ -561,8 +569,7 @@ def _kernel_pairs(p, algebra, parity):
                 rest = mask & (mask - 1)
                 rest &= rest - 1
                 prod = _kernel.mul_terms({(zero_exps, mask ^ rest): one}, cols[rest], char)
-                # an empty relation basis has the layout of m = 0
-                cols[mask] = rel.normal_form(prod) if rel.codes else prod
+                cols[mask] = rel.normal_form(prod)
             if cols[mask]:
                 v = {term_key(t) + block: x for t, x in cols[mask].items()}
                 v[term_key((zero_exps, mask))] = one
@@ -650,15 +657,37 @@ def check_mono_necessary(phi):
     It is decided on the n odd generators of each side.  B_1 is spanned
     over B_0 by the y_j and phi(B_0) lies in A_0, so phi(B_1) generates
     M = sum A_0*phi(y_j) over A_0.  M is the odd part of the superideal
-    (phi(y_j)): ``Morphism`` makes each phi(y_j) odd, so that superideal's
-    reduced basis is parity-homogeneous.  For |T| odd, y_T = +-y_(T-i)*y_i
-    with y_(T-i) in A_0, so A_1 lies in M iff every odd generator y_i of
-    the target does.
+    I = (phi(y_j)): ``Morphism`` makes each phi(y_j) odd, so I is
+    parity-graded.  For |T| odd, y_T = +-y_(T-i)*y_i with y_(T-i) in A_0,
+    so A_1 lies in M iff every odd generator y_i of the target does: iff
+    N lies in I, N the ideal of the odd generators.
+
+    That is decided in N/N^2.  N^(n+1) = 0, as a product of n + 1 odd
+    generators repeats one.  If N lies in I + N^2, then N^k lies in
+    I + N^(k+1) for every k (multiply by N^(k-1)), so N lies in I + N^3,
+    and so on up to I + N^(n+1) = I.  In the free algebra F = k[x | y],
+    with N' its ideal of the odd generators and I' the superideal of the
+    images, N lies in I + N^2 iff every y_i lies in J + I' + N'^2.  Modulo
+    N'^2, F is the free k[x]-module on 1 and the y_k, and J + I' is the
+    k[x]-span of the y_T*g, g a relation (a parity part) or an image.
+    y_T*g lies in N'^2 when g is odd and T is not empty, or when g is even
+    and |T| >= 2.  So (J + I' + N'^2)/N'^2 is spanned by the terms of odd
+    degree 0 of the even relations, in the component of 1, and by the
+    terms of odd degree 1 of the odd relations, of the images and of the
+    y_k*r, r an even relation, in the components of the y_k.  The two
+    sets lie in different components, so the y_i lie in the span iff they
+    lie in the second set's: one Buchberger run over the n components of
+    one odd generator decides it, where a superideal would be closed over
+    all 2^n.
     """
     bad = phi.check_well_defined()
     if bad is not None:
         raise StructureError("map is not well defined: relation %s is not sent to zero" % bad)
-    dst = phi.dst
-    vs = dst.vs
-    ideal = SuperIdeal(dst, [phi.images[y] for y in phi.src.vs.odd])
-    return all(ideal.contains(vs.gen(y)) for y in vs.odd)
+    vs = phi.dst.vs
+    gens = [vs.gen(y) for y in vs.odd]
+    spanning = [phi.images[y] for y in phi.src.vs.odd]
+    for r in phi.dst.relations:
+        spanning += [r] if r.parity() else [y * r for y in gens]
+    linear = [{t: c for t, c in g.terms.items() if t[1].bit_count() == 1} for g in spanning]
+    gb = buchberger(linear, term_key, vs.field.char)
+    return not any(gb.normal_form(y.terms) for y in gens)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from superalg.groebner import SuperAlgebra
 from superalg.linalg import Echelon, dependencies
 from superalg.scalars import QQ, inv
+from superalg.sdim import bar
 from superalg.superpoly import HCError, ParityError, StructureError, SuperPoly, VarSet
 
 
@@ -574,12 +575,17 @@ def _merge_group_factors(algebra, f, h):
 def normalize_word(pair, algebra, word, strategy="left", max_steps=100000):
     """The normal form of a word of group factors ('g', matrix) and odd
     exponentials ('e', coefficient, basis_index), checked for membership.
-    ``_rewrite`` terminates because each coefficient lies in the ideal of
-    the odd generators, so a coefficient with a term of odd degree 0 is an
-    HCError before any step."""
+    ``_rewrite`` terminates because each coefficient lies in N, the ideal
+    of the odd generators, so a coefficient whose image in bar(algebra) =
+    algebra/N is not zero is an HCError before any step.  Only a term of
+    odd degree 0 reaches that image, so bar(algebra) is built only for a
+    coefficient that has one."""
+    bar_a = None
     for f in word:
         if f[0] == "e" and any(not mask for _, mask in f[1].terms):
-            raise HCError("exponential coefficient %s has a term of odd degree 0" % f[1])
+            bar_a = bar_a or bar(algebra)
+            if bar_a.nf(SuperPoly(bar_a.vs, {t: c for t, c in f[1].terms.items() if not t[1]})):
+                raise HCError("exponential coefficient %s has a term of odd degree 0" % f[1])
     g, odd = _rewrite(pair, algebra, word, strategy, max_steps)
     return HCElement(pair, algebra, g, odd)
 

@@ -14,7 +14,7 @@ vanish) or trivial.
 from __future__ import annotations
 
 from superalg.groebner import SuperAlgebra, SuperIdeal
-from superalg.sdim import Record, SuperDim, check_ksdim_bound, ksdim, odd_cotangent_relations
+from superalg.sdim import Record, SuperDim, bar, check_ksdim_bound, ksdim, odd_cotangent_relations
 from superalg.scalars import inv
 from superalg.superpoly import StructureError
 
@@ -145,17 +145,33 @@ def orbit_ideal(action, pt):
     candidates x_i - a_i, then o_i: in order, a candidate is dropped when
     it lies in R, the superideal of J and the other candidates still kept.
     Each step keeps the ideal, so R plus the tested candidate is always the
-    orbit ideal.  The x_i - a_i with nonzero normal form are tested so,
-    with every o_i among the others: they all come before any o_i, so they
-    see the same ideals as in the pass.  The o_i are decided by linear algebra on their rows v_i = e_i - c_i e_j, the
-    coefficients of the y_k in o_i:
+    orbit ideal.  The x_i - a_i with nonzero normal form come before any
+    o_i, so each is tested against the other kept x_k - a_k and every o_i,
+    as in the pass.  That test is one membership in bar(A) = A/N =
+    k[x]/bar(J), N the ideal of the odd generators and bar(J) the image of
+    J: x_i - a_i lies in R iff its image lies in the ideal of bar(A) that
+    the images of the other kept x_k - a_k generate.  The preimage of that
+    ideal in A is R + N, as every o_k lies in N, and the even x_i - a_i
+    lies in R + N only if it lies in R:
+
+    - N^2 lies in R: every o_a lies in R, and y_a y_b = o_a o_b +
+      c_b o_a y_j + c_a y_j o_b (o_j := 0, c_j := 1, y_j^2 = 0).
+    - Every even element of N lies in N^2: the even part of sum f_k y_k
+      is sum (f_k)_1 y_k, and each odd (f_k)_1 lies in N.
+    - R is graded, its generators being homogeneous, so if the even g is
+      rho + nu with rho in R and nu in N, then g = rho_0 + nu_0, the even
+      parts, with rho_0 in R and nu_0 in N^2, which lies in R.
+
+    For n = 1 there is no o_i, but N^2 = 0 holds every even element of N,
+    so the argument stands; and a lone x_i - a_i is tested against bar(J)
+    alone, so no case is special.  The o_i are decided by linear algebra
+    on their rows v_i = e_i - c_i e_j, the coefficients of the y_k in o_i:
 
     1. o_i lies in R iff it lies in R + (x - a).  R + A o_i is the orbit
        ideal, so each x_k - a_k is rho_k + g_k o_i with rho_k in R and g_k
        odd.  If o_i = mu + sum f_k (x_k - a_k) with mu in R and f_k odd,
        then o_i (1 - nu) lies in R for nu = sum f_k g_k, which is even and
-       in N^2, N the ideal of the odd generators; so nu is nilpotent and
-       1 - nu a unit.
+       in N^2; so nu is nilpotent and 1 - nu a unit.
     2. Modulo x - a, A is /\\(y)/J(a), whose maximal ideal m is (y), and R
        becomes R', J(a) plus the other kept o_k.  R' + (o_i) contains every
        o_k, so m^2, which y_a y_b = o_a o_b + c_b o_a y_j + c_a y_j o_b
@@ -178,8 +194,8 @@ def orbit_ideal(action, pt):
        span of the Jacobian rows and its insert returns False: the pass
        never saw it as a candidate.
 
-    The work is at most m + 1 superideals: one per x_i - a_i, and the
-    result.
+    The work is one superideal over A, the result, and at most m over
+    bar(A), which has one component and no closure.
     """
     A = action.algebra
     vs = A.vs
@@ -205,14 +221,14 @@ def orbit_ideal(action, pt):
             for o in reversed(odd_gens)
             if span.insert({mask.bit_length() - 1: c for (_, mask), c in o.terms.items()})
         ][::-1]
-        kept = [g for g in map(A.nf, pt.even_gens(A)) if g]
-        for g in list(kept):
-            rest = [h for h in kept if h is not g]
-            # with no other generator the superideal is J, which holds no
-            # nonzero normal form, so a lone candidate is always kept
-            if (rest or odd_gens) and SuperIdeal(A, rest + odd_gens).contains(g):
+        # each x_i - a_i in normal form, beside its image in bar(A)
+        bar_a = bar(A)
+        kept = [(g, e) for g, e in zip(map(A.nf, pt.even_gens(A)), pt.even_gens(bar_a)) if g]
+        for cand in list(kept):
+            rest = [c for c in kept if c is not cand]
+            if SuperIdeal(bar_a, [e for _, e in rest]).contains(cand[1]):
                 kept = rest
-        ideal = SuperIdeal(A, kept + kept_odd)
+        ideal = SuperIdeal(A, [g for g, _ in kept] + kept_odd)
         stabilizer, orbit_sdim, stabilizer_sdim = "trivial", SuperDim(0, 1), SuperDim(0, 0)
     _check_phi_stable(action, ideal)
     return OrbitResult(

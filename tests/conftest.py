@@ -1,6 +1,10 @@
 import heapq
 import itertools
+import os
 import random
+import subprocess
+import sys
+import threading
 from operator import add, le, sub
 
 import pytest
@@ -8,7 +12,35 @@ import pytest
 from superalg import _kernel, groebner
 from superalg.groebner import SuperAlgebra, SuperIdeal, superideal_closure
 from superalg.scalars import QQ, inv
-from superalg.superpoly import SuperPoly, VarSet, mask_indices, term_key
+from superalg.superpoly import StructureError, SuperPoly, VarSet, mask_indices, term_key
+
+
+# The child's own program: it lowers its address-space limit, then runs
+# the command line as ``superalg`` would.
+_CLI_CHILD = """\
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.argv = ["superalg"] + sys.argv[2:]
+from superalg.cli import main
+main()
+"""
+_CLI_CHILD_LOCK = threading.Lock()  # one child at a time
+
+
+def run_cli_child(argv, timeout, memory_mb):
+    """Run one ``superalg`` call in a child process that sets RLIMIT_AS to
+    ``memory_mb`` megabytes on itself before it imports the package, and
+    return its CompletedProcess (exit code, stdout, stderr as text).  The
+    child is killed, and subprocess.TimeoutExpired raised, after
+    ``timeout`` seconds.  Calls wait for each other, so no more than one
+    child runs at a time.  A call that runs out of memory exits 3 with an
+    "internal error: MemoryError" line on stderr."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    command = [sys.executable, "-c", _CLI_CHILD, str(memory_mb << 20)] + list(argv)
+    with _CLI_CHILD_LOCK:
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def make_algebra(even, odd, rel_builder=None, field=QQ):
@@ -57,7 +89,8 @@ def minimalize_gens(algebra, gens):
     """The greedy pass over the candidates, one superideal per test: in
     order, drop a generator already contained in the superideal the others
     still kept generate.  ``orbits.orbit_ideal`` keeps the same generators
-    with one superideal per even candidate; this is its reference."""
+    with one row reduction for the odd candidates and one membership in
+    bar(A) per even candidate; this is its reference."""
     gens = [algebra.nf(g) for g in gens]
     gens = [g for g in gens if g]
     kept = list(gens)
@@ -66,6 +99,20 @@ def minimalize_gens(algebra, gens):
         if rest and SuperIdeal(algebra, rest).contains(g):
             kept = rest
     return kept
+
+
+def superideal_check_mono_necessary(phi):
+    """The superideal form of ``groebner.check_mono_necessary``: every odd
+    generator of the target must lie in the superideal of the images of the
+    source's odd generators, closed over the target's 2^n components.  The
+    library decides the same in N/N^2, N the ideal of the odd generators;
+    this is its reference."""
+    bad = phi.check_well_defined()
+    if bad is not None:
+        raise StructureError("map is not well defined: relation %s is not sent to zero" % bad)
+    vs = phi.dst.vs
+    ideal = SuperIdeal(phi.dst, [phi.images[y] for y in phi.src.vs.odd])
+    return all(ideal.contains(vs.gen(y)) for y in vs.odd)
 
 
 def annihilator_elimination(p, algebra, parity):

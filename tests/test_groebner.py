@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superalg import groebner
+from superalg import _kernel, groebner
 from superalg.groebner import (
     GBasis,
     Morphism,
@@ -381,3 +381,20 @@ def test_relations_drop_repeats_and_keep_their_order(rng):
         pool = [random_poly(vs, rng, max_degree=2, terms=3, coeff_range=2) for _ in range(4)]
         rels = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
         assert SuperAlgebra(vs, rels).relations == listed_relations(rels)
+
+
+def test_an_empty_relation_basis_has_the_algebras_layout():
+    """With no relation, the algebra's basis and that of the zero
+    superideal are empty, and still read and write terms with the
+    algebra's m even exponents: the zero superideal of k[x, z | y] reduces
+    x^2*z + y to itself, not to a decoding of the layout of m = 0."""
+    vs = VarSet(("x", "z"), ("y",), QQ)
+    A = SuperAlgebra(vs)
+    f = vs.gen("x") ** 2 * vs.gen("z") + vs.gen("y")
+    assert A.gbasis.layout is _kernel.code_layout(term_key, 2)
+    zero = SuperIdeal(A, [])
+    assert zero.gbasis.layout is A.gbasis.layout
+    assert zero.nf(f) == f
+    assert not zero.contains(f)
+    B = SuperAlgebra(VarSet((), ("y",), QQ))
+    assert B.gbasis.layout is _kernel.code_layout(term_key, 0)

@@ -625,6 +625,36 @@ def test_exhausted_caps_raise_hc_error(pairs, coeff):
         matrix_exp(kx, [[kx.vs.gen("x")]])
 
 
+def test_an_exponential_coefficient_is_checked_by_its_image_in_bar(pairs, coeff, monkeypatch):
+    """Rewriting needs each exponential coefficient in N, the ideal of the
+    odd generators, and that is decided in bar(algebra) = algebra/N, not on
+    the coefficient's raw terms."""
+    from superalg.groebner import SuperAlgebra
+    from superalg.superpoly import ParityError, VarSet
+
+    pair = pairs["unipotent"]
+    vs = VarSet(("x",), ("y1", "y2", "y3"), QQ)
+    x, y1, y2, y3 = (vs.gen(g) for g in ("x", "y1", "y2", "y3"))
+    A = SuperAlgebra(vs, [x - y1 * y2])
+    # y3 + x - y1*y2 is y3 in A
+    assert normalize_word(pair, A, [("e", y3 + x - y1 * y2, 0)]).odd == (y3,)
+    # x = y1*y2 lies in N, so it rewrites, but it is not odd
+    with pytest.raises(ParityError, match="odd coordinate y1y2 is not odd"):
+        normalize_word(pair, A, [("e", x, 0)])
+    with pytest.raises(HCError, match=r"^exponential coefficient x \+ 1 has a term of odd degree 0$"):
+        normalize_word(pair, A, [("e", x + vs.one(), 0)])
+    # over the Grassmann algebra: a constant term is rejected as the CLI
+    # reports it, and an even coefficient in N still ends at HCElement
+    s, t, u = (coeff.vs.gen(g) for g in ("s", "t", "u"))
+    with pytest.raises(HCError, match=r"^exponential coefficient s \+ 1/2 has a term of odd degree 0$"):
+        normalize_word(pair, coeff, [("e", s + coeff.vs.const(Fraction(1, 2)), 0)])
+    with pytest.raises(ParityError, match="odd coordinate st is not odd"):
+        normalize_word(pair, coeff, [("e", s * t, 0)])
+    # an odd coefficient has no term of odd degree 0: no bar(algebra) is built
+    monkeypatch.setattr(hcgroup, "bar", None)
+    assert normalize_word(pair, coeff, [("e", u, 0)]).odd == (u,)
+
+
 # ---------------------------------------------------------------------------
 # The rewriting engine against a full-rescan reference
 

@@ -2,13 +2,15 @@
 they replace.
 
 ``check_mono_necessary`` asks whether each odd generator of the target
-lies in the superideal of the images of the source's odd generators, and
+lies in the superideal of the images of the source's odd generators,
+decided modulo the square of the ideal of the odd generators, and
 ``phi_basis_lift`` reads the classes of the odd generators off the odd
 Jacobian of the relations at the point; their docstrings prove that
 neither answer changes.  The references are the forms they replace:
 the A_0-module spanned by the images of every odd monomial of the
 source, times every even monomial of the target, tested on every odd
-monomial of the target; and the greedy pass over the odd generators
+monomial of the target, and the superideal of the images closed over
+the target's 2^n components; and the greedy pass over the odd generators
 reduced modulo a Gröbner basis of (x - a, y_a*y_b) + J.  Derandomized
 hypothesis draws over Q and F_7 compare them on relations with cubic
 odd terms and nonconstant linear coefficients, on drawn maps, quotient
@@ -31,7 +33,7 @@ from superalg.scalars import QQ, Field
 from superalg.sdim import PointIdeal, phi_basis_lift, phi_dim_at_point
 from superalg.superpoly import StructureError, VarSet, term_key
 
-from conftest import max_ideal_even_gens, odd_square_free_monomials
+from conftest import max_ideal_even_gens, odd_square_free_monomials, superideal_check_mono_necessary
 
 DRAWN = settings(max_examples=150, deadline=None, derandomize=True)
 COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -241,6 +243,7 @@ def test_check_mono_necessary_matches_the_odd_monomial_form(maps, verdicts):
     def compare(phi):
         got = outcome(check_mono_necessary, phi)
         assert got == outcome(reference_check_mono_necessary, phi)
+        assert got == outcome(superideal_check_mono_necessary, phi)
         seen.add(got if isinstance(got, bool) else "raised")
 
     compare()
@@ -266,3 +269,22 @@ def test_only_a_missed_generator_fails_the_condition():
         vs.gen("y2") - vs.gen("x") * vs.gen("y1"),  # y1 + x*y2 = (1 + x^2)*y1: y1 is not reached
         vs.gen("y2"),
     )] == [False, True]
+
+
+def test_check_mono_necessary_builds_no_superideal(monkeypatch):
+    """The condition is decided by one Buchberger run over the components
+    of one odd generator, and no superideal is built.  y2 = x*y1 in the
+    target, so the images reach y2 through y1, and not without it."""
+    vs = VarSet(("x",), tuple("y%d" % i for i in range(1, 9)), QQ)
+    x, y1, y2, y3 = (vs.gen(g) for g in ("x", "y1", "y2", "y3"))
+    dst = SuperAlgebra(vs, [x * y1 * y2 * y3, y2 - x * y1])
+    src = SuperAlgebra(VarSet(("x",), tuple(y for y in vs.odd if y != "y2"), QQ))
+    images = identity_images(src, dst)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a superideal was built")
+
+    monkeypatch.setattr(SuperIdeal, "__init__", forbidden)
+    assert check_mono_necessary(Morphism(src, dst, images)) is True
+    images["y1"] = vs.zero()
+    assert check_mono_necessary(Morphism(src, dst, images)) is False

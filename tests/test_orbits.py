@@ -1,22 +1,24 @@
 """Orbits of odd unipotent one-parameter actions.
 
 Besides the hand-picked actions on k[x | y], a derandomized property
-suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with even,
-odd-factor and linear odd relations, an odd derivation phi = sum f_i(x)
-d/dy_i, possibly with odd images of the even generators, and a rational
-point on the scheme, keeps the draws that ``validate_action`` accepts,
-and checks the paper's statements there: every orbit theorem holds, the
-stabilizer is trivial exactly when some f_i is nonzero at the point, and
-the even part of the orbit ideal is the maximal ideal of the point.  It
-also checks that ``orbit_ideal``, which decides its odd generators by one
-row reduction, keeps the generators of the greedy pass
-(``conftest.minimalize_gens``) over the m + n - 1 candidates it reads off
-the n odd generators, and that those are the generators of the greedy
-pass over every odd monomial.  A linear odd relation whose row at the
-point has two entries is what tells the order of that row reduction
-apart.
+suite draws k[x1 (, x2) | y1 .. yn] over Q and F_7 with even relations
+(some with a nilpotent part y_a*y_b), odd-factor and linear odd
+relations, an odd derivation phi = sum f_i(x) d/dy_i, possibly with odd
+images of the even generators, and a rational point on the scheme, keeps
+the draws that ``validate_action`` accepts, and checks the paper's
+statements there: every orbit theorem holds, the stabilizer is trivial
+exactly when some f_i is nonzero at the point, and the even part of the
+orbit ideal is the maximal ideal of the point.  It also checks that
+``orbit_ideal``, which decides its odd generators by one row reduction
+and each even one by a membership in bar(A), keeps the generators of the
+greedy pass (``conftest.minimalize_gens``) over the m + n - 1 candidates
+it reads off the n odd generators, and that those are the generators of
+the greedy pass over every odd monomial.  A linear odd relation whose
+row at the point has two entries is what tells the order of that row
+reduction apart.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -272,7 +274,8 @@ def actions_at_points(draw):
     """(action, point) that ``validate_action`` accepts: k[x1 (, x2) | y1
     .. yn], n from 1 to 3, over Q or F_7, a point a with coordinates in
     [-3, 3], phi(y_i) = f_i(x) of degree at most 2, each f_i possibly
-    zero, zero to two relations g(x) - g(a) with g of degree 1 or 2,
+    zero, zero to two relations g(x) - g(a) with g of degree 1 or 2, each
+    possibly with a nilpotent odd part c*y_a*y_b over two y with f = 0,
     possibly an odd-factor relation h(x)*y_T, possibly a linear odd
     relation sum h_k(x)*y_k over the y_k with f_k = 0, each h_k of degree
     at most 1, and possibly an odd phi(x_k) = h_k(x)*y_i with f_i = 0.
@@ -286,10 +289,17 @@ def actions_at_points(draw):
     monos = [e for e, mask in all_monomials(vs, 2) if not mask]
     images = {y: draw_even_poly(draw, vs, monos) if draw(st.booleans()) else vs.zero() for y in odd}
     idle = [y for y in odd if not images[y]]  # phi^2(x_k) = 0 needs phi(y_i) = 0 there
+    idle_pairs = list(itertools.combinations(idle, 2))
     rels = []
     for _ in range(draw(st.integers(0, 2))):
         g = draw_even_poly(draw, vs, [e for e in monos if sum(e)])
-        rels.append(g - vs.const(g.evaluate_at_point(point)))
+        g = g - vs.const(g.evaluate_at_point(point))
+        if idle_pairs and draw(st.booleans()):
+            # phi kills y_a*y_b; x_k - a_k may then lie in the orbit ideal
+            # only through N^2, N the ideal of the odd generators
+            a, b = draw(st.sampled_from(idle_pairs))
+            g = g + (vs.gen(a) * vs.gen(b)).scale(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        rels.append(g)
     if draw(st.booleans()):
         y_T = vs.monomial((0,) * vs.m, draw(st.integers(1, (1 << vs.n) - 1)))
         rels.append(draw_even_poly(draw, vs, monos) * y_T)
@@ -402,43 +412,57 @@ def test_the_orbit_quotient_takes_the_orbit_ideals_basis(case):
     assert computed == ksdim(fresh)[0] == result.orbit_sdim
 
 
-def test_orbit_ideal_builds_one_superideal_per_even_generator_and_one_more(monkeypatch):
-    """On k[x | y1..y8]/(x*y1y2y3) with phi(y8) = 1 at x = 0, the seven odd
-    candidates are decided by row reduction: one superideal tests x, and
-    one is the result."""
-    vs = VarSet(("x",), tuple("y%d" % i for i in range(1, 9)), QQ)
-    A = SuperAlgebra(vs, [vs.gen("x") * vs.gen("y1") * vs.gen("y2") * vs.gen("y3")])
+def superideals_by_ambient(monkeypatch):
+    """Record each SuperIdeal built from here on: {ambient's odd count:
+    [its generators, one list per superideal]}."""
+    built = {}
+    init = SuperIdeal.__init__
+
+    def counting_init(self, ambient, generators=()):
+        built.setdefault(ambient.vs.n, []).append([g.render() for g in generators])
+        init(self, ambient, generators)
+
+    monkeypatch.setattr(SuperIdeal, "__init__", counting_init)
+    return built
+
+
+def test_orbit_ideal_builds_one_superideal_over_the_algebra(monkeypatch):
+    """On k[x1, x2 | y1..y8]/(x1*y1y2y3) with phi(y8) = 1 at x = (0, 1),
+    the seven odd candidates are decided by row reduction and each even
+    candidate in bar(A), which has no odd generator: the one superideal
+    over A is the result."""
+    vs = VarSet(("x1", "x2"), tuple("y%d" % i for i in range(1, 9)), QQ)
+    A = SuperAlgebra(vs, [vs.gen("x1") * vs.gen("y1") * vs.gen("y2") * vs.gen("y3")])
     act = OddAction(A, {"y8": vs.one()})
     validate_action(act)
-    built = []
-    init = SuperIdeal.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(SuperIdeal, "__init__", counting_init)
-    res = orbit_ideal(act, PointIdeal({"x": QQ.of(0)}))
-    assert len(built) == 2
-    assert rendered_generators(res) == ["x"] + ["y%d" % i for i in range(1, 8)]
+    built = superideals_by_ambient(monkeypatch)
+    res = orbit_ideal(act, PointIdeal({"x1": QQ.of(0), "x2": QQ.of(1)}))
+    assert built == {0: [["x2 - 1"], ["x1"]], 8: [["x1", "x2 - 1"] + ["y%d" % i for i in range(1, 8)]]}
+    assert rendered_generators(res) == ["x1", "x2 - 1"] + ["y%d" % i for i in range(1, 8)]
 
 
-def test_a_lone_even_candidate_is_kept_without_a_superideal(monkeypatch, free_line):
+def test_a_lone_even_candidate_is_tested_against_the_relations_of_bar_a(monkeypatch, free_line):
     """On k[x | y] with phi(y) = 1 at x = 2 there is no odd candidate, so
-    x - 2 has no other generator to lie in: the superideal it would be
-    tested against is J, and the only superideal built is the result."""
+    x - 2 is tested against bar(J) = 0 alone, with no special case, and
+    kept; the only superideal over A is the result."""
     act = OddAction(free_line, {"y": free_line.vs.one()})
-    built = []
-    init = SuperIdeal.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(SuperIdeal, "__init__", counting_init)
+    built = superideals_by_ambient(monkeypatch)
     res = orbit_ideal(act, PointIdeal({"x": QQ.of(2)}))
-    assert len(built) == 1
+    assert built == {0: [[]], 1: [["x - 2"]]}
     assert rendered_generators(res) == ["x - 2"]
+
+
+def test_an_even_candidate_equal_to_an_odd_pair_is_dropped():
+    """On k[x | y1, y2]/(x - y1*y2) with phi(y2) = 1 and phi(x) = -y1 at
+    x = 0, x = y1*y2 = o_1*y2 lies in the ideal of the odd candidate
+    o_1 = y1: its image in bar(A) = k[x]/(x) is zero, and it is dropped."""
+    vs = VarSet(("x",), ("y1", "y2"), QQ)
+    A = SuperAlgebra(vs, [vs.gen("x") - vs.gen("y1") * vs.gen("y2")])
+    act = OddAction(A, {"y2": vs.one(), "x": -vs.gen("y1")})
+    validate_action(act)
+    res = orbit_ideal(act, PointIdeal({"x": QQ.of(0)}))
+    assert rendered_generators(res) == ["y1"]
+    assert res.ideal.contains(vs.gen("x"))
 
 
 # Stabilizer and generators of the orbit ideal on k[x1, x2 | y1 .. yn]/(x1^2 -
