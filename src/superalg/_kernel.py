@@ -22,7 +22,16 @@ from operator import add, le
 # perfbench stamps every result with this name
 IMPLEMENTATION = "python"
 
+# The one cache policy.  ``odd_merge`` and the term keys are pure functions
+# of ints and terms, so a memo shared by every algebra can never serve an
+# answer computed for a different one.  The bound keeps memory flat on
+# long runs; a whole perfbench pool touches at most about 300 distinct
+# monomials per order, and every pool has n <= 4 odd generators, so at
+# most 81 disjoint mask pairs reach ``odd_merge``.
+TERM_KEY_CACHE_SIZE = 1 << 12
 
+
+@functools.lru_cache(maxsize=TERM_KEY_CACHE_SIZE)
 def odd_merge(a: int, b: int):
     """Merge two odd index sets written in ascending order.
 
@@ -131,12 +140,6 @@ _FIELD = (1 << EXP_BITS) - 1
 ODD_SHIFT = 64
 _BASE = 71  # the first exponent field, above the mask and the odd size
 _LOW64 = (1 << 64) - 1
-
-# The keys are pure functions of the term, so a memo shared by every
-# algebra can never serve a code computed for a different one.  The bound
-# keeps memory flat on long runs; a whole perfbench pool touches at most
-# about 300 distinct monomials per order.
-TERM_KEY_CACHE_SIZE = 1 << 12
 
 
 class TermOverflowError(ValueError):

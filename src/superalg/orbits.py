@@ -13,8 +13,8 @@ vanish) or trivial.
 
 from __future__ import annotations
 
-from superalg.groebner import SuperAlgebra, SuperIdeal
-from superalg.sdim import Record, SuperDim, bar, check_ksdim_bound, ksdim, odd_cotangent_relations
+from superalg.groebner import SuperAlgebra, SuperIdeal, check_odd_bound
+from superalg.sdim import KSDIM_MAX_ODD, Record, SuperDim, bar, ksdim, odd_cotangent_relations
 from superalg.scalars import inv
 from superalg.superpoly import StructureError
 
@@ -199,7 +199,7 @@ def orbit_ideal(action, pt):
     """
     A = action.algebra
     vs = A.vs
-    check_ksdim_bound(vs)
+    check_odd_bound(vs, KSDIM_MAX_ODD)
     pt.validate(A)
     slopes = [action.images[y].evaluate_at_point(pt.point) for y in vs.odd]
     pivot = next((j for j, lam in enumerate(slopes) if lam), None)

@@ -10,11 +10,13 @@ import itertools
 
 from superalg._kernel import code_layout, term_key, weight_term_key
 from superalg.groebner import (
+    MODULE_MAX_ODD,
     SuperAlgebra,
     SuperIdeal,
     _kernel_pairs,
     annihilator,
     buchberger,
+    check_odd_bound,
     complete,
     ideal_equal,
     localize_at_even,
@@ -35,13 +37,6 @@ ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 # orbit ideal on the first, whose one superideal over 2^n components is the
 # result, about 1.1 s at n = 14 (2 vCPUs).
 KSDIM_MAX_ODD = 14
-
-
-def check_ksdim_bound(vs):
-    """StructureError, naming the bound, for more than KSDIM_MAX_ODD odd
-    generators."""
-    if vs.n > KSDIM_MAX_ODD:
-        raise StructureError("at most %d odd generators, not %d" % (KSDIM_MAX_ODD, vs.n))
 
 
 class Record:
@@ -225,7 +220,9 @@ def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
 
 def is_odd_regular_sequence(algebra, elements):
     """Stronger condition: the annihilator of the product equals the
-    superideal generated by the elements themselves."""
+    superideal generated by the elements themselves.  At most
+    MODULE_MAX_ODD odd generators, as for ``annihilator``."""
+    check_odd_bound(algebra.vs, MODULE_MAX_ODD)
     prod = _odd_product(algebra, elements)
     if prod.is_zero():
         return False
@@ -271,7 +268,7 @@ def ksdim(algebra):
     certificate is the accepted elements and the dimension witness, and
     ``annihilator`` gives Ann of their product to a caller that wants it.
     """
-    check_ksdim_bound(algebra.vs)
+    check_odd_bound(algebra.vs, KSDIM_MAX_ODD)
     bar_a = bar(algebra)
     even = leading_term_dim(bar_a)
     if even == ZERO_RING_DIM:
@@ -397,8 +394,9 @@ def phi_basis_lift(algebra, pt):
 def gr_presentation(algebra):
     """Same generators; relations replaced by the lowest odd-weight slices
     of a basis computed with the odd-weight-first order.  ``SuperAlgebra``
-    drops the repeated slices."""
+    drops the repeated slices.  At most MODULE_MAX_ODD odd generators."""
     vs = algebra.vs
+    check_odd_bound(vs, MODULE_MAX_ODD)
     closed = [g.terms for g in superideal_closure(algebra.relations)]
     gb = buchberger(closed, weight_term_key, vs.field.char)
     rels = []

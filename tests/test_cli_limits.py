@@ -3,6 +3,8 @@ process of its own (``conftest.run_cli_child``)."""
 
 from conftest import run_cli_child
 
+from superalg.groebner import MODULE_MAX_ODD
+
 
 def write_document(tmp_path, n):
     """k[x | y1..yn]/(x*y1y2y3) as a document, and its path."""
@@ -20,3 +22,22 @@ def test_mono_check_at_sixteen_odd_generators_stays_small(tmp_path):
     images = "; ".join(["x -> x"] + ["y%d -> y%d" % (i, i) for i in range(1, 17)])
     done = run_cli_child(["mono-check", doc, doc, "--images", images], timeout=60, memory_mb=128)
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_module_view_commands_exit_2_above_the_bound(tmp_path):
+    """``ann``, ``gr`` and ``odd-regular`` build the module view over the
+    2^n components, so above MODULE_MAX_ODD odd generators each is an
+    input error that names the bound, refused before any Gröbner work."""
+    n = MODULE_MAX_ODD + 1
+    doc = write_document(tmp_path, n)
+    message = "error: at most %d odd generators, not %d\n" % (MODULE_MAX_ODD, n)
+    for argv in (["ann", doc, "--element", "y1"], ["gr", doc], ["odd-regular", doc, "--seq", "y4"]):
+        done = run_cli_child(argv, timeout=10, memory_mb=128)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message), argv
+
+
+def test_gr_at_the_bound_still_runs(tmp_path):
+    doc = write_document(tmp_path, MODULE_MAX_ODD)
+    done = run_cli_child(["gr", doc], timeout=60, memory_mb=128)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("gr relations: x*y1y2y3")

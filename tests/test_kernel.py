@@ -32,6 +32,45 @@ def test_odd_merge_matches_bruteforce():
         assert _kernel.odd_merge(a, b) == brute_odd_merge(a, b)
 
 
+def test_odd_merge_memo_serves_every_small_mask_pair():
+    """Every pair of masks over n <= 6 odd generators, overlapping or not,
+    agrees with the reference on two passes; the second is served wholly
+    from the memo, which holds exactly those 4,096 pairs."""
+    pairs = [(a, b) for a in range(1 << 6) for b in range(1 << 6)]
+    _kernel.odd_merge.cache_clear()
+    for a, b in pairs:
+        assert _kernel.odd_merge(a, b) == brute_odd_merge(a, b)
+    first = _kernel.odd_merge.cache_info()
+    for a, b in pairs:
+        assert _kernel.odd_merge(a, b) == brute_odd_merge(a, b)
+    second = _kernel.odd_merge.cache_info()
+    assert second.hits - first.hits == len(pairs)
+    assert second.misses == first.misses
+
+
+def test_odd_merge_matches_bruteforce_on_wide_masks():
+    """Drawn pairs of 63-bit masks, half of them made disjoint."""
+    rng = random.Random(5)
+    for i in range(500):
+        a = rng.getrandbits(63)
+        b = rng.getrandbits(63)
+        if i % 2:
+            b &= ~a
+        assert _kernel.odd_merge(a, b) == brute_odd_merge(a, b)
+
+
+def test_one_bound_for_every_kernel_memo():
+    memos = (
+        _kernel.odd_merge,
+        _kernel.term_key,
+        _kernel.weight_term_key,
+        _kernel.elim_term_key,
+        _kernel.code_layout,
+    )
+    for memo in memos:
+        assert memo.cache_info().maxsize == _kernel.TERM_KEY_CACHE_SIZE
+
+
 def test_high_bits():
     a = 1 << 62
     b = 1 << 61
