@@ -20,8 +20,10 @@ reduced term t by one addition, u + (t - l); and l divides t iff
 S-vectors of ``complete`` run on codes only; ``buchberger``,
 ``GBasis.normal_form`` and ``GBasis.vectors``/``leads`` convert at the
 edge.  The annihilator's elimination, ``_kernel_pairs``, also returns
-codes: ``annihilator`` reduces them as they are, and the parameter test of
-``sdim.ksdim`` reads its verdict off them without decoding them.
+codes.  ``annihilator`` tags every graph vector and reduces the kernel
+pairs as they are; the parameter test of ``sdim.ksdim`` tags only the
+graph vector of the empty mask, so that its pairs are a Gröbner basis of
+one colon ideal in k[x], and reads its verdict off their leads alone.
 """
 
 from __future__ import annotations
@@ -515,7 +517,7 @@ def annihilator(p, algebra):
     return SuperIdeal._from_reduced_basis(algebra, _autoreduce(layout, vs.field.char, pairs))
 
 
-def _kernel_pairs(p, algebra, parity):
+def _kernel_pairs(p, algebra, parity, *, one_tag=False):
     """The kernel elements of one parity of multiplication by p on the free
     module, for a nonzero parity-homogeneous p in normal form: the (lead,
     vector) pairs, in term_key codes, of a Gröbner basis of them that is
@@ -536,6 +538,13 @@ def _kernel_pairs(p, algebra, parity):
     other parity's vectors lie in the other components, so they neither
     pair with these nor reduce them, and the pairs of both parities
     together, with the pure tags, are a Gröbner basis of the whole kernel.
+
+    With ``one_tag``, for parity 0, only the graph vector of S = 0 keeps
+    its tag, (p, e_0); y_S * p for every other S enters the main block
+    untagged.  The tag block is then the one component e_0, and its basis
+    elements are a Gröbner basis of the ideal {a in k[x] : a*p in J +
+    sum over S != 0 of k[x]*y_S*p} times e_0, the colon that
+    ``sdim._even_dim_modulo_annihilator`` reads its verdict off.
 
     Only submasks of F have a graph vector, F the odd indices outside the
     mask that every term of p shares: an S that meets that mask at i kills
@@ -588,7 +597,8 @@ def _kernel_pairs(p, algebra, parity):
                 cols[mask] = rel.normal_form(prod)
             if cols[mask]:
                 v = {term_key(t) + block: x for t, x in cols[mask].items()}
-                v[term_key((zero_exps, mask))] = one
+                if not (one_tag and mask):
+                    v[term_key((zero_exps, mask))] = one
                 graph.append(v)
         mask = (mask - free) & free
         if not mask:

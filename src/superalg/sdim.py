@@ -6,8 +6,6 @@ covering checks for affine super-dimension.
 
 from __future__ import annotations
 
-import itertools
-
 from superalg._kernel import code_layout, term_key, weight_term_key
 from superalg.groebner import (
     MODULE_MAX_ODD,
@@ -17,7 +15,6 @@ from superalg.groebner import (
     annihilator,
     buchberger,
     check_odd_bound,
-    complete,
     ideal_equal,
     localize_at_even,
     superideal_closure,
@@ -29,13 +26,14 @@ from superalg.superpoly import ParityError, StructureError, SuperPoly, VarSet
 ZERO_RING_DIM = float("-inf")  # sentinel even dimension of the zero ring
 
 # The most odd generators ``ksdim`` searches over, and ``orbits.orbit_ideal``
-# takes: the search makes up to n + 1 eliminations, each over the odd
-# indices that not every term of its product holds, against a relation
-# basis over 2^n components, so k[x | y1..yn]/(x*y1y2y3) takes about 0.3 s
-# at n = 14, 0.7 s at n = 15 and 1.6 s at n = 16, and k[x | y1..yn]/(x*y_i),
-# whose relation basis fills every component, 4.4 s, 11 s and 20 s; an
-# orbit ideal on the first, whose one superideal over 2^n components is the
-# result, about 1.1 s at n = 14 (2 vCPUs).
+# takes: the search makes up to n + 1 eliminations with one tag each, over
+# the odd indices that not every term of its product holds, against a
+# relation basis over 2^n components, so k[x | y1..yn]/(x*y1y2y3) takes
+# about 0.6 s at n = 14, 0.9 s at n = 15 and 1.2 s at n = 16, and
+# k[x | y1..yn]/(x*y_i), whose relation basis fills every component, 2.9 s,
+# 6.9 s and 17 s; an orbit ideal on the first, whose one superideal over
+# 2^n components is the result, about 1.5 s at n = 14 (one process per
+# call, 2 vCPUs).
 KSDIM_MAX_ODD = 14
 
 
@@ -131,29 +129,48 @@ def bar(algebra):
 def leading_term_dim(comm_algebra):
     """Krull dimension of k[x]/I via the maximum size of a variable subset
     touching no leading monomial of the reduced basis (``_lead_dim``)."""
-    return _lead_dim(comm_algebra.gbasis, comm_algebra.vs.m)
+    return _lead_dim((exps for exps, _ in comm_algebra.gbasis.leads), comm_algebra.vs.m)
 
 
-def _lead_dim(gb, m):
-    """Krull dimension of k[x]/I, for gb a Gröbner basis of I under
-    term_key, reduced or not, with m even generators: the maximum size of a
-    variable subset u that holds the support of no lead.
+def _lead_dim(lead_exps, m):
+    """Krull dimension of k[x]/I, for lead_exps the lead exponent tuples of
+    a Gröbner basis of I under term_key, reduced or not, with m even
+    generators: the maximum size of a variable subset u that holds the
+    support of no lead.
 
     The leads generate the initial ideal in(I), and k[x]/I has the Krull
     dimension of k[x]/in(I), the largest u with no monomial of in(I) in
     k[u].  That condition reads the same on any generating set of in(I): a
     monomial of in(I) in k[u] is a multiple of a generator, whose support
     then lies in u, and each generator is such a monomial.  So unreduced
-    leads give the dimension that the reduced ones give."""
-    decode = gb.layout.decode
-    supports = [frozenset(i for i, e in enumerate(decode(c)[0]) if e) for c in gb.lead_codes]
-    if frozenset() in supports:  # the lead 1: the unit ideal
+    leads give the dimension that the reduced ones give.  The variables
+    outside u meet every support, so the answer is m less the fewest
+    variables that do (``_least_cover``)."""
+    supports = {sum(1 << i for i, e in enumerate(exps) if e) for exps in lead_exps}
+    if 0 in supports:  # the lead 1: the unit ideal
         return ZERO_RING_DIM
-    # the empty set holds no support, so size 0 always returns
-    for size in range(m, -1, -1):
-        for combo in itertools.combinations(range(m), size):
-            if all(s.difference(combo) for s in supports):
-                return size
+    return m - _least_cover(supports)
+
+
+def _least_cover(supports):
+    """The fewest variables that meet every support of a set of nonempty
+    variable bitmasks.  A support of one variable puts it in every cover.
+    When each support left has two variables or more, take i the lowest
+    variable of a smallest one: a cover either holds i, and then meets the
+    supports without i, or does not, and then meets every support with i
+    taken out, none of them empty.  Each branch settles one variable, and
+    where every support is a single variable the first call decides."""
+    forced = 0
+    for s in supports:
+        if not s & (s - 1):
+            forced |= s
+    rest = {s for s in supports if not s & forced}
+    if not rest:
+        return forced.bit_count()
+    s = min(rest, key=int.bit_count)
+    i = s & -s
+    held = 1 + _least_cover({t for t in rest if not t & i})
+    return forced.bit_count() + min(held, _least_cover({t & ~i for t in rest}))
 
 
 # ---------------------------------------------------------------------------
@@ -171,49 +188,56 @@ def _odd_product(algebra, elements):
     return algebra.nf(prod)
 
 
-def _even_dim_modulo_annihilator(p, algebra, bar_algebra):
-    """Krull dimension of bar(A) modulo the image of Ann(p)_0, read from the
-    even kernel basis that ``_kernel_pairs(p, algebra, 0)`` returns: p
-    passes the parameter test iff that dimension is bar(A)'s own.  It stays
-    in term_key codes from the elimination to the verdict.
+def _even_dim_modulo_annihilator(p, algebra):
+    """Krull dimension of bar(A) modulo the image of Ann(p)_0, for a
+    nonzero parity-homogeneous p in normal form: p passes the parameter
+    test iff that dimension is bar(A)'s own.  It is read off the leads of
+    one elimination with one tag, ``_kernel_pairs(p, algebra, 0,
+    one_tag=True)``, in term_key codes.
 
-    That basis is not reduced, but with the pure tags it generates
-    Ann(p)_0 over k[x].  An f in Ann(p)_0 is a sum of a_i*g_i with a_i in
-    k[x], so the terms of f without an odd factor are the sum of a_i times
-    those of g_i: the mask-0 terms of the basis generate the image of
-    Ann(p)_0, as those of the reduced basis do.  A pure tag e_S has S
-    nonempty, as y_0 * p = p is not zero, and odd kernel elements have no
-    mask-0 term, so neither the pure tags nor the odd half of the
-    elimination is needed.
+    Write A = k[x | y]/J, F_0 = sum over even S of k[x]*y_S for the even
+    part of the free algebra, and f_0 in k[x] for the coefficient of
+    y_0 = 1 in an f of F_0; the image of f in bar(A) is f_0 modulo bar(J).
+    The tag block of that elimination is a Gröbner basis of I_p*e_0, with
 
-    A mask-0 term (exps, 0) has the same term_key code in the algebra and
-    in bar(A), which has no odd generator.  So the mask-0 parts of the
-    basis, as they are, extend a copy of bar(A)'s reduced basis by
-    ``complete`` to a Gröbner basis, not reduced, of the image plus the
-    relations of bar(A), whose leads give the dimension (``_lead_dim``)."""
+        I_p = {a in k[x] : a*p in J_|p| + sum over S != 0 of k[x]*y_S*p}
+
+    (the main block holds y_S*p in normal form, which differs from y_S*p
+    by an element of J_|p|, and the relation basis of parity |p|).
+
+    I_p is the image in k[x] of Ann(p)_0, that is of its preimage
+    {f in F_0 : f*p in J} under f -> f_0.  If f*p lies in J, it lies in
+    J_|p|, and f_0*p = f*p - sum over S != 0 of f_S*y_S*p puts f_0 in I_p.
+    If a*p = j + sum over S != 0 of a_S*y_S*p with j in J_|p|, then
+    f = a - sum a_S*y_S lies in F_0 with f*p = j in J, and f_0 = a.
+
+    I_p contains bar(J).  For f in J_0, f*p lies in J, so f_0 lies in I_p
+    by the first half.  bar(J) is generated by the mask-0 parts of the
+    relations, and an odd relation has none, so by the f_0 of the even
+    relations f, which lie in J_0.
+
+    So the image of Ann(p)_0 in bar(A) = k[x]/bar(J) is I_p/bar(J), and
+    bar(A) modulo it is k[x]/I_p, whose Krull dimension the leads of any
+    Gröbner basis of I_p give (``_lead_dim``): no copy of bar(A)'s basis
+    is completed, and nothing is decoded but the leads."""
     m = algebra.vs.m
-    layout = code_layout(term_key, m)
-    even = term_key(((0,) * m, 0)) & layout.comp
-    image = [
-        {c: x for c, x in v.items() if c & layout.comp == even}
-        for _, v in _kernel_pairs(p, algebra, 0)[0]
-    ]
-    return _lead_dim(complete(bar_algebra.gbasis.copy(), image), m)
+    decode = code_layout(term_key, m).decode
+    pairs, _ = _kernel_pairs(p, algebra, 0, one_tag=True)
+    # a tag-block code is the term_key code of its term
+    return _lead_dim((decode(lead)[0] for lead, _ in pairs), m)
 
 
-def is_odd_parameter_system(algebra, elements, bar_algebra=None, even_dim=None):
+def is_odd_parameter_system(algebra, elements, even_dim=None):
     """Tests whether the product of the elements has an annihilator small
     enough to preserve the even Krull dimension.
 
-    ``bar_algebra`` (= bar(algebra)) and ``even_dim`` (its Krull dimension)
-    depend only on the algebra; a caller testing many candidates passes
-    them in once computed."""
+    ``even_dim``, the Krull dimension of bar(algebra), depends only on the
+    algebra; a caller testing many candidates passes it in once computed."""
     prod = _odd_product(algebra, elements)
     if prod.is_zero():
         return False, OddParamCertificate(list(elements), None, "product is zero")
-    bar_a = bar(algebra) if bar_algebra is None else bar_algebra
-    d = leading_term_dim(bar_a) if even_dim is None else even_dim
-    dq = _even_dim_modulo_annihilator(prod, algebra, bar_a)
+    d = leading_term_dim(bar(algebra)) if even_dim is None else even_dim
+    dq = _even_dim_modulo_annihilator(prod, algebra)
     reason = "" if dq == d else "annihilator drops even dimension to %s" % dq
     return dq == d, OddParamCertificate(list(elements), d, reason)
 
@@ -254,23 +278,22 @@ def ksdim(algebra):
     distinct product, up to a scalar, is tested once: Ann(c*p) = Ann(p)
     for a nonzero scalar c.
 
-    A test needs only its verdict, and reads it from the even half of the
-    elimination, Ann(p)_0, with its basis as the elimination leaves it:
-    that basis generates Ann(p)_0 over k[x] as the reduced one does, so
-    the image of Ann(p)_0 in bar(A), and the Krull dimension it leaves, are
-    the same (``_even_dim_modulo_annihilator``).  The elimination takes
-    graph vectors only over the odd indices that not every term of p
-    holds, and leaves the tags with y_S*p = 0 out of its completion
-    (``groebner._kernel_pairs``); the verdict extends a copy of bar(A)'s
-    basis by the mask-0 codes of the kernel basis and reads the dimension
-    off the unreduced leads: the kernel basis is never decoded, and no
-    algebra or reduced basis is built.  The odd half never runs: the
-    certificate is the accepted elements and the dimension witness, and
+    A test needs only its verdict: whether bar(A) modulo the image of
+    Ann(p)_0 keeps bar(A)'s Krull dimension.  That image is the colon
+    I_p = {a in k[x] : a*p in J + sum over S != 0 of k[x]*y_S*p}, which
+    holds bar(J) (``_even_dim_modulo_annihilator``), so one elimination
+    with the single tag e_0 on the graph vector (p, e_0), and y_S*p
+    untagged for every other even S, gives a Gröbner basis of I_p; the
+    verdict is read off its unreduced leads.  The elimination takes the
+    y_S*p only over the odd indices that not every term of p holds
+    (``groebner._kernel_pairs``), and stays in codes: nothing is decoded
+    but the leads, no algebra or reduced basis is built, and neither the
+    odd half nor a copy of bar(A)'s basis is completed.  The certificate
+    is the accepted elements and the dimension witness, and
     ``annihilator`` gives Ann of their product to a caller that wants it.
     """
     check_odd_bound(algebra.vs, KSDIM_MAX_ODD)
-    bar_a = bar(algebra)
-    even = leading_term_dim(bar_a)
+    even = leading_term_dim(bar(algebra))
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], even, "zero ring")
     vs = algebra.vs
@@ -280,7 +303,7 @@ def ksdim(algebra):
     def passes(p):
         monic = p.scale(inv(p.lead_term()[1], char))
         if monic not in verdicts:
-            verdicts[monic] = _even_dim_modulo_annihilator(monic, algebra, bar_a) == even
+            verdicts[monic] = _even_dim_modulo_annihilator(monic, algebra) == even
         return verdicts[monic]
 
     n = vs.n

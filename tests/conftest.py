@@ -12,6 +12,7 @@ import pytest
 from superalg import _kernel, groebner
 from superalg.groebner import SuperAlgebra, SuperIdeal, superideal_closure
 from superalg.scalars import QQ, inv
+from superalg.sdim import ZERO_RING_DIM
 from superalg.superpoly import StructureError, SuperPoly, VarSet, mask_indices, term_key
 
 
@@ -113,6 +114,22 @@ def superideal_check_mono_necessary(phi):
     vs = phi.dst.vs
     ideal = SuperIdeal(phi.dst, [phi.images[y] for y in phi.src.vs.odd])
     return all(ideal.contains(vs.gen(y)) for y in vs.odd)
+
+
+def brute_lead_dim(lead_exps, m):
+    """Krull dimension of k[x]/I, from the lead exponent tuples of a
+    Gröbner basis of I with m even generators, by the scan over every
+    variable subset, largest first: the size of the first that holds the
+    support of no lead.  ``sdim._lead_dim`` finds the same through the
+    fewest variables that meet every support; this is its reference."""
+    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in lead_exps]
+    if frozenset() in supports:  # the lead 1: the unit ideal
+        return ZERO_RING_DIM
+    # the empty set holds no support, so size 0 always returns
+    for size in range(m, -1, -1):
+        for combo in itertools.combinations(range(m), size):
+            if all(s.difference(combo) for s in supports):
+                return size
 
 
 def annihilator_elimination(p, algebra, parity):

@@ -4,6 +4,7 @@ process of its own (``conftest.run_cli_child``)."""
 from conftest import run_cli_child
 
 from superalg.groebner import MODULE_MAX_ODD
+from superalg.sdim import KSDIM_MAX_ODD
 
 
 def write_document(tmp_path, n):
@@ -41,3 +42,23 @@ def test_gr_at_the_bound_still_runs(tmp_path):
     done = run_cli_child(["gr", doc], timeout=60, memory_mb=128)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("gr relations: x*y1y2y3")
+
+
+def test_ksdim_at_the_odd_bound_and_at_forty_even_generators(tmp_path):
+    """``ksdim`` on k[x | y1..y14]/(x*y_i), at KSDIM_MAX_ODD, whose relation
+    basis fills every component, within 256 MB and 30 s; and on
+    k[x1..x40 | y1]/(x_i^2), whose Krull dimension is read off 40 leads of
+    one variable each, within 10 s."""
+    n = KSDIM_MAX_ODD
+    odd = " ".join("y%d" % i for i in range(1, n + 1))
+    rels = "".join("  rel x*y%d\n" % i for i in range(1, n + 1))
+    path = tmp_path / "collapsing.salg"
+    path.write_text("superalgebra collapsing\n  even x\n  odd %s\n%send\n" % (odd, rels))
+    done = run_cli_child(["ksdim", str(path)], timeout=30, memory_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Ksdim = 1|0\n", "")
+    even = " ".join("x%d" % i for i in range(1, 41))
+    rels = "".join("  rel x%d^2\n" % i for i in range(1, 41))
+    path = tmp_path / "squares.salg"
+    path.write_text("superalgebra squares\n  even %s\n  odd y1\n%send\n" % (even, rels))
+    done = run_cli_child(["ksdim", str(path)], timeout=10, memory_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Ksdim = 0|1\n", "")

@@ -20,12 +20,15 @@ the reference path: the reduced ``annihilator`` of its product leaves
 bar(A) the Krull dimension the certificate witnesses.  The search costs
 n + 1 eliminations on the collapsing family, n with the one relation
 x*y1...yn and 1 in the free algebra, and no product reaches the
-elimination twice.  A test reads its verdict from the even half's
-kernel basis before reduction, in codes; a property test checks that
-this leaves the Krull dimension of the quotient as the reduced
-annihilator does, and that each half returns kernel elements of its own
-parity only.  A test builds no algebra and runs no Buchberger, and the
-full monomial's test enters one graph vector and no pure tag.
+elimination twice, and every elimination on ``ksdim``'s path is the
+one-tag form.  A test reads its verdict off the leads of one elimination
+that tags only e_0, in codes; a property test checks that the tag
+block's vectors generate bar(J) plus the image of Ann(p)_0, the image
+that the reduced annihilator gives, and others that the verdict leaves
+the Krull dimension of the quotient as the reduced annihilator does and
+that each half of the full elimination returns kernel elements of its
+own parity only.  A test builds no algebra and runs no Buchberger, and
+the full monomial's test enters one graph vector and no pure tag.
 """
 
 import io
@@ -39,6 +42,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superalg import groebner, sdim
+from superalg._kernel import code_layout, term_key
 from superalg.cli import run_command
 from superalg.groebner import SuperAlgebra, annihilator
 from superalg.oracle import all_monomials
@@ -81,14 +85,13 @@ def odd_parameter_candidates(algebra, random_combos, seed):
 def exhaustive_ksdim(algebra, random_combos=4, seed=0):
     """The search as it was: every combination of the pool, largest size
     first, each through ``is_odd_parameter_system``."""
-    bar_a = bar(algebra)
-    even = leading_term_dim(bar_a)
+    even = leading_term_dim(bar(algebra))
     if even == ZERO_RING_DIM:
         return SuperDim(ZERO_RING_DIM, 0), OddParamCertificate([], even, "zero ring")
     pool = odd_parameter_candidates(algebra, random_combos, seed)
     for k in range(min(algebra.vs.n, len(pool)), 0, -1):
         for combo in itertools.combinations(pool, k):
-            ok, cert = is_odd_parameter_system(algebra, list(combo), bar_a, even)
+            ok, cert = is_odd_parameter_system(algebra, list(combo), even)
             if ok:
                 return SuperDim(even, k), cert
     return SuperDim(even, 0), OddParamCertificate([], even, "no odd parameters")
@@ -98,19 +101,20 @@ ELIMINATION = groebner._kernel_pairs
 
 
 def recorded_ksdim(algebra):
-    """``ksdim`` and the (monic product, parity) pairs that reached the
-    elimination, in order."""
+    """``ksdim`` and the (monic product, parity, one_tag) triples that
+    reached the elimination, in order; every one is the one-tag form."""
     char = algebra.vs.field.char
     seen = []
 
-    def recording(p, algebra, parity):
-        seen.append((p.scale(inv(p.lead_term()[1], char)), parity))
-        return ELIMINATION(p, algebra, parity)
+    def recording(p, algebra, parity, *, one_tag=False):
+        seen.append((p.scale(inv(p.lead_term()[1], char)), parity, one_tag))
+        return ELIMINATION(p, algebra, parity, one_tag=one_tag)
 
     with mock.patch.object(sdim, "_kernel_pairs", recording), mock.patch.object(
         groebner, "_kernel_pairs", recording
     ):
         result = ksdim(algebra)
+    assert all(one_tag for _, _, one_tag in seen)
     return result, seen
 
 
@@ -120,10 +124,11 @@ def rendered(result):
 
 
 def check_certificate(algebra, result, seen):
-    """``ksdim`` ran no odd half of the elimination, and an accepted set's
-    product, through the reduced ``annihilator``, leaves bar(A) the Krull
-    dimension its certificate witnesses."""
-    assert all(parity == 0 for _, parity in seen)
+    """``ksdim`` ran no odd half of the elimination and every elimination
+    had the one tag e_0, and an accepted set's product, through the
+    reduced ``annihilator``, leaves bar(A) the Krull dimension its
+    certificate witnesses."""
+    assert all(parity == 0 and one_tag for _, parity, one_tag in seen)
     cert = result[1]
     if cert.elements:
         prod = algebra.vs.one()
@@ -215,14 +220,13 @@ def test_odd_part_is_the_largest_passing_generator_set(case):
     assert cert.elements == [A.nf(gens[i]) for i in passing[0]]
     if not dim.odd:
         return
-    bar_a = bar(A)
     for random_combos in (0, 4, 24):
         for seed in range(4):
             pool = odd_parameter_candidates(A, random_combos, seed)
             first = next(
                 list(combo)
                 for combo in itertools.combinations(pool, dim.odd)
-                if is_odd_parameter_system(A, list(combo), bar_a, dim.even)[0]
+                if is_odd_parameter_system(A, list(combo), dim.even)[0]
             )
             assert first == cert.elements
 
@@ -272,9 +276,9 @@ def test_no_product_reaches_the_annihilator_twice(family, n):
 def test_commands_run_only_the_even_half(monkeypatch):
     parities = []
 
-    def recording(p, algebra, parity):
-        parities.append(parity)
-        return ELIMINATION(p, algebra, parity)
+    def recording(p, algebra, parity, *, one_tag=False):
+        parities.append((parity, one_tag))
+        return ELIMINATION(p, algebra, parity, one_tag=one_tag)
 
     monkeypatch.setattr(sdim, "_kernel_pairs", recording)
     monkeypatch.setattr(groebner, "_kernel_pairs", recording)
@@ -286,7 +290,7 @@ def test_commands_run_only_the_even_half(monkeypatch):
         ["verify-orbits", a11, "--derivation", "translate", "--point", "x = 2", "--json"],
     ):
         assert run_command(argv, out=io.StringIO()) == 0
-    assert parities and set(parities) == {0}
+    assert parities and set(parities) == {(0, True)}
 
 
 def test_the_certificate_carries_no_annihilator():
@@ -335,8 +339,31 @@ def test_unreduced_kernel_basis_decides_the_verdict(case):
         SuperAlgebra(bar_a.vs, bar_a.relations + unreduced).module_gb
         == SuperAlgebra(bar_a.vs, bar_a.relations + reduced).module_gb
     )
-    assert sdim._even_dim_modulo_annihilator(p, A, bar_a) == leading_term_dim(
+    assert sdim._even_dim_modulo_annihilator(p, A) == leading_term_dim(
         SuperAlgebra(bar_a.vs, bar_a.relations + reduced)
+    )
+
+
+@SEARCH_SETTINGS
+@given(odd_products())
+def test_one_tag_leads_are_the_colon(case):
+    """The one-tag elimination's tag block lies in the one component e_0,
+    and its vectors generate I_p = {a in k[x] : a*p in J + sum over S != 0
+    of k[x]*y_S*p}, which holds bar(J) and is the image of Ann(p)_0: the
+    reduced basis of their ideal is that of bar(A)'s relations with the
+    image read off the reduced ``annihilator``."""
+    A, p = case
+    bar_a = bar(A)
+    decode = code_layout(term_key, A.vs.m).decode
+    colon = []
+    for _, v in groebner._kernel_pairs(p, A, 0, one_tag=True)[0]:
+        terms = dict(zip(map(decode, v), v.values()))
+        assert not any(mask for _, mask in terms)
+        colon.append(SuperPoly(bar_a.vs, terms))
+    reference = even_annihilator_image_in_bar(annihilator(p, A), bar_a)
+    assert (
+        SuperAlgebra(bar_a.vs, colon).module_gb
+        == SuperAlgebra(bar_a.vs, bar_a.relations + reference).module_gb
     )
 
 
@@ -378,7 +405,7 @@ def test_a_parameter_test_builds_no_algebra_and_runs_no_buchberger():
     ), mock.patch.multiple(
         sdim, buchberger=forbidden, superideal_closure=forbidden
     ):
-        got = [sdim._even_dim_modulo_annihilator(p, A, bar_a) for p in products]
+        got = [sdim._even_dim_modulo_annihilator(p, A) for p in products]
     assert got == want
     assert set(want) == {0, 1}
 

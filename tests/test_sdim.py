@@ -3,7 +3,10 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superalg import sdim
 from superalg.dsl import parse_poly
 from superalg.groebner import SuperAlgebra, SuperIdeal, localize_at_even
 from superalg.scalars import QQ
@@ -27,7 +30,7 @@ from superalg.sdim import (
 )
 from superalg.superpoly import StructureError, VarSet
 
-from conftest import make_algebra
+from conftest import brute_lead_dim, make_algebra
 
 
 def corpus():
@@ -237,3 +240,20 @@ def test_the_empty_cover_of_the_zero_ring():
     }
     with pytest.raises(StructureError, match="unit ideal"):
         verify_cover(make_algebra(("x",), ("y",)), [])
+
+
+@st.composite
+def lead_sets(draw):
+    """(lead exponent tuples, m): up to eight tuples over m <= 8 even
+    generators, each exponent 0 to 2."""
+    m = draw(st.integers(0, 8))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m), max_size=8))
+    return leads, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lead_sets())
+def test_lead_dim_matches_the_subset_scan(case):
+    leads, m = case
+    assert sdim._lead_dim(leads, m) == brute_lead_dim(leads, m)
+
